@@ -437,7 +437,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
         per_model = []
         for name, model, meta in group:
             windows = windows_for(meta)
-            per_model.append((name, [model.predict(w) for w in windows]))
+            per_model.append((name, model.predict(windows)))
         return per_model
 
     try:

@@ -421,23 +421,22 @@ def bayes_nocontext_accuracy(spec: SyntheticSpec) -> float:
     the majority label; position 0 always carries transition(start_class) and
     later positions are distributed by the transition image of a uniform
     class draw. "current" mode: the text identifies the class, so 1.0.
-    "mixed" mode: self-informative halves are fully predictable, response
-    halves fall back to the majority response label.
+    "mixed" mode: self-informative halves are fully predictable; response
+    halves carry transition(previous class), exactly the labels of
+    "previous" mode (position 0 included), so they fall back to its majority
+    label.
     """
+    if spec.mode == "current":
+        return 1.0
     k = spec.n_classes
     length = spec.conversation_length
     image = Counter(spec.transition[c] for c in range(k))
-    q = {label: cnt / k for label, cnt in image.items()}
-
-    if spec.mode == "current":
-        return 1.0
+    first = spec.transition[spec.start_class]
+    previous_majority = max(
+        ((1.0 if label == first else 0.0) + (length - 1) * cnt / k) / length
+        for label, cnt in image.items()
+    )
     if spec.mode == "previous":
-        first = spec.transition[spec.start_class]
-        freq = {
-            label: ((1.0 if label == first else 0.0) + (length - 1) * q[label]) / length
-            for label in q
-        }
-        return max(freq.values())
-    # mixed: half the slots are self-informative; the other half give the
-    # optimal no-context rule only the response-label marginal.
-    return 0.5 + 0.5 * max(q.values())
+        return previous_majority
+    # mixed: half the slots are self-informative, the other half responses
+    return 0.5 + 0.5 * previous_majority

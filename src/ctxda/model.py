@@ -10,12 +10,16 @@ Layout of a window: slot 0 is the oldest context utterance, the last slot is
 the current one. The attention profile reverses that, so ``attention[0]``
 always belongs to the utterance being classified and ``attention[k]`` to the
 k-th preceding one.
+
+Windows are processed in batches: slot k of B windows forms one (D, B)
+input, one column per window, and every layer works on all columns at once.
+A single window is a batch of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +28,16 @@ from .tensor import (
     Parameter,
     Tensor2D,
     add,
+    add_bias,
     hadamard,
     hstack,
     matmul,
-    softmax,
+    reshape,
+    softmax_columns,
     tanh_map,
     transpose,
     vstack,
+    weighted_sum,
 )
 
 PROB_TOL = 1e-9
@@ -73,11 +80,10 @@ class ContextWindow:
 @dataclass
 class Prediction:
     """Distribution over tag indices, with the attention profile when the
-    model has one. ``node`` is the live graph handle used to build losses."""
+    model has one."""
 
     probs: np.ndarray
     attention: np.ndarray | None = None
-    node: Tensor2D | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64).ravel()
@@ -148,14 +154,22 @@ def _zeros(rows: int, name: str) -> Parameter:
     return Parameter(np.zeros((rows, 1)), name=name)
 
 
-def apply_dropout(h: Tensor2D, rate: float, rng, training: bool) -> Tensor2D:
+def apply_dropout(
+    h: Tensor2D, rate: float, rng, training: bool, uniforms: np.ndarray | None = None
+) -> Tensor2D:
     """Inverted dropout: zero entries with probability ``rate`` and scale the
-    survivors by 1/(1-rate). Identity at inference or at rate 0."""
+    survivors by 1/(1-rate). Identity at inference or at rate 0.
+
+    ``uniforms`` are the U[0, 1) draws deciding each entry, of ``h``'s shape;
+    when omitted they are drawn from ``rng``.
+    """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return h
-    keep = (rng.random(h.shape) >= rate) / (1.0 - rate)
+    if uniforms is None:
+        uniforms = rng.random(h.shape)
+    keep = (uniforms >= rate) / (1.0 - rate)
     return hadamard(h, Tensor2D._result(keep, (), None))
 
 
@@ -164,15 +178,16 @@ def rnn_direction(
 ) -> list[Tensor2D]:
     """Plain tanh RNN over the sequence from a zero initial state.
 
+    Each input is (D, B), one column per example, and each state (H, B).
     ``reverse=True`` iterates newest to oldest; outputs are re-aligned so
     entry k always corresponds to input slot k.
     """
-    hidden = Tensor2D._result(np.zeros((params.bias.rows, 1)), (), None)
+    hidden = Tensor2D._result(np.zeros((params.bias.rows, seq[0].cols)), (), None)
     steps = reversed(seq) if reverse else seq
     states = []
     for u in steps:
         hidden = tanh_map(
-            add(add(matmul(params.w_rec, hidden), matmul(params.w_in, u)), params.bias)
+            add_bias(add(matmul(params.w_rec, hidden), matmul(params.w_in, u)), params.bias)
         )
         states.append(hidden)
     if reverse:
@@ -188,25 +203,57 @@ def birnn_forward(features: list[Tensor2D], params: BiRNNParams) -> list[Tensor2
 
 
 def attention(
-    steps: list[Tensor2D], params: AttentionParams
+    steps: list[Tensor2D], params: AttentionParams, keep: np.ndarray | None = None
 ) -> tuple[Tensor2D, Tensor2D]:
-    """Score the step states and collapse them into one summary vector.
+    """Score the step states and collapse them into one summary per column.
 
-    Returns (weights, summary): ``weights`` is a (1, n+1) simplex node over
-    the steps in window order (oldest first); ``summary`` is
-    tanh(weighted sum of the step states).
+    ``steps`` holds the n+1 step states in window order (oldest first), each
+    (2H, B). Returns (weights, summary): ``weights`` is an (n+1, B) node whose
+    columns are simplices over the steps; ``summary`` (2H, B) is tanh of the
+    weighted sum of the step states. ``keep`` (n+1, B) masks steps out of the
+    softmax, giving them weight 0.
     """
-    stacked = hstack(steps)                                  # (2H, n+1)
-    projected = tanh_map(matmul(params.proj, stacked))       # (A, n+1)
-    scores = matmul(transpose(params.score), projected)      # (1, n+1)
-    weights = softmax(scores)
-    summary = tanh_map(matmul(stacked, transpose(weights)))  # (2H, 1)
+    stacked = hstack(steps)                                  # (2H, (n+1)*B), slot-major
+    projected = tanh_map(matmul(params.proj, stacked))       # (A, (n+1)*B)
+    scores = matmul(transpose(params.score), projected)      # (1, (n+1)*B)
+    weights = softmax_columns(reshape(scores, len(steps), steps[0].cols), keep)
+    summary = tanh_map(weighted_sum(steps, weights))         # (2H, B)
     return weights, summary
 
 
 def classify(u_final: Tensor2D, params: OutputParams) -> Tensor2D:
-    """Softmax head over the summary vector."""
-    return softmax(add(matmul(params.weight, u_final), params.bias))
+    """Softmax head over the summary vectors, one distribution per column."""
+    return softmax_columns(add_bias(matmul(params.weight, u_final), params.bias))
+
+
+PREDICT_CHUNK = 64  # windows per forward pass when predicting a list; bounds eval memory
+
+
+def _slot_inputs(windows, slots) -> list[Tensor2D]:
+    """The features of the given slots of every window, one (D, B) input per
+    slot with one column per window."""
+    if not windows:
+        raise ValueError("empty batch of windows")
+    feats = np.array([[w.features[k] for k in slots] for w in windows], dtype=np.float64)
+    feats = feats.reshape(len(windows), len(slots), -1)
+    return [Tensor2D(feats[:, k, :].T) for k in range(len(slots))]
+
+
+def _predict(forward, windows, training: bool, rng):
+    """Run ``forward(batch, training, rng) -> (probs, weights)`` over one
+    window (giving a Prediction) or a sequence of them (giving a list), in
+    batches of at most PREDICT_CHUNK windows."""
+    if isinstance(windows, ContextWindow):
+        return _predict(forward, [windows], training, rng)[0]
+    preds = []
+    for start in range(0, len(windows), PREDICT_CHUNK):
+        chunk = windows[start : start + PREDICT_CHUNK]
+        probs, weights = forward(chunk, training, rng)
+        for j in range(len(chunk)):
+            # window order is oldest->newest; report newest (current) first
+            profile = None if weights is None else weights.data[::-1, j].copy()
+            preds.append(Prediction(probs.data[:, j].copy(), attention=profile))
+    return preds
 
 
 class UttAttBiRNN:
@@ -215,6 +262,10 @@ class UttAttBiRNN:
     ``head="direct"`` skips attention and classifies the final-step state
     pair directly (the no-attention ablation). ``mask_padding`` restricts the
     attention softmax to real utterances.
+
+    ``predict`` takes one window (returning a Prediction) or a list of them
+    (returning a list); ``loss`` takes a batch, a list of windows, and
+    returns its mean cross-entropy. Both run the same batched forward pass.
     """
 
     kind = "uttattbirnn"
@@ -299,46 +350,35 @@ class UttAttBiRNN:
             "seed": self.seed,
         }
 
-    def _steps(self, window: ContextWindow, training: bool, rng) -> list[Tensor2D]:
-        feats = [Tensor2D(f) for f in window.features]
-        steps = birnn_forward(feats, self.birnn)
+    def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, Tensor2D | None]:
+        """(C, B) class distributions and the (n+1, B) attention weights in
+        window order (None for the direct head), one column per window."""
+        n_slots = windows[0].size if windows else 0
+        if any(w.size != n_slots for w in windows):
+            raise ValueError("windows in one batch must have the same number of slots")
+        steps = birnn_forward(_slot_inputs(windows, range(n_slots)), self.birnn)
         if training and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training forward pass needs an rng for dropout")
-            steps = [apply_dropout(s, self.dropout_rate, rng, True) for s in steps]
-        return steps
-
-    def predict(self, window: ContextWindow, training: bool = False, rng=None) -> Prediction:
-        steps = self._steps(window, training, rng)
+            # one draw, window by window then slot by slot: the masks, in order,
+            # that the windows would draw as batches of one
+            draws = rng.random((len(windows), n_slots, 2 * self.hidden_dim))
+            steps = [apply_dropout(s, self.dropout_rate, rng, True, uniforms=draws[:, k, :].T)
+                     for k, s in enumerate(steps)]
         if self.head == "direct":
-            probs = classify(steps[-1], self.out)
-            return Prediction(probs.data, attention=None, node=probs)
+            return classify(steps[-1], self.out), None
+        keep = np.array([w.pad_mask for w in windows], dtype=bool).T if self.mask_padding else None
+        weights, summary = attention(steps, self.att, keep)
+        return classify(summary, self.out), weights
 
-        if self.mask_padding:
-            real = [s for s, keep in zip(steps, window.pad_mask) if keep]
-            weights, summary = attention(real, self.att)
-            profile = np.zeros(window.size)
-            profile[np.array(window.pad_mask, dtype=bool)] = weights.data.ravel()
-        else:
-            weights, summary = attention(steps, self.att)
-            profile = weights.data.ravel().copy()
-        probs = classify(summary, self.out)
-        # window order is oldest->newest; report newest (current) first
-        return Prediction(probs.data, attention=profile[::-1].copy(), node=probs)
+    def predict(self, windows, training: bool = False, rng=None):
+        return _predict(self._forward, windows, training, rng)
 
-    def loss(self, window: ContextWindow, training: bool = False, rng=None) -> Tensor2D:
+    def loss(self, windows, training: bool = False, rng=None) -> Tensor2D:
         from .optim import cross_entropy
 
-        return cross_entropy(self.predict(window, training=training, rng=rng), window.label)
-
-
-def birnn_direct_classify(
-    window: ContextWindow, birnn: BiRNNParams, out: OutputParams
-) -> Tensor2D:
-    """No-attention head over the final-step forward/backward states."""
-    feats = [Tensor2D(f) for f in window.features]
-    steps = birnn_forward(feats, birnn)
-    return classify(steps[-1], out)
+        probs, _ = self._forward(windows, training, rng)
+        return cross_entropy(probs, [w.label for w in windows])
 
 
 def baseline_forward(
@@ -348,16 +388,28 @@ def baseline_forward(
     rng=None,
     dropout_rate: float = 0.0,
 ) -> Tensor2D:
-    """tanh -> tanh -> softmax over a single utterance vector."""
-    h1 = tanh_map(add(matmul(params.w1, u), params.b1))
-    h1 = apply_dropout(h1, dropout_rate, rng, training)
-    h2 = tanh_map(add(matmul(params.w2, h1), params.b2))
-    h2 = apply_dropout(h2, dropout_rate, rng, training)
-    return softmax(add(matmul(params.w_out, h2), params.b_out))
+    """tanh -> tanh -> softmax over utterance vectors, one per column of ``u``."""
+    draws = (None, None)
+    if training and dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("training forward pass needs an rng for dropout")
+        # one draw, window by window then layer by layer: the masks, in order,
+        # that the windows would draw as batches of one
+        h1 = params.b1.rows
+        both = rng.random((u.cols, h1 + params.b2.rows))
+        draws = (both[:, :h1].T, both[:, h1:].T)
+    h1 = tanh_map(add_bias(matmul(params.w1, u), params.b1))
+    h1 = apply_dropout(h1, dropout_rate, rng, training, uniforms=draws[0])
+    h2 = tanh_map(add_bias(matmul(params.w2, h1), params.b2))
+    h2 = apply_dropout(h2, dropout_rate, rng, training, uniforms=draws[1])
+    return softmax_columns(add_bias(matmul(params.w_out, h2), params.b_out))
 
 
 class BaselineMLP:
-    """No-context classifier over the current utterance's features alone."""
+    """No-context classifier over the current utterance's features alone.
+
+    ``predict`` and ``loss`` take windows as :class:`UttAttBiRNN` does.
+    """
 
     kind = "baseline"
 
@@ -409,18 +461,20 @@ class BaselineMLP:
             "seed": self.seed,
         }
 
-    def predict(self, window, training: bool = False, rng=None) -> Prediction:
-        feat = window.features[-1] if isinstance(window, ContextWindow) else window
-        probs = baseline_forward(
-            Tensor2D(feat), self.params, training=training, rng=rng,
-            dropout_rate=self.dropout_rate,
-        )
-        return Prediction(probs.data, attention=None, node=probs)
+    def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, None]:
+        (current,) = _slot_inputs(windows, [-1])
+        probs = baseline_forward(current, self.params, training=training, rng=rng,
+                                 dropout_rate=self.dropout_rate)
+        return probs, None
 
-    def loss(self, window: ContextWindow, training: bool = False, rng=None) -> Tensor2D:
+    def predict(self, windows, training: bool = False, rng=None):
+        return _predict(self._forward, windows, training, rng)
+
+    def loss(self, windows, training: bool = False, rng=None) -> Tensor2D:
         from .optim import cross_entropy
 
-        return cross_entropy(self.predict(window, training=training, rng=rng), window.label)
+        probs, _ = self._forward(windows, training, rng)
+        return cross_entropy(probs, [w.label for w in windows])
 
 
 MODEL_KINDS = {"baseline": BaselineMLP, "uttattbirnn": UttAttBiRNN}

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Parameter, Tensor2D, backward, neg_log, pick
+from .tensor import Parameter, Tensor2D, backward, mean_neg_log_gather
 
 LOSS_FLOOR = 1e-12
 
@@ -20,18 +20,15 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-def cross_entropy(pred, gold: int) -> Tensor2D:
+def cross_entropy(probs: Tensor2D, gold) -> Tensor2D:
     """Categorical cross-entropy -log(max(p_gold, 1e-12)) as a graph node.
 
-    ``pred`` may be a probability-vector node or any object exposing one as
-    ``.node`` (a Prediction).
+    ``probs`` holds one probability column per example. ``gold`` is the gold
+    index of each column, or a single int for a single column; the result
+    is the mean over the columns, a (1, 1) node.
     """
-    probs = getattr(pred, "node", pred)
-    n = max(probs.rows, probs.cols)
-    if not (0 <= gold < n):
-        raise ValueError(f"gold index {gold} out of range for {n} classes")
-    i, j = (gold, 0) if probs.cols == 1 else (0, gold)
-    return neg_log(pick(probs, i, j), floor=LOSS_FLOOR)
+    golds = [gold] if isinstance(gold, (int, np.integer)) else gold
+    return mean_neg_log_gather(probs, golds, floor=LOSS_FLOOR)
 
 
 class Adam:
@@ -203,7 +200,7 @@ def evaluate_accuracy(model, windows) -> float:
     if not windows:
         raise ValueError("cannot evaluate on an empty window list")
     correct = sum(
-        1 for w in windows if int(np.argmax(model.predict(w).probs)) == w.label
+        1 for w, p in zip(windows, model.predict(windows)) if p.top_class == w.label
     )
     return 100.0 * correct / len(windows)
 
@@ -233,15 +230,12 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             adam.zero_grad()
-            for w in batch:
-                loss = model.loss(w, training=True, rng=rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}", epoch=epoch)
-                backward(loss)
-                epoch_loss += value
-            for p in params:
-                p.grad /= len(batch)
+            loss = model.loss(batch, training=True, rng=rng)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}", epoch=epoch)
+            backward(loss)
+            epoch_loss += value * len(batch)
             try:
                 adam.step()
             except TrainingDiverged as exc:

@@ -4,12 +4,18 @@ Everything numerical in this package runs on :class:`Tensor2D`: a row-major
 matrix of 64-bit floats that doubles as a node in a computation graph. Each
 operation returns a fresh node that remembers its parents and how to push
 gradients back to them; :func:`backward` walks the recorded graph in reverse
-topological order. Trainable values are :class:`Parameter` nodes, whose
-gradients persist and accumulate across backward calls until ``zero_grad``.
+topological order, handing each node's backward closure the gradient of that
+node. Closures refer only to their inputs, never to their own output, so a
+graph holds no reference cycles and is freed as soon as its root is dropped.
+Trainable values are :class:`Parameter` nodes, whose gradients persist and
+accumulate across backward calls until ``zero_grad``.
 
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
-are ``(1, 1)``. There is no broadcasting and no batching - sequences are
-short and fixed-length here, so explicit loops are the intended style.
+are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
+size n side by side form an ``(n, B)`` matrix, and the column-wise ops
+(:func:`add_bias`, :func:`softmax_columns`, :func:`weighted_sum`,
+:func:`mean_neg_log_gather`) treat each column independently;
+:func:`add_bias` adds one ``(n, 1)`` column to every column.
 
 :func:`finite_difference_grad` is the independent oracle for the analytic
 backward passes. It evaluates the function being checked through plain
@@ -34,6 +40,10 @@ __all__ = [
     "tanh_map",
     "sigmoid_map",
     "softmax",
+    "softmax_columns",
+    "add_bias",
+    "weighted_sum",
+    "reshape",
     "transpose",
     "hstack",
     "vstack",
@@ -41,6 +51,7 @@ __all__ = [
     "sum_all",
     "mean_columns",
     "neg_log",
+    "mean_neg_log_gather",
     "backward",
     "finite_difference_grad",
 ]
@@ -84,7 +95,7 @@ class Tensor2D:
             raise ValueError("tensor entries must be finite")
         self.grad = np.zeros_like(self.data)
         self._parents: tuple = ()
-        self._backprop: Callable[[], None] | None = None
+        self._backprop: Callable[[np.ndarray], None] | None = None
 
     @classmethod
     def _result(cls, data: np.ndarray, parents: tuple, backprop) -> "Tensor2D":
@@ -160,64 +171,71 @@ def matmul(a: Tensor2D, b: Tensor2D) -> Tensor2D:
         raise DimensionError(
             f"matmul: inner dimensions differ for shapes {a.data.shape} and {b.data.shape}"
         )
-    out = Tensor2D._result(a.data @ b.data, (a, b), None)
 
-    def backprop():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def backprop(g):
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(a.data @ b.data, (a, b), backprop)
 
 
 def add(a: Tensor2D, b: Tensor2D) -> Tensor2D:
     """Elementwise sum of two same-shape tensors."""
     _check_same_shape("add", a, b)
-    out = Tensor2D._result(a.data + b.data, (a, b), None)
 
-    def backprop():
-        a.grad += out.grad
-        b.grad += out.grad
+    def backprop(g):
+        a.grad += g
+        b.grad += g
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(a.data + b.data, (a, b), backprop)
+
+
+def add_bias(t: Tensor2D, bias: Tensor2D) -> Tensor2D:
+    """Add the column vector ``bias`` (n, 1) to every column of ``t`` (n, B).
+
+    The bias gradient is the sum of the output gradient over columns.
+    """
+    if bias.data.shape != (t.data.shape[0], 1):
+        raise DimensionError(
+            f"add_bias: bias shape {bias.data.shape} does not fit {t.data.shape}"
+        )
+
+    def backprop(g):
+        t.grad += g
+        bias.grad += g.sum(axis=1, keepdims=True)
+
+    return Tensor2D._result(t.data + bias.data, (t, bias), backprop)
 
 
 def hadamard(a: Tensor2D, b: Tensor2D) -> Tensor2D:
     """Elementwise product of two same-shape tensors."""
     _check_same_shape("hadamard", a, b)
-    out = Tensor2D._result(a.data * b.data, (a, b), None)
 
-    def backprop():
-        a.grad += out.grad * b.data
-        b.grad += out.grad * a.data
+    def backprop(g):
+        a.grad += g * b.data
+        b.grad += g * a.data
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(a.data * b.data, (a, b), backprop)
 
 
 def scale(a: Tensor2D, k: float) -> Tensor2D:
     """Multiply every entry by the constant ``k``."""
     k = float(k)
-    out = Tensor2D._result(a.data * k, (a,), None)
 
-    def backprop():
-        a.grad += out.grad * k
+    def backprop(g):
+        a.grad += g * k
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(a.data * k, (a,), backprop)
 
 
 def tanh_map(t: Tensor2D) -> Tensor2D:
     """Elementwise tanh; outputs lie in (-1, 1)."""
     y = np.tanh(t.data)
-    out = Tensor2D._result(y, (t,), None)
 
-    def backprop():
-        t.grad += out.grad * (1.0 - y * y)
+    def backprop(g):
+        t.grad += g * (1.0 - y * y)
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(y, (t,), backprop)
 
 
 def sigmoid_map(t: Tensor2D) -> Tensor2D:
@@ -227,44 +245,93 @@ def sigmoid_map(t: Tensor2D) -> Tensor2D:
     y[pos] = 1.0 / (1.0 + np.exp(-t.data[pos]))
     ez = np.exp(t.data[~pos])
     y[~pos] = ez / (1.0 + ez)
-    out = Tensor2D._result(y, (t,), None)
 
-    def backprop():
-        t.grad += out.grad * y * (1.0 - y)
+    def backprop(g):
+        t.grad += g * y * (1.0 - y)
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(y, (t,), backprop)
 
 
 def softmax(v: Tensor2D) -> Tensor2D:
-    """Stable softmax of a vector (row or column); output sums to 1.
+    """Stable softmax of a column vector; output sums to 1.
 
     Computed with max-subtraction, so shifting all inputs by a constant
-    leaves the output unchanged.
+    leaves the output unchanged. The single-column case of
+    :func:`softmax_columns`.
     """
-    r, c = v.data.shape
-    if r != 1 and c != 1:
-        raise ValueError(f"softmax expects a vector, got shape {(r, c)}")
-    e = np.exp(v.data - v.data.max())
-    y = e / e.sum()
-    out = Tensor2D._result(y, (v,), None)
+    if v.data.shape[1] != 1:
+        raise ValueError(f"softmax expects a column vector, got shape {v.data.shape}")
+    return softmax_columns(v)
 
-    def backprop():
-        inner = float((y * out.grad).sum())
-        v.grad += y * (out.grad - inner)
 
-    out._backprop = backprop
-    return out
+def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
+    """Stable softmax down each column; every column sums to 1.
+
+    ``keep`` is an optional boolean mask of ``t``'s shape: entries where it
+    is False get weight exactly 0 and no gradient, and each column is
+    normalised over its kept entries alone. Every column must keep at least
+    one entry.
+    """
+    x = t.data
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != x.shape:
+            raise DimensionError(f"softmax_columns: mask {keep.shape} vs {x.shape}")
+        if not keep.any(axis=0).all():
+            raise ValueError("softmax_columns: a column keeps no entry")
+        x = np.where(keep, x, -np.inf)
+    e = np.exp(x - x.max(axis=0, keepdims=True))
+    y = e / e.sum(axis=0, keepdims=True)
+
+    def backprop(g):
+        t.grad += y * (g - (y * g).sum(axis=0, keepdims=True))
+
+    return Tensor2D._result(y, (t,), backprop)
+
+
+def weighted_sum(parts: Sequence[Tensor2D], weights: Tensor2D) -> Tensor2D:
+    """Column-wise weighted sum of K same-shape (n, B) tensors.
+
+    ``weights`` is (K, B); column j of the result is
+    sum_k weights[k, j] * parts[k][:, j], so each part is scaled by one row
+    of ``weights`` broadcast down its rows.
+    """
+    if len(parts) != weights.data.shape[0]:
+        raise DimensionError(
+            f"weighted_sum: {len(parts)} parts but {weights.data.shape[0]} weight rows"
+        )
+    shape = (parts[0].data.shape[0], weights.data.shape[1])
+    for p in parts:
+        if p.data.shape != shape:
+            raise DimensionError(f"weighted_sum: part shape {p.data.shape}, expected {shape}")
+    stacked = np.stack([p.data for p in parts])  # (K, n, B)
+    w = weights.data
+
+    def backprop(g):
+        for k, p in enumerate(parts):
+            p.grad += g * w[k]
+        weights.grad += (stacked * g).sum(axis=1)
+
+    return Tensor2D._result((stacked * w[:, None, :]).sum(axis=0), (*parts, weights), backprop)
 
 
 def transpose(t: Tensor2D) -> Tensor2D:
-    out = Tensor2D._result(t.data.T.copy(), (t,), None)
+    def backprop(g):
+        t.grad += g.T
 
-    def backprop():
-        t.grad += out.grad.T
+    return Tensor2D._result(t.data.T.copy(), (t,), backprop)
 
-    out._backprop = backprop
-    return out
+
+def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
+    """The same entries in row-major order, as a (rows, cols) tensor."""
+    if rows * cols != t.data.size:
+        raise DimensionError(f"reshape: cannot view {t.data.shape} as {(rows, cols)}")
+    shape = t.data.shape
+
+    def backprop(g):
+        t.grad += g.reshape(shape)
+
+    return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
 
 
 def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
@@ -278,16 +345,14 @@ def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
                 f"hstack: row counts differ ({rows} vs {p.data.shape[0]})"
             )
     widths = [p.data.shape[1] for p in parts]
-    out = Tensor2D._result(np.hstack([p.data for p in parts]), tuple(parts), None)
 
-    def backprop():
+    def backprop(g):
         at = 0
         for p, w in zip(parts, widths):
-            p.grad += out.grad[:, at : at + w]
+            p.grad += g[:, at : at + w]
             at += w
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(np.hstack([p.data for p in parts]), tuple(parts), backprop)
 
 
 def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
@@ -301,16 +366,14 @@ def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
                 f"vstack: column counts differ ({cols} vs {p.data.shape[1]})"
             )
     heights = [p.data.shape[0] for p in parts]
-    out = Tensor2D._result(np.vstack([p.data for p in parts]), tuple(parts), None)
 
-    def backprop():
+    def backprop(g):
         at = 0
         for p, h in zip(parts, heights):
-            p.grad += out.grad[at : at + h, :]
+            p.grad += g[at : at + h, :]
             at += h
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(np.vstack([p.data for p in parts]), tuple(parts), backprop)
 
 
 def pick(t: Tensor2D, i: int, j: int) -> Tensor2D:
@@ -318,36 +381,30 @@ def pick(t: Tensor2D, i: int, j: int) -> Tensor2D:
     r, c = t.data.shape
     if not (0 <= i < r and 0 <= j < c):
         raise IndexError(f"pick({i}, {j}) out of range for shape {(r, c)}")
-    out = Tensor2D._result(t.data[i : i + 1, j : j + 1].copy(), (t,), None)
 
-    def backprop():
-        t.grad[i, j] += out.grad[0, 0]
+    def backprop(g):
+        t.grad[i, j] += g[0, 0]
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(t.data[i : i + 1, j : j + 1].copy(), (t,), backprop)
 
 
 def sum_all(t: Tensor2D) -> Tensor2D:
     """Sum of all entries as a (1, 1) tensor."""
-    out = Tensor2D._result(np.array([[t.data.sum()]]), (t,), None)
 
-    def backprop():
-        t.grad += out.grad[0, 0]
+    def backprop(g):
+        t.grad += g[0, 0]
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(np.array([[t.data.sum()]]), (t,), backprop)
 
 
 def mean_columns(t: Tensor2D) -> Tensor2D:
     """Mean over columns, returned as a column vector."""
     n = t.data.shape[1]
-    out = Tensor2D._result(t.data.mean(axis=1, keepdims=True), (t,), None)
 
-    def backprop():
-        t.grad += out.grad / n
+    def backprop(g):
+        t.grad += g / n
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(t.data.mean(axis=1, keepdims=True), (t,), backprop)
 
 
 def neg_log(t: Tensor2D, floor: float = 1e-12) -> Tensor2D:
@@ -357,14 +414,36 @@ def neg_log(t: Tensor2D, floor: float = 1e-12) -> Tensor2D:
     entries at or below the floor get zero gradient (the max branch).
     """
     clipped = np.maximum(t.data, floor)
-    out = Tensor2D._result(-np.log(clipped), (t,), None)
     active = t.data > floor
 
-    def backprop():
-        t.grad += np.where(active, -out.grad / clipped, 0.0)
+    def backprop(g):
+        t.grad += np.where(active, -g / clipped, 0.0)
 
-    out._backprop = backprop
-    return out
+    return Tensor2D._result(-np.log(clipped), (t,), backprop)
+
+
+def mean_neg_log_gather(t: Tensor2D, rows, floor: float = 1e-12) -> Tensor2D:
+    """Mean over columns j of -log(max(t[rows[j], j], floor)), as (1, 1).
+
+    One entry is gathered per column (the gold class of each example in a
+    batch of probability columns). As in :func:`neg_log`, entries at or
+    below the floor get zero gradient.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    r, n = t.data.shape
+    if rows.shape != (n,):
+        raise DimensionError(f"mean_neg_log_gather: {rows.size} rows for {n} columns")
+    if np.any((rows < 0) | (rows >= r)):
+        raise ValueError(f"mean_neg_log_gather: row index out of range for {r} rows")
+    cols = np.arange(n)
+    picked = t.data[rows, cols]
+    clipped = np.maximum(picked, floor)
+    active = picked > floor
+
+    def backprop(g):
+        t.grad[rows, cols] += np.where(active, -(g[0, 0] / n) / clipped, 0.0)
+
+    return Tensor2D._result(np.array([[-np.log(clipped).mean()]]), (t,), backprop)
 
 
 def _topo_order(root: Tensor2D) -> list[Tensor2D]:
@@ -407,7 +486,7 @@ def backward(root: Tensor2D) -> None:
     root.grad[:] = 1.0
     for node in reversed(order):
         if node._backprop is not None:
-            node._backprop()
+            node._backprop(node.grad)
 
 
 def _scalar(x) -> float:

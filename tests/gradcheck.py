@@ -1,3 +1,5 @@
+"""Finite-difference gradient check shared by the test modules."""
+
 import numpy as np
 
 from ctxda.tensor import Parameter, backward, finite_difference_grad

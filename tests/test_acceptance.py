@@ -32,7 +32,7 @@ from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder, mlstm_s
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, RNNDirectionParams, rnn_direction
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
 from ctxda.tensor import Parameter, Tensor2D, softmax
-from conftest import max_gradient_error
+from gradcheck import max_gradient_error
 
 
 @contextmanager
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_correctness():
         baseline = BaselineMLP(5, 4, hidden1=7, hidden2=6, dropout_rate=0.0, seed=101)
         w_base = ContextWindow([rng.uniform(-1, 1, 5)], [True], label=2)
         err_base = max_gradient_error(
-            lambda: baseline.loss(w_base), baseline.parameters(), h=1e-5
+            lambda: baseline.loss([w_base]), baseline.parameters(), h=1e-5
         )
 
         model = UttAttBiRNN(4, 4, hidden_dim=3, attention_dim=5, n_context=4,
@@ -155,7 +155,7 @@ def test_criterion_1_gradient_correctness():
         feats = [np.zeros(4), np.zeros(4)] + [rng.uniform(-1, 1, 4) for _ in range(3)]
         w_ctx = ContextWindow(feats, [False, False, True, True, True], label=1)
         err_ctx = max_gradient_error(
-            lambda: model.loss(w_ctx), model.parameters(), h=1e-5
+            lambda: model.loss([w_ctx]), model.parameters(), h=1e-5
         )
 
         elapsed = time.time() - t0

@@ -120,6 +120,16 @@ class TestPct:
         # published table prints 0.28, which no consistent rule reproduces)
         assert pct(12, 4186) == 0.29
 
+    @pytest.mark.parametrize(
+        "num,total,expected",
+        [(4186, 4186, 100.0), (2093, 4186, 50.0), (4185, 4186, 99.98), (1, 8, 12.5),
+         (3, 4, 75.0)],
+    )
+    def test_value_depends_on_the_denominator(self, num, total, expected):
+        # the reference counts round alike for totals 4186-4190; these do not
+        # survive a denominator that is off by one
+        assert pct(num, total) == expected
+
 
 class TestFailureRescue:
     def build(self):

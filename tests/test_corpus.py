@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -312,6 +312,26 @@ class TestSynthetic:
         # position 0 always carries transition(start); later positions uniform:
         # (1 + 13/5) / 14
         assert bayes_nocontext_accuracy(spec) == pytest.approx((1 + 13 / 5) / 14)
+
+    def test_bayes_bound_mixed_analytic_value(self):
+        spec = SyntheticSpec(mode="mixed", n_classes=5, conversation_length=14)
+        # self-informative halves are certain; responses carry
+        # transition(previous class), position 0 included, so they score the
+        # "previous"-mode majority share (1 + 13/5) / 14
+        assert bayes_nocontext_accuracy(spec) == pytest.approx(0.5 + 0.5 * (1 + 13 / 5) / 14)
+
+    def test_bayes_bound_mixed_matches_best_text_only_rule(self):
+        # oracle: the best rule that sees only the text maps each distinct
+        # text to its majority label; score it on a large draw
+        spec = SyntheticSpec(mode="mixed", n_conversations=1000,
+                             conversation_length=14, seed=12)
+        by_text = defaultdict(Counter)
+        for c in generate_synthetic(spec):
+            for u in c.utterances:
+                by_text[u.text][u.act_tag] += 1
+        best = sum(tags.most_common(1)[0][1] for tags in by_text.values())
+        total = sum(sum(tags.values()) for tags in by_text.values())
+        assert bayes_nocontext_accuracy(spec) == pytest.approx(best / total, abs=0.01)
 
     def test_bayes_bound_current_is_one(self):
         assert bayes_nocontext_accuracy(SyntheticSpec(mode="current")) == 1.0

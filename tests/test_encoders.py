@@ -4,7 +4,7 @@ import pytest
 from ctxda import encoders as E
 from ctxda.corpus import Utterance
 from ctxda.tensor import DimensionError, Tensor2D, sum_all
-from conftest import max_gradient_error
+from gradcheck import max_gradient_error
 
 
 class TestTokenize:

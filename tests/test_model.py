@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -15,15 +16,14 @@ from ctxda.model import (
     RNNDirectionParams,
     UttAttBiRNN,
     attention,
-    birnn_direct_classify,
     birnn_forward,
     classify,
     load_checkpoint,
     rnn_direction,
     save_checkpoint,
 )
-from ctxda.tensor import Parameter, Tensor2D
-from conftest import max_gradient_error
+from ctxda.tensor import Parameter, Tensor2D, backward
+from gradcheck import max_gradient_error
 
 
 def window(features, mask=None, label=0, **kw):
@@ -208,15 +208,12 @@ class TestClassify:
 
 class TestDirectHead:
     def test_zero_params_uniform(self):
-        p = BiRNNParams(
-            forward=direction_params(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1))),
-            backward=direction_params(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1))),
-            hidden_dim=2,
-        )
-        out = OutputParams(weight=Parameter(np.zeros((4, 4))), bias=Parameter(np.zeros((4, 1))))
+        model = UttAttBiRNN(2, 4, hidden_dim=2, seed=0, dropout_rate=0.0, head="direct")
+        for p in model.parameters():
+            p.data[:] = 0.0
         w = window([[0.3, 0.7], [1.0, -1.0]])
-        probs = birnn_direct_classify(w, p, out)
-        assert np.allclose(probs.data, 0.25, atol=1e-15)
+        probs = model.predict(w).probs
+        assert np.allclose(probs, 0.25, atol=1e-15)
 
     def test_equals_classify_of_concatenated_final_states(self):
         rng = np.random.default_rng(7)
@@ -224,10 +221,12 @@ class TestDirectHead:
         out = OutputParams(weight=Parameter(rng.uniform(-1, 1, (4, 6))),
                            bias=Parameter(rng.uniform(-1, 1, (4, 1))))
         w = window([rng.uniform(-1, 1, 2) for _ in range(5)])
-        direct = birnn_direct_classify(w, p, out)
+        model = UttAttBiRNN(2, 4, hidden_dim=3, seed=7, dropout_rate=0.0, head="direct")
+        model.birnn, model.out = p, out
+        direct = model.predict(w).probs.reshape(-1, 1)
         steps = birnn_forward([Tensor2D(f) for f in w.features], p)
         via_classify = classify(steps[-1], out)
-        assert np.allclose(direct.data, via_classify.data)
+        assert np.allclose(direct, via_classify.data)
 
 
 class TestDropout:
@@ -271,7 +270,7 @@ class TestBaselineMLP:
     def test_gradcheck_end_to_end(self):
         model = BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=2)
         w = window([np.random.default_rng(2).uniform(-1, 1, 4)], label=1)
-        assert max_gradient_error(lambda: model.loss(w), model.parameters()) < 1e-4
+        assert max_gradient_error(lambda: model.loss([w]), model.parameters()) < 1e-4
 
 
 class TestUttAttBiRNN:
@@ -312,14 +311,14 @@ class TestUttAttBiRNN:
         model = UttAttBiRNN(4, 5, hidden_dim=3, attention_dim=6, seed=9,
                             dropout_rate=0.0)
         w = self.make_window(rng, model, n_real=3)
-        assert max_gradient_error(lambda: model.loss(w), model.parameters()) < 1e-4
+        assert max_gradient_error(lambda: model.loss([w]), model.parameters()) < 1e-4
 
     def test_full_gradcheck_direct_head(self):
         rng = np.random.default_rng(10)
         model = UttAttBiRNN(3, 4, hidden_dim=2, seed=10, dropout_rate=0.0,
                             head="direct")
         w = self.make_window(rng, model)
-        assert max_gradient_error(lambda: model.loss(w), model.parameters()) < 1e-4
+        assert max_gradient_error(lambda: model.loss([w]), model.parameters()) < 1e-4
 
     def test_pad_masking_zeroes_pad_weights(self):
         rng = np.random.default_rng(11)
@@ -366,6 +365,100 @@ class TestUttAttBiRNN:
         w = self.make_window(rng, model)
         with pytest.raises(ValueError):
             model.predict(w, training=True)
+
+
+def padded_windows(rng, model, n_real_counts):
+    """One window per count: that many real slots, the rest leading pads."""
+    size = getattr(model, "n_context", 4) + 1
+    out = []
+    for n_real in n_real_counts:
+        feats = [np.zeros(model.feature_dim) if k < size - n_real
+                 else rng.uniform(-1, 1, model.feature_dim) for k in range(size)]
+        mask = [k >= size - n_real for k in range(size)]
+        out.append(ContextWindow(feats, mask, label=int(rng.integers(model.n_classes))))
+    return out
+
+
+BATCH_MODELS = {
+    "wc": lambda rate: UttAttBiRNN(3, 4, hidden_dim=3, attention_dim=5, seed=17,
+                                   dropout_rate=rate),
+    "wc-masked": lambda rate: UttAttBiRNN(3, 4, hidden_dim=3, seed=18, dropout_rate=rate,
+                                          mask_padding=True),
+    "wc-direct": lambda rate: UttAttBiRNN(3, 4, hidden_dim=3, seed=19, dropout_rate=rate,
+                                          head="direct"),
+    "nc": lambda rate: BaselineMLP(3, 4, hidden1=6, hidden2=5, seed=20, dropout_rate=rate),
+}
+
+
+class TestBatching:
+    """A batch of B windows is B batches of one, computed side by side."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_batch_loss_and_grads_equal_mean_over_singles(self, kind, rate):
+        model = BATCH_MODELS[kind](rate)
+        windows = padded_windows(np.random.default_rng(21), model, [5, 1, 3, 2, 5, 4, 1])
+        params = model.parameters()
+
+        for p in params:
+            p.zero_grad()
+        batch_rng = np.random.default_rng(22)
+        batch_loss = model.loss(windows, training=True, rng=batch_rng)
+        backward(batch_loss)
+        batch_grads = [p.grad.copy() for p in params]
+
+        for p in params:
+            p.zero_grad()
+        single_rng = np.random.default_rng(22)
+        total = 0.0
+        for w in windows:
+            single = model.loss([w], training=True, rng=single_rng)
+            backward(single)
+            total += single.item()
+
+        n = len(windows)
+        assert abs(batch_loss.item() - total / n) < 1e-10
+        for p, g in zip(params, batch_grads):
+            assert np.max(np.abs(g - p.grad / n)) < 1e-10, p.name
+        # the batch drew exactly the dropout masks the singles drew
+        assert batch_rng.random() == single_rng.random()
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_predicting_a_list_equals_predicting_each_window(self, kind, monkeypatch):
+        monkeypatch.setattr(M, "PREDICT_CHUNK", 3)  # several chunks, the last one short
+        model = BATCH_MODELS[kind](0.2)
+        windows = padded_windows(np.random.default_rng(23), model, [5, 1, 3, 2, 5, 4, 1])
+        batched = model.predict(windows)
+        assert len(batched) == len(windows)
+        for w, got in zip(windows, batched):
+            want = model.predict(w)
+            assert np.allclose(got.probs, want.probs, rtol=0, atol=1e-12)
+            if want.attention is None:
+                assert got.attention is None
+            else:
+                assert np.allclose(got.attention, want.attention, rtol=0, atol=1e-12)
+
+    def test_windows_of_different_sizes_are_refused(self):
+        model = UttAttBiRNN(2, 3, hidden_dim=2, seed=0)
+        short = window([[0.1, 0.2], [0.3, 0.4]])
+        full = window([[0.1, 0.2]] * 5)
+        with pytest.raises(ValueError):
+            model.loss([short, full])
+
+    def test_dropped_graphs_leave_no_cycle_garbage(self):
+        model = UttAttBiRNN(3, 4, hidden_dim=3, seed=24, dropout_rate=0.2, mask_padding=True)
+        windows = padded_windows(np.random.default_rng(24), model, [5, 2, 1])
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            backward(model.loss(windows, training=True, rng=np.random.default_rng(0)))
+            model.predict(windows)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, Tensor2D)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestPrediction:

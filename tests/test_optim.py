@@ -34,12 +34,12 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             O.cross_entropy(probs, 2)
 
-    def test_accepts_prediction_objects(self):
-        from ctxda.model import Prediction
-
-        node = softmax(Tensor2D([[0.0], [0.0]]))
-        pred = Prediction(node.data, node=node)
-        assert O.cross_entropy(pred, 1).item() == pytest.approx(math.log(2.0))
+    def test_model_loss_of_a_batch_of_one(self):
+        model = BaselineMLP(1, 2, hidden1=2, hidden2=2, seed=0)
+        for p in model.parameters():
+            p.data[:] = 0.0
+        w = ContextWindow([np.array([0.5])], [True], label=1)
+        assert model.loss([w]).item() == pytest.approx(math.log(2.0))
 
 
 class TestAdam:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from ctxda.tensor import (
     backward,
     finite_difference_grad,
 )
-from conftest import max_gradient_error
+from gradcheck import max_gradient_error
 
 
 class TestTensor2D:
@@ -236,6 +237,170 @@ class TestOpGradients:
         backward(T.sum_all(out))
         assert out.item() == pytest.approx(-math.log(1e-12))
         assert p.grad[0, 0] == 0.0
+
+
+class TestColumnOps:
+    """The column-wise ops a batch of examples (one per column) runs on."""
+
+    def test_add_bias_broadcasts_over_columns(self):
+        out = T.add_bias(Tensor2D([[1.0, 2.0], [3.0, 4.0]]), Tensor2D([[10.0], [20.0]]))
+        assert out.data.tolist() == [[11.0, 12.0], [23.0, 24.0]]
+
+    def test_add_bias_rejects_non_column_bias(self):
+        with pytest.raises(DimensionError):
+            T.add_bias(Tensor2D(np.zeros((2, 3))), Tensor2D(np.zeros((2, 3))))
+
+    def test_add_bias_backward_sums_columns(self):
+        t = Parameter(np.zeros((2, 3)))
+        b = Parameter(np.zeros((2, 1)))
+        backward(T.sum_all(T.add_bias(t, b)))
+        assert b.grad.tolist() == [[3.0], [3.0]]
+        assert np.all(t.grad == 1.0)
+
+    def test_softmax_columns_each_column_is_its_own_softmax(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-5, 5, (4, 6))
+        out = T.softmax_columns(Tensor2D(x)).data
+        for j in range(6):
+            e = np.exp(x[:, j] - x[:, j].max())
+            assert np.allclose(out[:, j], e / e.sum(), rtol=0, atol=1e-15)
+
+    def test_softmax_columns_mask_renormalises_kept_entries(self):
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-5, 5, (5, 3))
+        keep = np.array([[False, True, False], [True, True, False], [True, True, False],
+                         [False, True, False], [True, True, True]])
+        out = T.softmax_columns(Tensor2D(x), keep).data
+        assert np.all(out[~keep] == 0.0)
+        for j in range(3):
+            e = np.exp(x[keep[:, j], j] - x[keep[:, j], j].max())
+            assert np.allclose(out[keep[:, j], j], e / e.sum(), rtol=0, atol=1e-15)
+
+    def test_softmax_columns_rejects_empty_column(self):
+        keep = np.array([[True, False], [True, False]])
+        with pytest.raises(ValueError):
+            T.softmax_columns(Tensor2D(np.zeros((2, 2))), keep)
+
+    def test_weighted_sum_hand_values(self):
+        parts = [Tensor2D([[1.0, 2.0]]), Tensor2D([[10.0, 20.0]])]
+        weights = Tensor2D([[0.5, 0.0], [0.25, 1.0]])
+        # column 0: 0.5*1 + 0.25*10; column 1: 0*2 + 1*20
+        assert T.weighted_sum(parts, weights).data.tolist() == [[3.0, 20.0]]
+
+    def test_reshape_is_row_major(self):
+        out = T.reshape(Tensor2D([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), 2, 3)
+        assert out.data.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        with pytest.raises(DimensionError):
+            T.reshape(out, 4, 2)
+
+    def test_mean_neg_log_gather_hand_values(self):
+        probs = Tensor2D([[0.5, 0.25], [0.5, 0.75]])
+        out = T.mean_neg_log_gather(probs, [0, 1])
+        assert out.item() == pytest.approx((math.log(2.0) + math.log(4.0 / 3.0)) / 2, abs=1e-15)
+        with pytest.raises(ValueError):
+            T.mean_neg_log_gather(probs, [0, 2])
+        with pytest.raises(DimensionError):
+            T.mean_neg_log_gather(probs, [0])
+
+    def test_mean_neg_log_gather_on_one_column_equals_neg_log_pick(self):
+        p = Parameter([[0.2], [0.7], [0.1]])
+        q = Parameter(p.data)
+        gathered = T.mean_neg_log_gather(p, [1])
+        picked = T.neg_log(T.pick(q, 1, 0))
+        backward(gathered)
+        backward(picked)
+        assert gathered.item() == picked.item()
+        assert np.array_equal(p.grad, q.grad)
+
+    def test_mean_neg_log_gather_floor_blocks_gradient(self):
+        p = Parameter([[0.0, 0.5], [1.0, 0.5]])
+        backward(T.mean_neg_log_gather(p, [0, 0]))
+        assert p.grad[0, 0] == 0.0
+        assert p.grad[0, 1] == pytest.approx(-1.0 / (2 * 0.5))
+
+
+class TestColumnOpGradients:
+    """Every column-wise op against central finite differences."""
+
+    def test_add_bias_gradcheck(self):
+        rng = np.random.default_rng(31)
+        t = Parameter(rng.uniform(-1, 1, (3, 4)), name="t")
+        b = Parameter(rng.uniform(-1, 1, (3, 1)), name="b")
+        w = Tensor2D(rng.uniform(-1, 1, (3, 4)))
+
+        def loss():
+            return T.sum_all(T.hadamard(T.tanh_map(T.add_bias(t, b)), w))
+
+        assert max_gradient_error(loss, [t, b]) < 1e-4
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_columns_gradcheck(self, masked):
+        rng = np.random.default_rng(32)
+        p = Parameter(rng.uniform(-1, 1, (5, 3)), name="scores")
+        weights = Tensor2D(rng.uniform(-1, 1, (5, 3)))
+        keep = rng.random((5, 3)) < 0.6 if masked else None
+        if masked:
+            keep[-1] = True
+
+        def loss():
+            return T.sum_all(T.hadamard(T.softmax_columns(p, keep), weights))
+
+        assert max_gradient_error(loss, [p]) < 1e-4
+
+    def test_weighted_sum_gradcheck(self):
+        rng = np.random.default_rng(33)
+        parts = [Parameter(rng.uniform(-1, 1, (3, 4)), name=f"s{k}") for k in range(3)]
+        weights = Parameter(rng.uniform(-1, 1, (3, 4)), name="w")
+        probe = Tensor2D(rng.uniform(-1, 1, (3, 4)))
+
+        def loss():
+            return T.sum_all(T.hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
+
+        assert max_gradient_error(loss, parts + [weights]) < 1e-4
+
+    def test_reshape_gradcheck(self):
+        rng = np.random.default_rng(34)
+        p = Parameter(rng.uniform(-1, 1, (1, 6)), name="row")
+        probe = Tensor2D(rng.uniform(-1, 1, (2, 3)))
+
+        def loss():
+            return T.sum_all(T.hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
+
+        assert max_gradient_error(loss, [p]) < 1e-4
+
+    def test_mean_neg_log_gather_gradcheck(self):
+        rng = np.random.default_rng(35)
+        p = Parameter(rng.uniform(-1, 1, (4, 3)), name="logits")
+
+        def loss():
+            return T.mean_neg_log_gather(T.softmax_columns(p), [2, 0, 3])
+
+        assert max_gradient_error(loss, [p]) < 1e-4
+
+
+class TestGraphLifetime:
+    def test_dropped_graph_leaves_no_cycle_garbage(self):
+        # a graph freed by reference counting leaves nothing for the cyclic
+        # collector; DEBUG_SAVEALL keeps whatever the collector does find
+        rng = np.random.default_rng(41)
+        w = Parameter(rng.uniform(-1, 1, (3, 3)), name="w")
+        b = Parameter(rng.uniform(-1, 1, (3, 1)), name="b")
+        x = Tensor2D(rng.uniform(-1, 1, (3, 4)))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            hidden = T.tanh_map(T.add_bias(T.matmul(w, x), b))
+            scores = T.reshape(T.matmul(T.transpose(b), T.hstack([hidden, x])), 2, 4)
+            mixed = T.weighted_sum([hidden, x], T.softmax_columns(scores))
+            loss = T.mean_neg_log_gather(T.softmax_columns(mixed), [0, 1, 2, 0])
+            backward(loss)
+            del hidden, scores, mixed, loss
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, Tensor2D)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestFiniteDifference:
