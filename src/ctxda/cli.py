@@ -336,7 +336,6 @@ def _window_config(cfg: dict) -> opt.TrainConfig:
         n_context=t["n_context"],
         batch_size=t["batch_size"],
         max_epochs=t["max_epochs"],
-        dropout_rate=cfg["model"]["dropout_rate"],
         learning_rate=t["learning_rate"],
         lr_decay=t["lr_decay"],
         val_fraction=t["val_fraction"],
@@ -443,6 +442,9 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     try:
         nc_preds = predictions(nc_group)
         wc_preds = predictions(wc_group)
+    except CheckpointError as exc:  # the encoder stored with a checkpoint
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except (ValueError, KeyError) as exc:
         print(f"checkpoint/corpus mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

@@ -10,7 +10,6 @@ them from text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +20,10 @@ from .tensor import (
     add,
     backward,
     hadamard,
+    init_params,
     matmul,
+    params_from_json,
+    params_to_json,
     sigmoid_map,
     softmax,
     tanh_map,
@@ -143,10 +145,6 @@ def word_mean(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     return np.mean(hits, axis=0)
 
 
-def word_mean_encode(utt, table: EmbeddingTable) -> np.ndarray:
-    return word_mean(tokenize(utt.text), table)
-
-
 class WordMeanEncoder:
     def __init__(self, table: EmbeddingTable):
         self.table = table
@@ -190,76 +188,37 @@ class CharVocab:
         return [self.index(ch) for ch in text]
 
 
-@dataclass
-class MLSTMParams:
-    """Weights for one multiplicative-LSTM cell.
+class MLSTMParams(dict):
+    """Weights for one multiplicative-LSTM cell (Krause et al. 2016), as an
+    ordered name -> Parameter registry in checkpoint order.
 
     The multiplicative state m = (w_mx x) * (w_mh h_prev) feeds every gate;
-    each gate is an affine map of the raw input and m.
+    each gate is an affine map of the raw input and m. Matrices are
+    Glorot-uniform draws from ``rng`` (zeros without one); biases start at 0.
     """
 
-    input_dim: int
-    hidden_dim: int
-    w_mx: Parameter
-    w_mh: Parameter
-    w_ix: Parameter
-    w_im: Parameter
-    b_i: Parameter
-    w_fx: Parameter
-    w_fm: Parameter
-    b_f: Parameter
-    w_ox: Parameter
-    w_om: Parameter
-    b_o: Parameter
-    w_cx: Parameter
-    w_cm: Parameter
-    b_c: Parameter
-
-    def __post_init__(self):
-        h, x = self.hidden_dim, self.input_dim
-        expect = {
-            "w_mx": (h, x), "w_mh": (h, h),
-            "w_ix": (h, x), "w_im": (h, h), "b_i": (h, 1),
-            "w_fx": (h, x), "w_fm": (h, h), "b_f": (h, 1),
-            "w_ox": (h, x), "w_om": (h, h), "b_o": (h, 1),
-            "w_cx": (h, x), "w_cm": (h, h), "b_c": (h, 1),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionError(f"mLSTM {name}: expected shape {shape}, got {got}")
-
-    _MATRIX_NAMES = ("w_mx", "w_mh", "w_ix", "w_im", "w_fx", "w_fm",
-                     "w_ox", "w_om", "w_cx", "w_cm")
-    _BIAS_NAMES = ("b_i", "b_f", "b_o", "b_c")
-
-    @classmethod
-    def _build(cls, input_dim: int, hidden_dim: int, matrix_init) -> "MLSTMParams":
+    def __init__(self, input_dim: int, hidden_dim: int, rng=None):
         h, x = hidden_dim, input_dim
-        kwargs = {"input_dim": x, "hidden_dim": h}
-        for name in cls._MATRIX_NAMES:
-            cols = x if name.endswith("x") else h
-            kwargs[name] = Parameter(matrix_init(h, cols), name=f"mlstm.{name}")
-        for name in cls._BIAS_NAMES:
-            kwargs[name] = Parameter(np.zeros((h, 1)), name=f"mlstm.{name}")
-        return cls(**kwargs)
+        super().__init__(init_params(rng, {
+            "w_mx": (h, x), "w_mh": (h, h),
+            "w_ix": (h, x), "w_im": (h, h), "b_i": h,
+            "w_fx": (h, x), "w_fm": (h, h), "b_f": h,
+            "w_ox": (h, x), "w_om": (h, h), "b_o": h,
+            "w_cx": (h, x), "w_cm": (h, h), "b_c": h,
+        }, prefix="mlstm."))
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, seed: int = 0) -> "MLSTMParams":
-        rng = np.random.default_rng(seed)
-
-        def glorot(rows, cols):
-            s = np.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-s, s, (rows, cols))
-
-        return cls._build(input_dim, hidden_dim, glorot)
+        return cls(input_dim, hidden_dim, np.random.default_rng(seed))
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int) -> "MLSTMParams":
-        return cls._build(input_dim, hidden_dim, lambda r, c: np.zeros((r, c)))
+        return cls(input_dim, hidden_dim)
 
     def parameters(self) -> list[Parameter]:
-        return [getattr(self, f.name) for f in fields(self) if f.name.startswith(("w_", "b_"))]
+        return list(self.values())
 
 
 def mlstm_step(
@@ -275,11 +234,11 @@ def mlstm_step(
             f"mlstm_step state: expected {(p.hidden_dim, 1)}, got "
             f"{h_prev.shape} and {c_prev.shape}"
         )
-    m = hadamard(matmul(p.w_mx, x_t), matmul(p.w_mh, h_prev))
-    i = sigmoid_map(add(add(matmul(p.w_ix, x_t), matmul(p.w_im, m)), p.b_i))
-    f = sigmoid_map(add(add(matmul(p.w_fx, x_t), matmul(p.w_fm, m)), p.b_f))
-    o = sigmoid_map(add(add(matmul(p.w_ox, x_t), matmul(p.w_om, m)), p.b_o))
-    cand = tanh_map(add(add(matmul(p.w_cx, x_t), matmul(p.w_cm, m)), p.b_c))
+    m = hadamard(matmul(p["w_mx"], x_t), matmul(p["w_mh"], h_prev))
+    i = sigmoid_map(add(add(matmul(p["w_ix"], x_t), matmul(p["w_im"], m)), p["b_i"]))
+    f = sigmoid_map(add(add(matmul(p["w_fx"], x_t), matmul(p["w_fm"], m)), p["b_f"]))
+    o = sigmoid_map(add(add(matmul(p["w_ox"], x_t), matmul(p["w_om"], m)), p["b_o"]))
+    cand = tanh_map(add(add(matmul(p["w_cx"], x_t), matmul(p["w_cm"], m)), p["b_c"]))
     c_t = add(hadamard(f, c_prev), hadamard(i, cand))
     h_t = hadamard(o, tanh_map(c_t))
     return h_t, c_t
@@ -353,9 +312,9 @@ def train_char_lm(
 
     params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
     rng = np.random.default_rng(seed)
-    s = np.sqrt(6.0 / (vocab.size + hidden_dim))
-    out_w = Parameter(rng.uniform(-s, s, (vocab.size, hidden_dim)), name="lm.out_w")
-    out_b = Parameter(np.zeros((vocab.size, 1)), name="lm.out_b")
+    out_w, out_b = init_params(
+        rng, {"out_w": (vocab.size, hidden_dim), "out_b": vocab.size}, prefix="lm."
+    ).values()
     trainable = params.parameters() + [out_w, out_b]
     adam = Adam(trainable, learning_rate=learning_rate)
 
@@ -473,26 +432,8 @@ class PrecomputedEncoder:
 # Checkpoints embed an encoder description so evaluation can rebuild the exact
 # encoder used at training time. Word tables are stored inline (token + vector
 # lists) unless they came from a file, in which case the path is recorded;
-# mLSTM weights are always stored inline.
-
-
-def _params_to_lists(params: MLSTMParams) -> dict:
-    out = {}
-    for p in params.parameters():
-        name = p.name.removeprefix("mlstm.")
-        out[name] = {"rows": p.rows, "cols": p.cols, "values": p.values.tolist()}
-    return out
-
-
-def _params_from_lists(input_dim: int, hidden_dim: int, blob: dict) -> MLSTMParams:
-    params = MLSTMParams.zeros(input_dim, hidden_dim)
-    for p in params.parameters():
-        name = p.name.removeprefix("mlstm.")
-        entry = blob[name]
-        p.data[:] = np.array(entry["values"], dtype=np.float64).reshape(
-            entry["rows"], entry["cols"]
-        )
-    return params
+# mLSTM weights are always stored inline, in the checkpoint's parameter layout
+# and with its checks on load.
 
 
 def encoder_to_config(encoder) -> dict:
@@ -516,7 +457,7 @@ def encoder_to_config(encoder) -> dict:
             "hidden_dim": encoder.params.hidden_dim,
             "reduce": encoder.reduce,
             "chars": encoder.vocab.chars,
-            "weights": _params_to_lists(encoder.params),
+            "weights": params_to_json(encoder.params),
         }
     if isinstance(encoder, ConcatEncoder):
         return {
@@ -547,7 +488,8 @@ def encoder_from_config(cfg: dict):
         enc.source = source
         return enc
     if kind == "char":
-        params = _params_from_lists(cfg["input_dim"], cfg["hidden_dim"], cfg["weights"])
+        params = MLSTMParams.zeros(cfg["input_dim"], cfg["hidden_dim"])
+        params_from_json(params, cfg["weights"])
         return CharMLSTMEncoder(params, CharVocab(cfg["chars"]), cfg.get("reduce", "mean"))
     if kind == "concat":
         return ConcatEncoder(

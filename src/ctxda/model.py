@@ -18,20 +18,24 @@ A single window is a batch of one.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (
-    DimensionError,
+    CheckpointError,
     Parameter,
     Tensor2D,
     add,
     add_bias,
     hadamard,
     hstack,
+    init_params,
     matmul,
+    params_from_json,
+    params_to_json,
     reshape,
     softmax_columns,
     tanh_map,
@@ -101,59 +105,6 @@ class Prediction:
         return float(self.probs.max())
 
 
-@dataclass
-class RNNDirectionParams:
-    w_in: Parameter   # input -> hidden
-    w_rec: Parameter  # hidden -> hidden
-    bias: Parameter
-
-
-@dataclass
-class BiRNNParams:
-    forward: RNNDirectionParams
-    backward: RNNDirectionParams
-    hidden_dim: int
-
-    def __post_init__(self):
-        for direction in (self.forward, self.backward):
-            h = self.hidden_dim
-            if direction.w_rec.shape != (h, h) or direction.w_in.shape[0] != h:
-                raise DimensionError("BiRNN direction shapes inconsistent with hidden_dim")
-        if self.forward.w_in.shape != self.backward.w_in.shape:
-            raise DimensionError("forward and backward directions must share shapes")
-
-
-@dataclass
-class AttentionParams:
-    proj: Parameter   # (attention_dim, 2 * hidden_dim) projection of step states
-    score: Parameter  # (attention_dim, 1) scoring vector
-
-
-@dataclass
-class OutputParams:
-    weight: Parameter  # (n_classes, 2 * hidden_dim)
-    bias: Parameter    # (n_classes, 1)
-
-
-@dataclass
-class BaselineMLPParams:
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-    w_out: Parameter
-    b_out: Parameter
-
-
-def _glorot(rng, rows: int, cols: int, name: str) -> Parameter:
-    s = np.sqrt(6.0 / (rows + cols))
-    return Parameter(rng.uniform(-s, s, (rows, cols)), name=name)
-
-
-def _zeros(rows: int, name: str) -> Parameter:
-    return Parameter(np.zeros((rows, 1)), name=name)
-
-
 def apply_dropout(
     h: Tensor2D, rate: float, rng, training: bool, uniforms: np.ndarray | None = None
 ) -> Tensor2D:
@@ -174,38 +125,42 @@ def apply_dropout(
 
 
 def rnn_direction(
-    seq: list[Tensor2D], params: RNNDirectionParams, reverse: bool = False
+    seq: list[Tensor2D], params: dict, reverse: bool = False, prefix: str = "fwd"
 ) -> list[Tensor2D]:
-    """Plain tanh RNN over the sequence from a zero initial state.
+    """Plain tanh RNN over the sequence from a zero initial state, with the
+    registry's ``<prefix>.w_in`` (input -> hidden), ``<prefix>.w_rec``
+    (hidden -> hidden) and ``<prefix>.bias``.
 
     Each input is (D, B), one column per example, and each state (H, B).
     ``reverse=True`` iterates newest to oldest; outputs are re-aligned so
     entry k always corresponds to input slot k.
     """
-    hidden = Tensor2D._result(np.zeros((params.bias.rows, seq[0].cols)), (), None)
+    w_in, w_rec, bias = (params[f"{prefix}.{k}"] for k in ("w_in", "w_rec", "bias"))
+    hidden = Tensor2D._result(np.zeros((bias.rows, seq[0].cols)), (), None)
     steps = reversed(seq) if reverse else seq
     states = []
     for u in steps:
-        hidden = tanh_map(
-            add_bias(add(matmul(params.w_rec, hidden), matmul(params.w_in, u)), params.bias)
-        )
+        hidden = tanh_map(add_bias(add(matmul(w_rec, hidden), matmul(w_in, u)), bias))
         states.append(hidden)
     if reverse:
         states.reverse()
     return states
 
 
-def birnn_forward(features: list[Tensor2D], params: BiRNNParams) -> list[Tensor2D]:
-    """Per-step concatenation [forward_state; backward_state], forward first."""
-    fwd = rnn_direction(features, params.forward, reverse=False)
-    bwd = rnn_direction(features, params.backward, reverse=True)
+def birnn_forward(features: list[Tensor2D], params: dict) -> list[Tensor2D]:
+    """Per-step concatenation [forward_state; backward_state], forward first,
+    from the registry's ``fwd.*`` and ``bwd.*`` directions."""
+    fwd = rnn_direction(features, params)
+    bwd = rnn_direction(features, params, reverse=True, prefix="bwd")
     return [vstack([f, b]) for f, b in zip(fwd, bwd)]
 
 
 def attention(
-    steps: list[Tensor2D], params: AttentionParams, keep: np.ndarray | None = None
+    steps: list[Tensor2D], params: dict, keep: np.ndarray | None = None
 ) -> tuple[Tensor2D, Tensor2D]:
-    """Score the step states and collapse them into one summary per column.
+    """Score the step states and collapse them into one summary per column,
+    with the registry's ``att.proj`` (A, 2H) projection and ``att.score``
+    (A, 1) scoring vector.
 
     ``steps`` holds the n+1 step states in window order (oldest first), each
     (2H, B). Returns (weights, summary): ``weights`` is an (n+1, B) node whose
@@ -214,16 +169,17 @@ def attention(
     softmax, giving them weight 0.
     """
     stacked = hstack(steps)                                  # (2H, (n+1)*B), slot-major
-    projected = tanh_map(matmul(params.proj, stacked))       # (A, (n+1)*B)
-    scores = matmul(transpose(params.score), projected)      # (1, (n+1)*B)
+    projected = tanh_map(matmul(params["att.proj"], stacked))     # (A, (n+1)*B)
+    scores = matmul(transpose(params["att.score"]), projected)    # (1, (n+1)*B)
     weights = softmax_columns(reshape(scores, len(steps), steps[0].cols), keep)
     summary = tanh_map(weighted_sum(steps, weights))         # (2H, B)
     return weights, summary
 
 
-def classify(u_final: Tensor2D, params: OutputParams) -> Tensor2D:
-    """Softmax head over the summary vectors, one distribution per column."""
-    return softmax_columns(add_bias(matmul(params.weight, u_final), params.bias))
+def classify(u_final: Tensor2D, params: dict) -> Tensor2D:
+    """Softmax head over the summary vectors, one distribution per column,
+    with the registry's ``out.weight`` (C, 2H) and ``out.bias``."""
+    return softmax_columns(add_bias(matmul(params["out.weight"], u_final), params["out.bias"]))
 
 
 PREDICT_CHUNK = 64  # windows per forward pass when predicting a list; bounds eval memory
@@ -256,7 +212,22 @@ def _predict(forward, windows, training: bool, rng):
     return preds
 
 
-class UttAttBiRNN:
+class _Registry:
+    """What both models share. ``params`` is the model's ordered
+    name -> Parameter registry: it fixes the initialisation order, the order
+    ``parameters()`` gives the optimiser, and the checkpoint's names and order.
+    ``config()`` holds the constructor's arguments as the model keeps them."""
+
+    params: dict[str, Parameter]
+
+    def parameters(self) -> list[Parameter]:
+        return list(self.params.values())
+
+    def config(self) -> dict:
+        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+
+
+class UttAttBiRNN(_Registry):
     """Context classifier: BiRNN over the window, attention pooling, softmax.
 
     ``head="direct"`` skips attention and classifies the final-step state
@@ -296,59 +267,13 @@ class UttAttBiRNN:
         self.mask_padding = mask_padding
         self.seed = seed
 
-        rng = np.random.default_rng(seed)
         h, d, a, c = hidden_dim, feature_dim, self.attention_dim, n_classes
-        self.birnn = BiRNNParams(
-            forward=RNNDirectionParams(
-                w_in=_glorot(rng, h, d, "fwd.w_in"),
-                w_rec=_glorot(rng, h, h, "fwd.w_rec"),
-                bias=_zeros(h, "fwd.bias"),
-            ),
-            backward=RNNDirectionParams(
-                w_in=_glorot(rng, h, d, "bwd.w_in"),
-                w_rec=_glorot(rng, h, h, "bwd.w_rec"),
-                bias=_zeros(h, "bwd.bias"),
-            ),
-            hidden_dim=h,
-        )
-        self.att = AttentionParams(
-            proj=_glorot(rng, a, 2 * h, "att.proj"),
-            score=_glorot(rng, a, 1, "att.score"),
-        )
-        self.out = OutputParams(
-            weight=_glorot(rng, c, 2 * h, "out.weight"),
-            bias=_zeros(c, "out.bias"),
-        )
-
-    def param_items(self) -> list[tuple[str, Parameter]]:
-        return [
-            ("fwd.w_in", self.birnn.forward.w_in),
-            ("fwd.w_rec", self.birnn.forward.w_rec),
-            ("fwd.bias", self.birnn.forward.bias),
-            ("bwd.w_in", self.birnn.backward.w_in),
-            ("bwd.w_rec", self.birnn.backward.w_rec),
-            ("bwd.bias", self.birnn.backward.bias),
-            ("att.proj", self.att.proj),
-            ("att.score", self.att.score),
-            ("out.weight", self.out.weight),
-            ("out.bias", self.out.bias),
-        ]
-
-    def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.param_items()]
-
-    def config(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "n_classes": self.n_classes,
-            "hidden_dim": self.hidden_dim,
-            "attention_dim": self.attention_dim,
-            "n_context": self.n_context,
-            "dropout_rate": self.dropout_rate,
-            "head": self.head,
-            "mask_padding": self.mask_padding,
-            "seed": self.seed,
-        }
+        self.params = init_params(np.random.default_rng(seed), {
+            "fwd.w_in": (h, d), "fwd.w_rec": (h, h), "fwd.bias": h,
+            "bwd.w_in": (h, d), "bwd.w_rec": (h, h), "bwd.bias": h,
+            "att.proj": (a, 2 * h), "att.score": (a, 1),
+            "out.weight": (c, 2 * h), "out.bias": c,
+        })
 
     def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, Tensor2D | None]:
         """(C, B) class distributions and the (n+1, B) attention weights in
@@ -356,7 +281,7 @@ class UttAttBiRNN:
         n_slots = windows[0].size if windows else 0
         if any(w.size != n_slots for w in windows):
             raise ValueError("windows in one batch must have the same number of slots")
-        steps = birnn_forward(_slot_inputs(windows, range(n_slots)), self.birnn)
+        steps = birnn_forward(_slot_inputs(windows, range(n_slots)), self.params)
         if training and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training forward pass needs an rng for dropout")
@@ -366,10 +291,10 @@ class UttAttBiRNN:
             steps = [apply_dropout(s, self.dropout_rate, rng, True, uniforms=draws[:, k, :].T)
                      for k, s in enumerate(steps)]
         if self.head == "direct":
-            return classify(steps[-1], self.out), None
+            return classify(steps[-1], self.params), None
         keep = np.array([w.pad_mask for w in windows], dtype=bool).T if self.mask_padding else None
-        weights, summary = attention(steps, self.att, keep)
-        return classify(summary, self.out), weights
+        weights, summary = attention(steps, self.params, keep)
+        return classify(summary, self.params), weights
 
     def predict(self, windows, training: bool = False, rng=None):
         return _predict(self._forward, windows, training, rng)
@@ -383,29 +308,30 @@ class UttAttBiRNN:
 
 def baseline_forward(
     u: Tensor2D,
-    params: BaselineMLPParams,
+    params: dict,
     training: bool = False,
     rng=None,
     dropout_rate: float = 0.0,
 ) -> Tensor2D:
-    """tanh -> tanh -> softmax over utterance vectors, one per column of ``u``."""
+    """tanh -> tanh -> softmax over utterance vectors, one per column of ``u``,
+    with the registry's ``mlp.*`` layers."""
     draws = (None, None)
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training forward pass needs an rng for dropout")
         # one draw, window by window then layer by layer: the masks, in order,
         # that the windows would draw as batches of one
-        h1 = params.b1.rows
-        both = rng.random((u.cols, h1 + params.b2.rows))
+        h1 = params["mlp.b1"].rows
+        both = rng.random((u.cols, h1 + params["mlp.b2"].rows))
         draws = (both[:, :h1].T, both[:, h1:].T)
-    h1 = tanh_map(add_bias(matmul(params.w1, u), params.b1))
+    h1 = tanh_map(add_bias(matmul(params["mlp.w1"], u), params["mlp.b1"]))
     h1 = apply_dropout(h1, dropout_rate, rng, training, uniforms=draws[0])
-    h2 = tanh_map(add_bias(matmul(params.w2, h1), params.b2))
+    h2 = tanh_map(add_bias(matmul(params["mlp.w2"], h1), params["mlp.b2"]))
     h2 = apply_dropout(h2, dropout_rate, rng, training, uniforms=draws[1])
-    return softmax_columns(add_bias(matmul(params.w_out, h2), params.b_out))
+    return softmax_columns(add_bias(matmul(params["mlp.w_out"], h2), params["mlp.b_out"]))
 
 
-class BaselineMLP:
+class BaselineMLP(_Registry):
     """No-context classifier over the current utterance's features alone.
 
     ``predict`` and ``loss`` take windows as :class:`UttAttBiRNN` does.
@@ -430,36 +356,11 @@ class BaselineMLP:
         self.hidden2 = hidden2
         self.dropout_rate = dropout_rate
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.params = BaselineMLPParams(
-            w1=_glorot(rng, hidden1, feature_dim, "mlp.w1"),
-            b1=_zeros(hidden1, "mlp.b1"),
-            w2=_glorot(rng, hidden2, hidden1, "mlp.w2"),
-            b2=_zeros(hidden2, "mlp.b2"),
-            w_out=_glorot(rng, n_classes, hidden2, "mlp.w_out"),
-            b_out=_zeros(n_classes, "mlp.b_out"),
-        )
-
-    def param_items(self) -> list[tuple[str, Parameter]]:
-        p = self.params
-        return [
-            ("mlp.w1", p.w1), ("mlp.b1", p.b1),
-            ("mlp.w2", p.w2), ("mlp.b2", p.b2),
-            ("mlp.w_out", p.w_out), ("mlp.b_out", p.b_out),
-        ]
-
-    def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.param_items()]
-
-    def config(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "n_classes": self.n_classes,
-            "hidden1": self.hidden1,
-            "hidden2": self.hidden2,
-            "dropout_rate": self.dropout_rate,
-            "seed": self.seed,
-        }
+        self.params = init_params(np.random.default_rng(seed), {
+            "mlp.w1": (hidden1, feature_dim), "mlp.b1": hidden1,
+            "mlp.w2": (hidden2, hidden1), "mlp.b2": hidden2,
+            "mlp.w_out": (n_classes, hidden2), "mlp.b_out": n_classes,
+        })
 
     def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, None]:
         (current,) = _slot_inputs(windows, [-1])
@@ -483,10 +384,6 @@ CHECKPOINT_FORMAT = "ctxda-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file is missing, malformed, or inconsistent."""
-
-
 def save_checkpoint(path, model, encoder_config: dict, tags: list[str], seed: int) -> None:
     """Write a self-describing JSON checkpoint.
 
@@ -503,14 +400,7 @@ def save_checkpoint(path, model, encoder_config: dict, tags: list[str], seed: in
         "encoder": encoder_config,
         "tags": list(tags),
         "seed": seed,
-        "params": {
-            name: {
-                "rows": p.rows,
-                "cols": p.cols,
-                "values": p.values.tolist(),
-            }
-            for name, p in model.param_items()
-        },
+        "params": params_to_json(model.params),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -537,19 +427,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"unknown model kind {kind!r}")
     try:
         model = MODEL_KINDS[kind](**payload["model"])
-        for name, p in model.param_items():
-            entry = payload["params"][name]
-            arr = np.array(entry["values"], dtype=np.float64).reshape(
-                entry["rows"], entry["cols"]
-            )
-            if arr.shape != p.shape:
-                raise CheckpointError(
-                    f"parameter {name}: checkpoint shape {arr.shape} != model shape {p.shape}"
-                )
-            p.data[:] = arr
+        params_from_json(model.params, payload["params"])
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     meta = {
         "encoder": payload.get("encoder", {}),

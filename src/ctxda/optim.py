@@ -159,7 +159,6 @@ class TrainConfig:
     n_context: int = 4
     batch_size: int = 64
     max_epochs: int = 100
-    dropout_rate: float = 0.2
     learning_rate: float = 1e-4
     lr_decay: float = 0.95
     val_fraction: float = 0.15

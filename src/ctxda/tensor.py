@@ -8,7 +8,10 @@ topological order, handing each node's backward closure the gradient of that
 node. Closures refer only to their inputs, never to their own output, so a
 graph holds no reference cycles and is freed as soon as its root is dropped.
 Trainable values are :class:`Parameter` nodes, whose gradients persist and
-accumulate across backward calls until ``zero_grad``.
+accumulate across backward calls until ``zero_grad``. Every model and cell
+keeps its Parameters in one ordered registry built by :func:`init_params`,
+stored by :func:`params_to_json` and loaded, with checks, by
+:func:`params_from_json`.
 
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
 are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
@@ -158,6 +161,73 @@ class Parameter(Tensor2D):
     def __repr__(self) -> str:
         label = self.name or "?"
         return f"Parameter({label}, shape={self.data.shape})"
+
+
+# --- parameter registries ------------------------------------------------------
+#
+# A model or cell keeps its Parameters in one ordered name -> Parameter dict.
+# That order is the initialisation order, the optimiser order and the order of
+# the stored entries, and the names are the stored names.
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is missing, malformed, or inconsistent."""
+
+
+def init_params(rng, shapes: dict, prefix: str = "") -> dict[str, Parameter]:
+    """A parameter registry built in ``shapes`` order.
+
+    A ``(rows, cols)`` shape is a Glorot-uniform matrix drawn from ``rng``
+    (zeros when ``rng`` is None); an int ``rows`` is a zero bias column,
+    which draws nothing. Each Parameter is named ``prefix + name``.
+    """
+    params = {}
+    for name, shape in shapes.items():
+        if isinstance(shape, int):
+            data = np.zeros((shape, 1))
+        elif rng is None:
+            data = np.zeros(shape)
+        else:
+            s = np.sqrt(6.0 / (shape[0] + shape[1]))
+            data = rng.uniform(-s, s, shape)
+        params[name] = Parameter(data, name=prefix + name)
+    return params
+
+
+def params_to_json(params: dict[str, Parameter]) -> dict:
+    """Each parameter as ``{"rows", "cols", "values"}``, its values row-major
+    at full float64 precision."""
+    return {
+        name: {"rows": p.rows, "cols": p.cols, "values": p.values.tolist()}
+        for name, p in params.items()
+    }
+
+
+def params_from_json(params: dict[str, Parameter], stored) -> None:
+    """Overwrite the registry ``params`` with the entries of ``stored``.
+
+    Fails closed with CheckpointError: ``stored`` must hold exactly the
+    registry's names, and each entry the live parameter's shape, rows*cols
+    values and only finite ones.
+    """
+    try:
+        if set(stored) != set(params):
+            raise CheckpointError(f"stored parameters {sorted(stored)}, expected {sorted(params)}")
+        for name, p in params.items():
+            entry = stored[name]
+            values = np.array(entry["values"], dtype=np.float64)
+            if (entry["rows"], entry["cols"]) != p.shape or values.shape != (p.data.size,):
+                raise CheckpointError(
+                    f"parameter {name}: stored as ({entry['rows']}, {entry['cols']}) with "
+                    f"{values.size} values, expected {p.shape}"
+                )
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"parameter {name}: stored values are not all finite")
+            p.data[:] = values.reshape(p.shape)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed parameter entry: {exc!r}") from exc
 
 
 def _check_same_shape(op: str, a: Tensor2D, b: Tensor2D) -> None:

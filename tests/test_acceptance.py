@@ -29,7 +29,7 @@ from ctxda.corpus import (
     majority_baseline,
 )
 from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder, mlstm_step
-from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, RNNDirectionParams, rnn_direction
+from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, rnn_direction
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
 from ctxda.tensor import Parameter, Tensor2D, softmax
 from gradcheck import max_gradient_error
@@ -87,7 +87,6 @@ def run_experiment(seed: int, mode: str) -> SimpleNamespace:
         n_context=e["n_context"], batch_size=e["batch_size"],
         max_epochs=e["max_epochs"], learning_rate=e["learning_rate"],
         patience=e["patience"], seed=seed, val_fraction=e["val_fraction"],
-        dropout_rate=e["dropout_rate"],
     )
     nc = BaselineMLP(encoder.dim, len(vocab), hidden1=32, hidden2=16, seed=seed)
     train(nc, train_windows, cfg)
@@ -208,9 +207,8 @@ def test_criterion_2_simplex_invariants():
 def test_criterion_3_hand_oracles():
     with criterion(3, "hand-evaluated RNN/mLSTM/Adam/cross-entropy values (1e-9)"):
         # two-step RNN, dims 1, all weights 0.5, inputs [1, -1]
-        p = RNNDirectionParams(
-            w_in=Parameter([[0.5]]), w_rec=Parameter([[0.5]]), bias=Parameter([[0.5]])
-        )
+        p = {"fwd.w_in": Parameter([[0.5]]), "fwd.w_rec": Parameter([[0.5]]),
+             "fwd.bias": Parameter([[0.5]])}
         states = rnn_direction([Tensor2D([[1.0]]), Tensor2D([[-1.0]])], p)
         assert abs(states[0].item() - math.tanh(1.0)) < 1e-9
         assert abs(states[1].item() - math.tanh(0.5 * math.tanh(1.0))) < 1e-9
@@ -262,7 +260,7 @@ def test_criterion_4_overfit_sanity():
         assert len(windows) == 20
         cfg = TrainConfig(batch_size=4, max_epochs=500, learning_rate=2e-2,
                           patience=500, seed=11, val_fraction=0.15,
-                          dropout_rate=0.0, track_train_accuracy=True)
+                          track_train_accuracy=True)
         for name, model in (
             ("baseline", BaselineMLP(encoder.dim, len(vocab), hidden1=16,
                                      hidden2=12, seed=11)),
@@ -504,8 +502,7 @@ def test_short_utterance_slice_on_mixed_corpus():
     encoder = WordMeanEncoder(EmbeddingTable.one_hot(train_spec.vocabulary()))
     cfg = TrainConfig(batch_size=e["batch_size"], max_epochs=e["max_epochs"],
                       learning_rate=e["learning_rate"], patience=e["patience"],
-                      seed=seed, val_fraction=e["val_fraction"],
-                      dropout_rate=e["dropout_rate"])
+                      seed=seed, val_fraction=e["val_fraction"])
     model = UttAttBiRNN(encoder.dim, len(vocab), hidden_dim=e["hidden_dim"],
                         n_context=4, dropout_rate=e["dropout_rate"], seed=seed)
     train(model, build_all_windows(train_convs, 4, encoder, vocab), cfg)

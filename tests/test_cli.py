@@ -1,9 +1,14 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from ctxda.cli import main
 from ctxda.analysis import load_records
+from ctxda.corpus import TagVocabulary
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, **overrides):
@@ -199,6 +204,59 @@ class TestEval:
         ])
         assert code == 0
         assert "WC ensemble:" in capsys.readouterr().out
+
+
+class TestEvalFailsClosed:
+    """A stored parameter that is not finite, or not of its parameter's shape,
+    ends ``eval`` with exit 4 before any record is written, whether it sits in
+    the model or in the encoder stored with it."""
+
+    def run_eval(self, tmp_path, edit):
+        """``eval`` of the v1 fixture checkpoints on their own conversations,
+        after ``edit`` has changed the WC checkpoint's JSON."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for split in ("train", "test"):
+            shutil.copy(DATA / "v1_conversations.jsonl", corpus / f"{split}.jsonl")
+        wc = json.loads((DATA / "v1_wc_concat.ckpt.json").read_text())
+        TagVocabulary(wc["tags"]).save(corpus / "tags.txt")
+        edit(wc)
+        wc_path = tmp_path / "wc.ckpt.json"
+        wc_path.write_text(json.dumps(wc))
+        config, _ = write_config(tmp_path, paths={"corpus_dir": str(corpus)})
+        code = main(["--config", str(config), "eval",
+                     "--nc", str(DATA / "v1_nc_word.ckpt.json"), "--wc", str(wc_path)])
+        return code, tmp_path / "run" / "eval_records.jsonl"
+
+    def test_unchanged_checkpoints_evaluate(self, tmp_path):
+        code, records = self.run_eval(tmp_path, lambda wc: None)
+        assert code == 0 and records.exists()
+
+    def test_nan_in_model_bias_exit_4(self, tmp_path, capsys):
+        def edit(wc):
+            wc["params"]["out.bias"]["values"][1] = float("nan")
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert "out.bias" in capsys.readouterr().err
+
+    def test_nan_in_encoder_weight_exit_4(self, tmp_path, capsys):
+        def edit(wc):
+            wc["encoder"]["char"]["weights"]["b_i"]["values"][0] = float("nan")
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert "b_i" in capsys.readouterr().err
+
+    def test_one_row_encoder_matrix_exit_4(self, tmp_path, capsys):
+        def edit(wc):
+            w_ix = wc["encoder"]["char"]["weights"]["w_ix"]
+            w_ix["values"] = w_ix["values"][: w_ix["cols"]]
+            w_ix["rows"] = 1
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert "w_ix" in capsys.readouterr().err
 
 
 class TestAnalyze:

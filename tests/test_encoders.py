@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,39 @@ class TestCharLM:
     def test_needs_usable_text(self):
         with pytest.raises(ValueError):
             E.train_char_lm(["a"], E.CharVocab("a"), hidden_dim=4)
+
+
+ROUND_TRIP_UTTERANCES = [Utterance("c", i, text, "x")
+                         for i, text in enumerate(["ab c", "dab!", "", "Zz top", "c"])]
+
+
+def round_trip_encoder(kind):
+    words = sorted({tok for u in ROUND_TRIP_UTTERANCES for tok in E.tokenize(u.text)})
+    if kind == "word-inline":
+        return E.WordMeanEncoder(E.EmbeddingTable.random(words[:-1], 3, seed=2))
+    if kind == "word-onehot":
+        word = E.WordMeanEncoder(E.EmbeddingTable.one_hot(words))
+        word.source = {"kind": "onehot", "vocabulary": words}
+        return word
+    vocab = E.CharVocab("abcd")
+    params = E.MLSTMParams.create(vocab.size, 3, seed=3)
+    rng = np.random.default_rng(3)
+    for p in params.parameters():
+        p.data += rng.normal(0.0, 0.5, p.shape)  # biases away from zero too
+    if kind == "char":
+        return E.CharMLSTMEncoder(params, vocab, reduce="last")
+    return E.ConcatEncoder(E.CharMLSTMEncoder(params, vocab), round_trip_encoder("word-onehot"))
+
+
+class TestEncoderConfigRoundTrip:
+    """encoder_to_config -> JSON -> encoder_from_config rebuilds the encoder."""
+
+    @pytest.mark.parametrize("kind", ["word-inline", "word-onehot", "char", "concat"])
+    def test_same_features_and_same_config(self, kind):
+        encoder = round_trip_encoder(kind)
+        stored = json.dumps(E.encoder_to_config(encoder))
+        rebuilt = E.encoder_from_config(json.loads(stored))
+        assert rebuilt.dim == encoder.dim
+        for utt in ROUND_TRIP_UTTERANCES:
+            assert np.array_equal(rebuilt.encode_utterance(utt), encoder.encode_utterance(utt))
+        assert json.dumps(E.encoder_to_config(rebuilt)) == stored

@@ -6,14 +6,10 @@ import pytest
 
 from ctxda import model as M
 from ctxda.model import (
-    AttentionParams,
     BaselineMLP,
-    BiRNNParams,
     CheckpointError,
     ContextWindow,
-    OutputParams,
     Prediction,
-    RNNDirectionParams,
     UttAttBiRNN,
     attention,
     birnn_forward,
@@ -33,10 +29,9 @@ def window(features, mask=None, label=0, **kw):
     return ContextWindow(features=feats, pad_mask=mask, label=label, **kw)
 
 
-def direction_params(w_in, w_rec, bias):
-    return RNNDirectionParams(
-        w_in=Parameter(w_in), w_rec=Parameter(w_rec), bias=Parameter(bias)
-    )
+def direction_params(w_in, w_rec, bias, prefix="fwd"):
+    return {f"{prefix}.w_in": Parameter(w_in), f"{prefix}.w_rec": Parameter(w_rec),
+            f"{prefix}.bias": Parameter(bias)}
 
 
 class TestContextWindow:
@@ -96,23 +91,21 @@ def small_birnn(seed=0, feature_dim=2, hidden=3):
     rng = np.random.default_rng(seed)
 
     def direction(tag):
-        return RNNDirectionParams(
-            w_in=Parameter(rng.uniform(-1, 1, (hidden, feature_dim)), name=f"{tag}.w_in"),
-            w_rec=Parameter(rng.uniform(-1, 1, (hidden, hidden)), name=f"{tag}.w_rec"),
-            bias=Parameter(rng.uniform(-1, 1, (hidden, 1)), name=f"{tag}.bias"),
-        )
+        return {
+            f"{tag}.w_in": Parameter(rng.uniform(-1, 1, (hidden, feature_dim)), name=f"{tag}.w_in"),
+            f"{tag}.w_rec": Parameter(rng.uniform(-1, 1, (hidden, hidden)), name=f"{tag}.w_rec"),
+            f"{tag}.bias": Parameter(rng.uniform(-1, 1, (hidden, 1)), name=f"{tag}.bias"),
+        }
 
-    return BiRNNParams(forward=direction("fwd"), backward=direction("bwd"),
-                       hidden_dim=hidden)
+    return {**direction("fwd"), **direction("bwd")}
 
 
 class TestBiRNNForward:
     def test_zero_params_zero_matrix(self):
-        p = BiRNNParams(
-            forward=direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1))),
-            backward=direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1))),
-            hidden_dim=3,
-        )
+        p = {
+            **direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1))),
+            **direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1)), "bwd"),
+        }
         steps = birnn_forward([Tensor2D(np.ones((2, 1)))] * 5, p)
         assert all(s.shape == (6, 1) and np.all(s.data == 0.0) for s in steps)
 
@@ -121,8 +114,8 @@ class TestBiRNNForward:
         # produces the same bias-only state in both directions
         rng = np.random.default_rng(2)
         p = small_birnn(seed=2)
-        p.forward.w_rec.data[:] = 0.0
-        p.backward.w_rec.data[:] = 0.0
+        p["fwd.w_rec"].data[:] = 0.0
+        p["bwd.w_rec"].data[:] = 0.0
         feats = [Tensor2D(np.zeros((2, 1))) for _ in range(4)]
         feats.append(Tensor2D(rng.uniform(-1, 1, (2, 1))))
         steps = birnn_forward(feats, p)
@@ -133,11 +126,11 @@ class TestBiRNNForward:
     def test_reversal_swaps_direction_blocks(self):
         rng = np.random.default_rng(3)
         p = small_birnn(seed=3)
-        swapped = BiRNNParams(forward=p.backward, backward=p.forward, hidden_dim=3)
+        swapped = {{"fwd": "bwd", "bwd": "fwd"}[n[:3]] + n[3:]: v for n, v in p.items()}
         feats = [Tensor2D(rng.uniform(-1, 1, (2, 1))) for _ in range(5)]
         steps = birnn_forward(feats, p)
         rev_steps = birnn_forward(list(reversed(feats)), swapped)
-        h = p.hidden_dim
+        h = p["fwd.w_rec"].rows
         for k in range(5):
             orig = steps[4 - k].data
             got = rev_steps[k].data
@@ -148,10 +141,10 @@ class TestBiRNNForward:
 class TestAttention:
     def test_identical_rows_uniform_weights(self):
         rng = np.random.default_rng(4)
-        att = AttentionParams(
-            proj=Parameter(rng.uniform(-1, 1, (4, 6))),
-            score=Parameter(rng.uniform(-1, 1, (4, 1))),
-        )
+        att = {
+            "att.proj": Parameter(rng.uniform(-1, 1, (4, 6))),
+            "att.score": Parameter(rng.uniform(-1, 1, (4, 1))),
+        }
         row = Tensor2D(rng.uniform(-1, 1, (6, 1)))
         weights, summary = attention([row] * 5, att)
         assert np.allclose(weights.data, 0.2, atol=1e-12)
@@ -161,9 +154,9 @@ class TestAttention:
         # project onto the first coordinate and blow the score up: softmax
         # saturates onto the step with the largest first coordinate, and the
         # summary collapses to tanh of that step's state
-        att = AttentionParams(
-            proj=Parameter([[1.0, 0.0]]), score=Parameter([[1000.0]])
-        )
+        att = {
+            "att.proj": Parameter([[1.0, 0.0]]), "att.score": Parameter([[1000.0]])
+        }
         steps = [Tensor2D([[0.1], [0.2]]), Tensor2D([[1.0], [-1.0]]), Tensor2D([[0.3], [0.4]])]
         weights, summary = attention(steps, att)
         assert weights.data.ravel()[1] > 1.0 - 1e-9
@@ -171,10 +164,10 @@ class TestAttention:
 
     def test_simplex_and_range(self):
         rng = np.random.default_rng(5)
-        att = AttentionParams(
-            proj=Parameter(rng.uniform(-1, 1, (3, 4))),
-            score=Parameter(rng.uniform(-1, 1, (3, 1))),
-        )
+        att = {
+            "att.proj": Parameter(rng.uniform(-1, 1, (3, 4))),
+            "att.score": Parameter(rng.uniform(-1, 1, (3, 1))),
+        }
         for _ in range(200):
             steps = [Tensor2D(rng.uniform(-2, 2, (4, 1))) for _ in range(5)]
             weights, summary = attention(steps, att)
@@ -185,22 +178,22 @@ class TestAttention:
 
 class TestClassify:
     def test_zero_params_uniform_over_42(self):
-        out = OutputParams(weight=Parameter(np.zeros((42, 6))),
-                           bias=Parameter(np.zeros((42, 1))))
+        out = {"out.weight": Parameter(np.zeros((42, 6))),
+               "out.bias": Parameter(np.zeros((42, 1)))}
         probs = classify(Tensor2D(np.random.default_rng(0).uniform(-1, 1, (6, 1))), out)
         assert np.allclose(probs.data, 1.0 / 42.0, atol=1e-15)
 
     def test_large_bias_wins_argmax(self):
         bias = np.zeros((5, 1))
         bias[3, 0] = 50.0
-        out = OutputParams(weight=Parameter(np.zeros((5, 2))), bias=Parameter(bias))
+        out = {"out.weight": Parameter(np.zeros((5, 2))), "out.bias": Parameter(bias)}
         probs = classify(Tensor2D([[0.5], [0.5]]), out)
         assert int(np.argmax(probs.data)) == 3
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
-        out = OutputParams(weight=Parameter(rng.uniform(-1, 1, (7, 3))),
-                           bias=Parameter(rng.uniform(-1, 1, (7, 1))))
+        out = {"out.weight": Parameter(rng.uniform(-1, 1, (7, 3))),
+               "out.bias": Parameter(rng.uniform(-1, 1, (7, 1)))}
         for _ in range(50):
             probs = classify(Tensor2D(rng.uniform(-3, 3, (3, 1))), out)
             assert abs(probs.data.sum() - 1.0) < 1e-9
@@ -218,11 +211,11 @@ class TestDirectHead:
     def test_equals_classify_of_concatenated_final_states(self):
         rng = np.random.default_rng(7)
         p = small_birnn(seed=7)
-        out = OutputParams(weight=Parameter(rng.uniform(-1, 1, (4, 6))),
-                           bias=Parameter(rng.uniform(-1, 1, (4, 1))))
+        out = {"out.weight": Parameter(rng.uniform(-1, 1, (4, 6))),
+               "out.bias": Parameter(rng.uniform(-1, 1, (4, 1)))}
         w = window([rng.uniform(-1, 1, 2) for _ in range(5)])
         model = UttAttBiRNN(2, 4, hidden_dim=3, seed=7, dropout_rate=0.0, head="direct")
-        model.birnn, model.out = p, out
+        model.params.update({**p, **out})
         direct = model.predict(w).probs.reshape(-1, 1)
         steps = birnn_forward([Tensor2D(f) for f in w.features], p)
         via_classify = classify(steps[-1], out)
@@ -301,8 +294,8 @@ class TestUttAttBiRNN:
         model = UttAttBiRNN(2, 3, hidden_dim=2, seed=0, dropout_rate=0.0)
         rng = np.random.default_rng(0)
         w = self.make_window(rng, model)
-        steps = birnn_forward([Tensor2D(f) for f in w.features], model.birnn)
-        weights, _ = attention(steps, model.att)
+        steps = birnn_forward([Tensor2D(f) for f in w.features], model.params)
+        weights, _ = attention(steps, model.params)
         pred = model.predict(w)
         assert np.allclose(pred.attention, weights.data.ravel()[::-1])
 
@@ -336,8 +329,8 @@ class TestUttAttBiRNN:
         # weights with them
         rng = np.random.default_rng(12)
         model = UttAttBiRNN(3, 4, hidden_dim=3, seed=12, dropout_rate=0.0)
-        model.birnn.forward.w_rec.data[:] = 0.0
-        model.birnn.backward.w_rec.data[:] = 0.0
+        model.params["fwd.w_rec"].data[:] = 0.0
+        model.params["bwd.w_rec"].data[:] = 0.0
         feats = [rng.uniform(-1, 1, 3) for _ in range(5)]
         w1 = ContextWindow(feats, [True] * 5, 0, conversation_id="p", index=0)
         perm = [2, 0, 3, 1]  # permutation of the four context slots
@@ -483,7 +476,7 @@ class TestCheckpoint:
         assert meta["tags"] == ["a", "b", "c", "d", "e"]
         assert meta["encoder"]["encoder"] == "word"
         assert meta["seed"] == 15
-        for (n1, p1), (n2, p2) in zip(model.param_items(), loaded.param_items()):
+        for (n1, p1), (n2, p2) in zip(model.params.items(), loaded.params.items()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
         rng = np.random.default_rng(15)
@@ -496,7 +489,7 @@ class TestCheckpoint:
         save_checkpoint(path, model, {"encoder": "word"}, ["x", "y", "z"], 16)
         loaded, _ = load_checkpoint(path)
         assert isinstance(loaded, BaselineMLP)
-        for (_, p1), (_, p2) in zip(model.param_items(), loaded.param_items()):
+        for (_, p1), (_, p2) in zip(model.params.items(), loaded.params.items()):
             assert np.array_equal(p1.data, p2.data)
 
     def test_corrupted_file(self, tmp_path):

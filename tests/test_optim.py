@@ -202,7 +202,7 @@ class TestTrain:
         _, windows, vocab, encoder = tiny_corpus(seed=1)
         model = BaselineMLP(encoder.dim, len(vocab), hidden1=12, hidden2=8, seed=1)
         cfg = TrainConfig(batch_size=8, max_epochs=5, learning_rate=1e-3,
-                          patience=5, seed=1, dropout_rate=0.0, val_fraction=0.2)
+                          patience=5, seed=1, val_fraction=0.2)
         result = O.train(model, windows, cfg)
         losses = [h.train_loss for h in result.history]
         assert len(losses) == 5
@@ -226,7 +226,7 @@ class TestTrain:
         _, windows, vocab, encoder = tiny_corpus(seed=3, n_conversations=6)
         model = BaselineMLP(encoder.dim, len(vocab), hidden1=10, hidden2=6, seed=3)
         cfg = TrainConfig(batch_size=8, max_epochs=12, learning_rate=2e-3,
-                          patience=3, seed=3, dropout_rate=0.0, val_fraction=0.2)
+                          patience=3, seed=3, val_fraction=0.2)
         result = O.train(model, windows, cfg)
         _, val_set = O.split_validation(windows, cfg.val_fraction, cfg.seed)
         assert O.evaluate_accuracy(model, val_set) == pytest.approx(
@@ -238,7 +238,7 @@ class TestTrain:
         _, windows, vocab, encoder = tiny_corpus(seed=4)
         model = BaselineMLP(encoder.dim, len(vocab), hidden1=6, hidden2=4, seed=4)
         cfg = TrainConfig(batch_size=16, max_epochs=3, learning_rate=1e-3,
-                          lr_decay=0.5, seed=4, dropout_rate=0.0, val_fraction=0.2)
+                          lr_decay=0.5, seed=4, val_fraction=0.2)
         result = O.train(model, windows, cfg)
         assert [h.learning_rate for h in result.history] == [1e-3, 5e-4, 2.5e-4]
 

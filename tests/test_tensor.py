@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import numpy as np
@@ -415,3 +416,44 @@ class TestFiniteDifference:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(ValueError):
             finite_difference_grad(lambda t: 0.0, Tensor2D([[1.0]]), h=0.0)
+
+
+class TestParameterRegistry:
+    def registry(self, rng=None):
+        return T.init_params(rng, {"w": (3, 2), "b": 3, "v": (1, 4)}, prefix="x.")
+
+    def test_build_order_names_and_draws(self):
+        params = self.registry(np.random.default_rng(0))
+        assert list(params) == ["w", "b", "v"]
+        assert [p.name for p in params.values()] == ["x.w", "x.b", "x.v"]
+        assert np.all(params["b"].data == 0.0) and params["b"].shape == (3, 1)
+        # biases draw nothing: the matrices are consecutive Glorot draws
+        rng, s = np.random.default_rng(0), math.sqrt(6.0 / 5.0)
+        assert np.array_equal(params["w"].data, rng.uniform(-s, s, (3, 2)))
+        assert np.array_equal(params["v"].data, rng.uniform(-s, s, (1, 4)))
+        assert all(np.all(p.data == 0.0) for p in self.registry().values())
+
+    def test_json_round_trip_is_bitwise(self):
+        params = self.registry(np.random.default_rng(1))
+        params["b"].data[:] = [[1e-300], [-0.1], [1 / 3]]
+        loaded = self.registry()
+        T.params_from_json(loaded, json.loads(json.dumps(T.params_to_json(params))))
+        for name, p in params.items():
+            assert np.array_equal(loaded[name].data, p.data)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s.pop("b"),
+        lambda s: s.update(extra=s["b"]),
+        lambda s: s["w"].update(rows=2, values=s["w"]["values"][:4]),
+        lambda s: s["w"].update(rows=1, cols=6),
+        lambda s: s["v"]["values"].pop(),
+        lambda s: s["b"]["values"].__setitem__(0, float("nan")),
+        lambda s: s["b"]["values"].__setitem__(2, float("-inf")),
+        lambda s: s["v"]["values"].__setitem__(0, "x"),
+        lambda s: s["w"].pop("rows"),
+    ])
+    def test_bad_stored_entries_are_refused(self, corrupt):
+        stored = T.params_to_json(self.registry(np.random.default_rng(2)))
+        corrupt(stored)
+        with pytest.raises(T.CheckpointError):
+            T.params_from_json(self.registry(), stored)
