@@ -373,11 +373,7 @@ def cmd_train(cfg: dict, model_name: str) -> int:
             seed=cfg["seed"],
         )
     log.info("training %s on %d windows (%d tags)", model_name, len(windows), len(vocab))
-    try:
-        result = opt.train(model, windows, tcfg)
-    except opt.TrainingDiverged as exc:
-        print(f"training diverged: {exc} (epoch {exc.epoch})", file=sys.stderr)
-        return EXIT_TRAINING
+    result = opt.train(model, windows, tcfg)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -414,11 +410,15 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
         wc_group, wc_tags = _load_model_group(wc_paths)
         if nc_tags != wc_tags:
             raise CheckpointError("tag vocabulary mismatch between NC and WC checkpoints")
+        n_contexts = {getattr(model, "n_context", cfg["train"]["n_context"])
+                      for _, model, _ in wc_group}
+        if len(n_contexts) > 1:
+            raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
     vocab = cor.TagVocabulary(nc_tags)
-    n_context = cfg["train"]["n_context"]
+    (n_context,) = n_contexts  # windows as the WC models were trained on
 
     # windows are built once per distinct encoder configuration
     window_cache: dict[str, list] = {}
@@ -442,7 +442,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     try:
         nc_preds = predictions(nc_group)
         wc_preds = predictions(wc_group)
-    except CheckpointError as exc:  # the encoder stored with a checkpoint
+    except (CheckpointError, OSError) as exc:  # the encoder stored with a checkpoint
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
     except (ValueError, KeyError) as exc:
@@ -477,14 +477,10 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     ana.write_records(records_path, records)
 
     lines = []
-    for name, preds in nc_preds:
-        hits = sum(1 for p, w in zip(preds, reference_windows)
-                   if p.top_class == w.label)
-        lines.append(("NC " + name, 100.0 * hits / len(reference_windows)))
-    for name, preds in wc_preds:
-        hits = sum(1 for p, w in zip(preds, reference_windows)
-                   if p.top_class == w.label)
-        lines.append(("WC " + name, 100.0 * hits / len(reference_windows)))
+    for kind, per_model in (("NC", nc_preds), ("WC", wc_preds)):
+        for name, preds in per_model:
+            hits = sum(p.top_class == w.label for p, w in zip(preds, reference_windows))
+            lines.append((f"{kind} {name}", 100.0 * hits / len(reference_windows)))
     acc = ana.accuracy(records)
     if len(nc_preds) > 1:
         lines.append(("NC ensemble", acc["nc"]))
@@ -645,6 +641,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except opt.TrainingDiverged as exc:  # the window model's or the char LM's
+        where = "" if exc.epoch is None else f" (epoch {exc.epoch})"
+        print(f"training diverged: {exc}{where}", file=sys.stderr)
+        return EXIT_TRAINING
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

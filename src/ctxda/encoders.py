@@ -13,19 +13,21 @@ import re
 
 import numpy as np
 
+from .optim import Adam, cross_entropy
 from .tensor import (
-    DimensionError,
     Parameter,
     Tensor2D,
     add,
+    add_bias,
     backward,
     hadamard,
+    hstack,
     init_params,
     matmul,
     params_from_json,
     params_to_json,
     sigmoid_map,
-    softmax,
+    softmax_columns,
     tanh_map,
 )
 
@@ -82,14 +84,6 @@ class EmbeddingTable:
             vec = np.zeros(len(vocabulary))
             vec[i] = 1.0
             table.add(tok, vec)
-        return table
-
-    @classmethod
-    def random(cls, vocabulary: list[str], dim: int, seed: int = 0) -> "EmbeddingTable":
-        rng = np.random.default_rng(seed)
-        table = cls(dim)
-        for tok in vocabulary:
-            table.add(tok, rng.normal(0.0, 1.0, dim))
         return table
 
 
@@ -224,21 +218,16 @@ class MLSTMParams(dict):
 def mlstm_step(
     x_t: Tensor2D, h_prev: Tensor2D, c_prev: Tensor2D, p: MLSTMParams
 ) -> tuple[Tensor2D, Tensor2D]:
-    """One mLSTM transition: returns (h_t, c_t) as graph nodes."""
-    if x_t.shape != (p.input_dim, 1):
-        raise DimensionError(
-            f"mlstm_step input: expected {(p.input_dim, 1)}, got {x_t.shape}"
-        )
-    if h_prev.shape != (p.hidden_dim, 1) or c_prev.shape != (p.hidden_dim, 1):
-        raise DimensionError(
-            f"mlstm_step state: expected {(p.hidden_dim, 1)}, got "
-            f"{h_prev.shape} and {c_prev.shape}"
-        )
+    """One mLSTM transition: returns (h_t, c_t) as graph nodes.
+
+    The input ``x_t`` is (X, B) and the states are (H, B), one column per
+    sequence; the biases are added to every column.
+    """
     m = hadamard(matmul(p["w_mx"], x_t), matmul(p["w_mh"], h_prev))
-    i = sigmoid_map(add(add(matmul(p["w_ix"], x_t), matmul(p["w_im"], m)), p["b_i"]))
-    f = sigmoid_map(add(add(matmul(p["w_fx"], x_t), matmul(p["w_fm"], m)), p["b_f"]))
-    o = sigmoid_map(add(add(matmul(p["w_ox"], x_t), matmul(p["w_om"], m)), p["b_o"]))
-    cand = tanh_map(add(add(matmul(p["w_cx"], x_t), matmul(p["w_cm"], m)), p["b_c"]))
+    i = sigmoid_map(add_bias(add(matmul(p["w_ix"], x_t), matmul(p["w_im"], m)), p["b_i"]))
+    f = sigmoid_map(add_bias(add(matmul(p["w_fx"], x_t), matmul(p["w_fm"], m)), p["b_f"]))
+    o = sigmoid_map(add_bias(add(matmul(p["w_ox"], x_t), matmul(p["w_om"], m)), p["b_o"]))
+    cand = tanh_map(add_bias(add(matmul(p["w_cx"], x_t), matmul(p["w_cm"], m)), p["b_c"]))
     c_t = add(hadamard(f, c_prev), hadamard(i, cand))
     h_t = hadamard(o, tanh_map(c_t))
     return h_t, c_t
@@ -292,6 +281,18 @@ class CharMLSTMEncoder:
         return char_encode(utt.text, self.params, self.vocab, self.reduce)
 
 
+def _char_lm_step(text, params, head, vocab, adam) -> float:
+    """One Adam step on the mean next-character loss of ``text``; returns
+    that loss. The text's graph is freed when this returns."""
+    states = hstack(_run_mlstm(text[:-1], params, vocab))
+    probs = softmax_columns(add_bias(matmul(head["out_w"], states), head["out_b"]))
+    loss = cross_entropy(probs, vocab.indices(text[1:]))
+    adam.zero_grad()
+    backward(loss)
+    adam.step()
+    return loss.item()
+
+
 def train_char_lm(
     texts: list[str],
     vocab: CharVocab,
@@ -304,19 +305,17 @@ def train_char_lm(
     """Fit the mLSTM as a next-character language model on the task corpus.
 
     This is the desk-scale stand-in for a large pretrained character model:
-    a small cell trained for a few epochs on the corpus text itself. Returns
-    the cell weights and the per-epoch mean losses. Texts are truncated to
-    ``max_chars`` to bound graph depth.
+    a small cell trained for a few epochs on the corpus text itself, one
+    Adam step per text on its mean loss over the characters after the
+    first. Returns the cell weights and the per-epoch mean losses. Texts are
+    truncated to ``max_chars`` to bound graph depth.
     """
-    from .optim import Adam, cross_entropy  # deferred: optim imports only tensor
-
     params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
     rng = np.random.default_rng(seed)
-    out_w, out_b = init_params(
+    head = init_params(
         rng, {"out_w": (vocab.size, hidden_dim), "out_b": vocab.size}, prefix="lm."
-    ).values()
-    trainable = params.parameters() + [out_w, out_b]
-    adam = Adam(trainable, learning_rate=learning_rate)
+    )
+    adam = Adam(params.parameters() + list(head.values()), learning_rate=learning_rate)
 
     usable = [t[:max_chars] for t in texts if len(t) >= 2]
     if not usable:
@@ -324,24 +323,7 @@ def train_char_lm(
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(usable))
-        epoch_loss = 0.0
-        for k in order:
-            text = usable[k]
-            idxs = vocab.indices(text)
-            h = Tensor2D._result(np.zeros((hidden_dim, 1)), (), None)
-            c = Tensor2D._result(np.zeros((hidden_dim, 1)), (), None)
-            loss = None
-            for pos in range(len(idxs) - 1):
-                h, c = mlstm_step(_one_hot(idxs[pos], vocab.size), h, c, params)
-                probs = softmax(add(matmul(out_w, h), out_b))
-                step_loss = cross_entropy(probs, idxs[pos + 1])
-                loss = step_loss if loss is None else add(loss, step_loss)
-            adam.zero_grad()
-            backward(loss)
-            for p in trainable:
-                p.grad /= len(idxs) - 1
-            adam.step()
-            epoch_loss += loss.item() / (len(idxs) - 1)
+        epoch_loss = sum(_char_lm_step(usable[k], params, head, vocab, adam) for k in order)
         losses.append(epoch_loss / len(usable))
     return params, losses
 

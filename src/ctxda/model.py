@@ -45,7 +45,6 @@ from .tensor import (
 )
 
 PROB_TOL = 1e-9
-ATTENTION_TOL = 1e-6
 
 
 @dataclass

@@ -23,12 +23,11 @@ class TrainingDiverged(RuntimeError):
 def cross_entropy(probs: Tensor2D, gold) -> Tensor2D:
     """Categorical cross-entropy -log(max(p_gold, 1e-12)) as a graph node.
 
-    ``probs`` holds one probability column per example. ``gold`` is the gold
-    index of each column, or a single int for a single column; the result
-    is the mean over the columns, a (1, 1) node.
+    ``probs`` holds one probability column per example and ``gold`` the gold
+    index of each column; the result is the mean over the columns, a (1, 1)
+    node.
     """
-    golds = [gold] if isinstance(gold, (int, np.integer)) else gold
-    return mean_neg_log_gather(probs, golds, floor=LOSS_FLOOR)
+    return mean_neg_log_gather(probs, gold, floor=LOSS_FLOOR)
 
 
 class Adam:
@@ -191,7 +190,6 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_val_accuracy: float = 0.0
-    stopped_early: bool = False
 
 
 def evaluate_accuracy(model, windows) -> float:
@@ -249,7 +247,6 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
                        val_accuracy, train_accuracy)
         )
         if stopper.update(val_accuracy, [p.data for p in params], epoch):
-            result.stopped_early = True
             break
 
     if stopper.best_snapshot is not None:

@@ -39,10 +39,8 @@ __all__ = [
     "matmul",
     "add",
     "hadamard",
-    "scale",
     "tanh_map",
     "sigmoid_map",
-    "softmax",
     "softmax_columns",
     "add_bias",
     "weighted_sum",
@@ -50,10 +48,6 @@ __all__ = [
     "transpose",
     "hstack",
     "vstack",
-    "pick",
-    "sum_all",
-    "mean_columns",
-    "neg_log",
     "mean_neg_log_gather",
     "backward",
     "finite_difference_grad",
@@ -108,12 +102,6 @@ class Tensor2D:
         out._parents = parents
         out._backprop = backprop
         return out
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Tensor2D":
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"rows and cols must be positive, got ({rows}, {cols})")
-        return cls(np.zeros((rows, cols)))
 
     @property
     def rows(self) -> int:
@@ -288,16 +276,6 @@ def hadamard(a: Tensor2D, b: Tensor2D) -> Tensor2D:
     return Tensor2D._result(a.data * b.data, (a, b), backprop)
 
 
-def scale(a: Tensor2D, k: float) -> Tensor2D:
-    """Multiply every entry by the constant ``k``."""
-    k = float(k)
-
-    def backprop(g):
-        a.grad += g * k
-
-    return Tensor2D._result(a.data * k, (a,), backprop)
-
-
 def tanh_map(t: Tensor2D) -> Tensor2D:
     """Elementwise tanh; outputs lie in (-1, 1)."""
     y = np.tanh(t.data)
@@ -322,22 +300,11 @@ def sigmoid_map(t: Tensor2D) -> Tensor2D:
     return Tensor2D._result(y, (t,), backprop)
 
 
-def softmax(v: Tensor2D) -> Tensor2D:
-    """Stable softmax of a column vector; output sums to 1.
-
-    Computed with max-subtraction, so shifting all inputs by a constant
-    leaves the output unchanged. The single-column case of
-    :func:`softmax_columns`.
-    """
-    if v.data.shape[1] != 1:
-        raise ValueError(f"softmax expects a column vector, got shape {v.data.shape}")
-    return softmax_columns(v)
-
-
 def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
     """Stable softmax down each column; every column sums to 1.
 
-    ``keep`` is an optional boolean mask of ``t``'s shape: entries where it
+    Computed with max-subtraction, so shifting a column by a constant leaves
+    its output unchanged. ``keep`` is an optional boolean mask of ``t``'s shape: entries where it
     is False get weight exactly 0 and no gradient, and each column is
     normalised over its kept entries alone. Every column must keep at least
     one entry.
@@ -446,58 +413,12 @@ def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
     return Tensor2D._result(np.vstack([p.data for p in parts]), tuple(parts), backprop)
 
 
-def pick(t: Tensor2D, i: int, j: int) -> Tensor2D:
-    """Select one entry as a (1, 1) tensor."""
-    r, c = t.data.shape
-    if not (0 <= i < r and 0 <= j < c):
-        raise IndexError(f"pick({i}, {j}) out of range for shape {(r, c)}")
-
-    def backprop(g):
-        t.grad[i, j] += g[0, 0]
-
-    return Tensor2D._result(t.data[i : i + 1, j : j + 1].copy(), (t,), backprop)
-
-
-def sum_all(t: Tensor2D) -> Tensor2D:
-    """Sum of all entries as a (1, 1) tensor."""
-
-    def backprop(g):
-        t.grad += g[0, 0]
-
-    return Tensor2D._result(np.array([[t.data.sum()]]), (t,), backprop)
-
-
-def mean_columns(t: Tensor2D) -> Tensor2D:
-    """Mean over columns, returned as a column vector."""
-    n = t.data.shape[1]
-
-    def backprop(g):
-        t.grad += g / n
-
-    return Tensor2D._result(t.data.mean(axis=1, keepdims=True), (t,), backprop)
-
-
-def neg_log(t: Tensor2D, floor: float = 1e-12) -> Tensor2D:
-    """Elementwise -log(max(t, floor)).
-
-    The floor guards against -inf on entries that have underflowed to zero;
-    entries at or below the floor get zero gradient (the max branch).
-    """
-    clipped = np.maximum(t.data, floor)
-    active = t.data > floor
-
-    def backprop(g):
-        t.grad += np.where(active, -g / clipped, 0.0)
-
-    return Tensor2D._result(-np.log(clipped), (t,), backprop)
-
-
 def mean_neg_log_gather(t: Tensor2D, rows, floor: float = 1e-12) -> Tensor2D:
     """Mean over columns j of -log(max(t[rows[j], j], floor)), as (1, 1).
 
     One entry is gathered per column (the gold class of each example in a
-    batch of probability columns). As in :func:`neg_log`, entries at or
-    below the floor get zero gradient.
+    batch of probability columns). The floor guards against -inf on entries
+    that have underflowed to zero; entries at or below it get zero gradient.
     """
     rows = np.asarray(rows, dtype=np.intp)
     r, n = t.data.shape

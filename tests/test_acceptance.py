@@ -31,7 +31,7 @@ from ctxda.corpus import (
 from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder, mlstm_step
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, rnn_direction
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
-from ctxda.tensor import Parameter, Tensor2D, softmax
+from ctxda.tensor import Parameter, Tensor2D, softmax_columns
 from gradcheck import max_gradient_error
 
 
@@ -239,7 +239,7 @@ def test_criterion_3_hand_oracles():
         assert abs(w.data[0, 0] - w2) < 1e-9
 
         # cross-entropy of the uniform 42-class distribution
-        loss = cross_entropy(softmax(Tensor2D(np.zeros((42, 1)))), 7).item()
+        loss = cross_entropy(softmax_columns(Tensor2D(np.zeros((42, 1)))), [7]).item()
         assert abs(loss - math.log(42.0)) < 1e-9
         assert abs(loss - 3.737670) < 1e-6
         print(f"  ln 42 = {loss:.9f}; adam t=1 delta {w1:.12e}")

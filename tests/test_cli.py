@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxda.cli import main
@@ -152,6 +153,19 @@ class TestTrain:
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 3
         assert "epoch 4" in capsys.readouterr().err
 
+    def test_char_lm_divergence_exit_3(self, tmp_path, capsys):
+        config, _ = write_config(
+            tmp_path, encoder="char",
+            model={"char_hidden_dim": 4, "char_lm_epochs": 1, "char_lm_lr": 1e300},
+        )
+        assert main(["--config", str(config), "synth"]) == 0
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(config), "train", "--model", "baseline"])
+        assert code == 3
+        assert "training diverged: non-finite gradient in parameter mlstm." in (
+            capsys.readouterr().err)
+        assert not list((tmp_path / "run").glob("*.ckpt.json"))
+
 
 class TestEval:
     def test_records_and_accuracy(self, pipeline, capsys):
@@ -211,9 +225,10 @@ class TestEvalFailsClosed:
     ends ``eval`` with exit 4 before any record is written, whether it sits in
     the model or in the encoder stored with it."""
 
-    def run_eval(self, tmp_path, edit):
+    def run_eval(self, tmp_path, edit, n_context=2, also_wc=()):
         """``eval`` of the v1 fixture checkpoints on their own conversations,
-        after ``edit`` has changed the WC checkpoint's JSON."""
+        after ``edit`` has changed the WC checkpoint's JSON, with the config's
+        ``train.n_context`` and any further WC checkpoints ``also_wc``."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for split in ("train", "test"):
@@ -223,9 +238,11 @@ class TestEvalFailsClosed:
         edit(wc)
         wc_path = tmp_path / "wc.ckpt.json"
         wc_path.write_text(json.dumps(wc))
-        config, _ = write_config(tmp_path, paths={"corpus_dir": str(corpus)})
+        config, _ = write_config(tmp_path, paths={"corpus_dir": str(corpus)},
+                                 train={"n_context": n_context})
         code = main(["--config", str(config), "eval",
-                     "--nc", str(DATA / "v1_nc_word.ckpt.json"), "--wc", str(wc_path)])
+                     "--nc", str(DATA / "v1_nc_word.ckpt.json"),
+                     "--wc", str(wc_path), *map(str, also_wc)])
         return code, tmp_path / "run" / "eval_records.jsonl"
 
     def test_unchanged_checkpoints_evaluate(self, tmp_path):
@@ -247,6 +264,31 @@ class TestEvalFailsClosed:
         code, records = self.run_eval(tmp_path, edit)
         assert code == 4 and not records.exists()
         assert "b_i" in capsys.readouterr().err
+
+    def test_missing_word_table_file_exit_4(self, tmp_path, capsys):
+        missing = tmp_path / "gone" / "embeddings.txt"
+
+        def edit(wc):
+            wc["encoder"]["word"]["source"] = {"kind": "file", "path": str(missing)}
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "embeddings.txt" in err
+
+    def test_n_context_comes_from_the_wc_checkpoint(self, tmp_path):
+        code, records = self.run_eval(tmp_path, lambda wc: None, n_context=4)
+        assert code == 0
+        assert {len(r.attention) for r in load_records(records)} == {3}
+
+    def test_wc_checkpoints_disagreeing_on_n_context_exit_4(self, tmp_path, capsys):
+        def edit(wc):
+            wc["model"]["n_context"] = 4
+
+        code, records = self.run_eval(tmp_path, edit,
+                                      also_wc=[DATA / "v1_wc_concat.ckpt.json"])
+        assert code == 4 and not records.exists()
+        assert "n_context" in capsys.readouterr().err
 
     def test_one_row_encoder_matrix_exit_4(self, tmp_path, capsys):
         def edit(wc):

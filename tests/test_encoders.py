@@ -5,8 +5,28 @@ import pytest
 
 from ctxda import encoders as E
 from ctxda.corpus import Utterance
-from ctxda.tensor import DimensionError, Tensor2D, sum_all
+from ctxda.optim import Adam, cross_entropy
+from ctxda.tensor import (
+    DimensionError,
+    Tensor2D,
+    add,
+    backward,
+    hadamard,
+    init_params,
+    matmul,
+    softmax_columns,
+)
 from gradcheck import max_gradient_error
+from reference_ops import sum_all
+
+
+def random_table(vocabulary, dim, seed=0):
+    """Standard-normal embeddings for ``vocabulary``, drawn in its order."""
+    rng = np.random.default_rng(seed)
+    table = E.EmbeddingTable(dim)
+    for tok in vocabulary:
+        table.add(tok, rng.normal(0.0, 1.0, dim))
+    return table
 
 
 class TestTokenize:
@@ -100,13 +120,13 @@ class TestWordMean:
         assert E.word_mean(["a", "a", "zzz"], table).tolist() == [2.0, 4.0]
 
     def test_permutation_invariant(self):
-        table = E.EmbeddingTable.random(["a", "b", "c", "d"], 5, seed=1)
+        table = random_table(["a", "b", "c", "d"], 5, seed=1)
         fwd = E.word_mean(["a", "b", "c", "d"], table)
         rev = E.word_mean(["d", "c", "b", "a"], table)
         assert np.array_equal(fwd, rev)
 
     def test_encoder_wrapper_deterministic(self):
-        table = E.EmbeddingTable.random(["hi", "there"], 4, seed=2)
+        table = random_table(["hi", "there"], 4, seed=2)
         enc = E.WordMeanEncoder(table)
         utt = Utterance("c1", 0, "hi there", "x")
         assert np.array_equal(enc.encode_utterance(utt), enc.encode_utterance(utt))
@@ -170,6 +190,38 @@ class TestMLSTM:
             return sum_all(h)
 
         assert max_gradient_error(loss, params) < 1e-4
+
+    def batch_inputs(self):
+        rng = np.random.default_rng(12)
+        p = E.MLSTMParams.create(4, 3, seed=12)
+        for param in p.parameters():
+            param.data += rng.normal(0.0, 0.3, param.shape)  # biases away from zero too
+        x = rng.uniform(-1, 1, (4, 5))
+        h0 = rng.uniform(-0.5, 0.5, (3, 5))
+        c0 = rng.uniform(-0.5, 0.5, (3, 5))
+        return p, x, h0, c0
+
+    def test_batch_equals_one_column_steps(self):
+        p, x, h0, c0 = self.batch_inputs()
+        h, c = E.mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
+        assert h.shape == c.shape == (3, 5)
+        for j in range(5):
+            col = slice(j, j + 1)
+            h_j, c_j = E.mlstm_step(Tensor2D(x[:, col]), Tensor2D(h0[:, col]),
+                                    Tensor2D(c0[:, col]), p)
+            assert np.max(np.abs(h.data[:, col] - h_j.data)) <= 1e-12
+            assert np.max(np.abs(c.data[:, col] - c_j.data)) <= 1e-12
+
+    def test_batch_gradients_match_finite_differences(self):
+        p, x, h0, c0 = self.batch_inputs()
+        probe_h = Tensor2D(np.random.default_rng(13).uniform(-1, 1, (3, 5)))
+        probe_c = Tensor2D(np.random.default_rng(14).uniform(-1, 1, (3, 5)))
+
+        def loss():
+            h, c = E.mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
+            return add(sum_all(hadamard(h, probe_h)), sum_all(hadamard(c, probe_c)))
+
+        assert max_gradient_error(loss, p.parameters()) < 1e-4
 
 
 class TestCharEncode:
@@ -258,9 +310,58 @@ class TestCharLM:
         assert params.hidden_dim == 8
         assert losses[-1] < losses[0]
 
+    def test_one_forward_per_text_matches_per_step_reference(self):
+        texts = ["abab ba", "x", "cab", "ba ab abba abab", "ab", "bbc a"]
+        vocab = E.CharVocab("abc ")
+        kwargs = dict(hidden_dim=5, epochs=2, learning_rate=1e-2, seed=4, max_chars=9)
+        params, losses = E.train_char_lm(texts, vocab, **kwargs)
+        ref_params, ref_losses = per_step_char_lm(texts, vocab, **kwargs)
+        assert np.max(np.abs(np.array(losses) - ref_losses)) <= 1e-12
+        for name, p in params.items():
+            assert np.max(np.abs(p.data - ref_params[name].data)) <= 1e-12, name
+        assert not np.allclose(params["w_mx"].data,
+                               E.MLSTMParams.create(vocab.size, 5, seed=4)["w_mx"].data)
+
     def test_needs_usable_text(self):
         with pytest.raises(ValueError):
             E.train_char_lm(["a"], E.CharVocab("a"), hidden_dim=4)
+
+
+def per_step_char_lm(texts, vocab, hidden_dim, epochs, learning_rate, seed, max_chars):
+    """Reference char-LM training: the cell stepped one character at a time,
+    a softmax and a loss node per step summed with ``add``, and the summed
+    gradient divided by the number of steps before each Adam step."""
+    params = E.MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    out_w, out_b = init_params(
+        rng, {"out_w": (vocab.size, hidden_dim), "out_b": vocab.size}, prefix="lm."
+    ).values()
+    trainable = params.parameters() + [out_w, out_b]
+    adam = Adam(trainable, learning_rate=learning_rate)
+    usable = [t[:max_chars] for t in texts if len(t) >= 2]
+    losses = []
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        for k in rng.permutation(len(usable)):
+            idxs = vocab.indices(usable[k])
+            h = Tensor2D(np.zeros((hidden_dim, 1)))
+            c = Tensor2D(np.zeros((hidden_dim, 1)))
+            loss = None
+            for pos in range(len(idxs) - 1):
+                x = np.zeros((vocab.size, 1))
+                x[idxs[pos], 0] = 1.0
+                h, c = E.mlstm_step(Tensor2D(x), h, c, params)
+                probs = softmax_columns(add(matmul(out_w, h), out_b))
+                step_loss = cross_entropy(probs, [idxs[pos + 1]])
+                loss = step_loss if loss is None else add(loss, step_loss)
+            adam.zero_grad()
+            backward(loss)
+            for p in trainable:
+                p.grad /= len(idxs) - 1
+            adam.step()
+            epoch_loss += loss.item() / (len(idxs) - 1)
+        losses.append(epoch_loss / len(usable))
+    return params, losses
 
 
 ROUND_TRIP_UTTERANCES = [Utterance("c", i, text, "x")
@@ -270,7 +371,7 @@ ROUND_TRIP_UTTERANCES = [Utterance("c", i, text, "x")
 def round_trip_encoder(kind):
     words = sorted({tok for u in ROUND_TRIP_UTTERANCES for tok in E.tokenize(u.text)})
     if kind == "word-inline":
-        return E.WordMeanEncoder(E.EmbeddingTable.random(words[:-1], 3, seed=2))
+        return E.WordMeanEncoder(random_table(words[:-1], 3, seed=2))
     if kind == "word-onehot":
         word = E.WordMeanEncoder(E.EmbeddingTable.one_hot(words))
         word.source = {"kind": "onehot", "vocabulary": words}

@@ -8,31 +8,31 @@ from ctxda.corpus import SyntheticSpec, TagVocabulary, build_all_windows, genera
 from ctxda.encoders import EmbeddingTable, WordMeanEncoder
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN
 from ctxda.optim import Adam, EarlyStopping, TrainConfig, TrainingDiverged
-from ctxda.tensor import Parameter, Tensor2D, softmax
+from ctxda.tensor import Parameter, Tensor2D, softmax_columns
 
 
 class TestCrossEntropy:
     def test_uniform_over_42(self):
-        probs = softmax(Tensor2D(np.zeros((42, 1))))
-        loss = O.cross_entropy(probs, 0)
+        probs = softmax_columns(Tensor2D(np.zeros((42, 1))))
+        loss = O.cross_entropy(probs, [0])
         assert loss.item() == pytest.approx(math.log(42.0), abs=1e-9)
 
     def test_certain_prediction_zero_loss(self):
         probs = Tensor2D([[1.0], [0.0]])
-        assert O.cross_entropy(probs, 0).item() == pytest.approx(0.0, abs=1e-12)
+        assert O.cross_entropy(probs, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_probability(self):
         probs = Tensor2D([[0.25], [0.75]])
-        assert O.cross_entropy(probs, 0).item() == pytest.approx(math.log(4.0), abs=1e-12)
+        assert O.cross_entropy(probs, [0]).item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_floor_prevents_infinity(self):
         probs = Tensor2D([[0.0], [1.0]])
-        assert O.cross_entropy(probs, 0).item() == pytest.approx(-math.log(1e-12))
+        assert O.cross_entropy(probs, [0]).item() == pytest.approx(-math.log(1e-12))
 
     def test_gold_out_of_range(self):
         probs = Tensor2D([[0.5], [0.5]])
         with pytest.raises(ValueError):
-            O.cross_entropy(probs, 2)
+            O.cross_entropy(probs, [2])
 
     def test_model_loss_of_a_batch_of_one(self):
         model = BaselineMLP(1, 2, hidden1=2, hidden2=2, seed=0)

@@ -15,6 +15,7 @@ from ctxda.tensor import (
     finite_difference_grad,
 )
 from gradcheck import max_gradient_error
+from reference_ops import mean_columns, neg_log, pick, scale, sum_all
 
 
 class TestTensor2D:
@@ -77,29 +78,25 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_identical_scores_uniform(self):
-        out = T.softmax(Tensor2D([0.0] * 5))
+        out = T.softmax_columns(Tensor2D([0.0] * 5))
         assert np.allclose(out.data.ravel(), 0.2, atol=1e-12)
 
     def test_analytic_two_entry(self):
-        out = T.softmax(Tensor2D([0.0, math.log(2.0)]))
+        out = T.softmax_columns(Tensor2D([0.0, math.log(2.0)]))
         assert np.allclose(out.data.ravel(), [1 / 3, 2 / 3], atol=1e-12)
 
     def test_shift_invariance_large_inputs(self):
-        big = T.softmax(Tensor2D([1000.0, 1001.0])).data
-        small = T.softmax(Tensor2D([0.0, 1.0])).data
+        big = T.softmax_columns(Tensor2D([1000.0, 1001.0])).data
+        small = T.softmax_columns(Tensor2D([0.0, 1.0])).data
         assert np.isfinite(big).all()
         assert np.allclose(big, small, atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            out = T.softmax(Tensor2D(rng.uniform(-50, 50, rng.integers(1, 9))))
+            out = T.softmax_columns(Tensor2D(rng.uniform(-50, 50, rng.integers(1, 9))))
             assert abs(out.data.sum() - 1.0) < 1e-9
             assert (out.data > 0).all()
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            T.softmax(Tensor2D(np.zeros((2, 2))))
 
 
 class TestElementwise:
@@ -134,13 +131,13 @@ class TestBackward:
         # loss = sum(W @ x), x = [1, 1]^T  ->  dloss/dW is all-ones rows
         w = Parameter(np.array([[0.3, -0.2], [1.5, 0.4]]))
         x = Tensor2D([[1.0], [1.0]])
-        backward(T.sum_all(T.matmul(w, x)))
+        backward(sum_all(T.matmul(w, x)))
         assert w.grad.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_symmetric_minimum_grad_zero(self):
         w = Parameter([[0.0]])
         t = T.tanh_map(w)
-        backward(T.sum_all(T.hadamard(t, t)))
+        backward(sum_all(T.hadamard(t, t)))
         assert w.grad[0, 0] == 0.0
 
     def test_random_small_graph_matches_finite_differences(self):
@@ -150,7 +147,7 @@ class TestBackward:
         def loss():
             a = T.hadamard(T.tanh_map(params[0]), params[1])
             b = T.add(T.sigmoid_map(params[2]), T.hadamard(params[3], params[4]))
-            return T.sum_all(T.hadamard(a, b))
+            return sum_all(T.hadamard(a, b))
 
         assert max_gradient_error(loss, params) < 1e-6
 
@@ -158,7 +155,7 @@ class TestBackward:
         w = Parameter([[2.0]])
 
         def build():
-            return T.sum_all(T.hadamard(w, w))
+            return sum_all(T.hadamard(w, w))
 
         root = build()
         backward(root)
@@ -180,7 +177,7 @@ class TestBackward:
         w = Parameter([[3.0]])
         y = T.hadamard(w, w)
         z = T.hadamard(y, y)
-        backward(T.sum_all(z))
+        backward(sum_all(z))
         assert w.grad[0, 0] == pytest.approx(4 * 3.0**3)
 
 
@@ -190,17 +187,17 @@ class TestOpGradients:
     @pytest.mark.parametrize(
         "name,build",
         [
-            ("matmul", lambda p: T.sum_all(T.matmul(p[0], p[1]))),
-            ("add", lambda p: T.sum_all(T.add(p[0], p[0]))),
-            ("hadamard", lambda p: T.sum_all(T.hadamard(p[0], p[1]))),
-            ("scale", lambda p: T.sum_all(T.scale(p[0], -1.7))),
-            ("tanh", lambda p: T.sum_all(T.tanh_map(p[0]))),
-            ("sigmoid", lambda p: T.sum_all(T.sigmoid_map(p[0]))),
-            ("transpose", lambda p: T.sum_all(T.matmul(T.transpose(p[0]), p[2]))),
-            ("hstack", lambda p: T.sum_all(T.tanh_map(T.hstack([p[0], p[1]])))),
-            ("vstack", lambda p: T.sum_all(T.sigmoid_map(T.vstack([p[0], p[1]])))),
-            ("pick", lambda p: T.pick(T.hadamard(p[0], p[1]), 1, 2)),
-            ("mean_columns", lambda p: T.sum_all(T.mean_columns(T.tanh_map(p[0])))),
+            ("matmul", lambda p: sum_all(T.matmul(p[0], p[1]))),
+            ("add", lambda p: sum_all(T.add(p[0], p[0]))),
+            ("hadamard", lambda p: sum_all(T.hadamard(p[0], p[1]))),
+            ("scale", lambda p: sum_all(scale(p[0], -1.7))),
+            ("tanh", lambda p: sum_all(T.tanh_map(p[0]))),
+            ("sigmoid", lambda p: sum_all(T.sigmoid_map(p[0]))),
+            ("transpose", lambda p: sum_all(T.matmul(T.transpose(p[0]), p[2]))),
+            ("hstack", lambda p: sum_all(T.tanh_map(T.hstack([p[0], p[1]])))),
+            ("vstack", lambda p: sum_all(T.sigmoid_map(T.vstack([p[0], p[1]])))),
+            ("pick", lambda p: pick(T.hadamard(p[0], p[1]), 1, 2)),
+            ("mean_columns", lambda p: sum_all(mean_columns(T.tanh_map(p[0])))),
         ],
     )
     def test_op_gradcheck(self, name, build):
@@ -220,7 +217,7 @@ class TestOpGradients:
         weights = Tensor2D(rng.uniform(-1, 1, (6, 1)))
 
         def loss():
-            return T.sum_all(T.hadamard(T.softmax(p), weights))
+            return sum_all(T.hadamard(T.softmax_columns(p), weights))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -228,14 +225,14 @@ class TestOpGradients:
         p = Parameter([[0.3], [0.9]], name="probs")
 
         def loss():
-            return T.sum_all(T.neg_log(p))
+            return sum_all(neg_log(p))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
     def test_neg_log_floor_blocks_gradient(self):
         p = Parameter([[0.0]])
-        out = T.neg_log(p)
-        backward(T.sum_all(out))
+        out = neg_log(p)
+        backward(sum_all(out))
         assert out.item() == pytest.approx(-math.log(1e-12))
         assert p.grad[0, 0] == 0.0
 
@@ -254,7 +251,7 @@ class TestColumnOps:
     def test_add_bias_backward_sums_columns(self):
         t = Parameter(np.zeros((2, 3)))
         b = Parameter(np.zeros((2, 1)))
-        backward(T.sum_all(T.add_bias(t, b)))
+        backward(sum_all(T.add_bias(t, b)))
         assert b.grad.tolist() == [[3.0], [3.0]]
         assert np.all(t.grad == 1.0)
 
@@ -307,7 +304,7 @@ class TestColumnOps:
         p = Parameter([[0.2], [0.7], [0.1]])
         q = Parameter(p.data)
         gathered = T.mean_neg_log_gather(p, [1])
-        picked = T.neg_log(T.pick(q, 1, 0))
+        picked = neg_log(pick(q, 1, 0))
         backward(gathered)
         backward(picked)
         assert gathered.item() == picked.item()
@@ -330,7 +327,7 @@ class TestColumnOpGradients:
         w = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return T.sum_all(T.hadamard(T.tanh_map(T.add_bias(t, b)), w))
+            return sum_all(T.hadamard(T.tanh_map(T.add_bias(t, b)), w))
 
         assert max_gradient_error(loss, [t, b]) < 1e-4
 
@@ -344,7 +341,7 @@ class TestColumnOpGradients:
             keep[-1] = True
 
         def loss():
-            return T.sum_all(T.hadamard(T.softmax_columns(p, keep), weights))
+            return sum_all(T.hadamard(T.softmax_columns(p, keep), weights))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -355,7 +352,7 @@ class TestColumnOpGradients:
         probe = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return T.sum_all(T.hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
+            return sum_all(T.hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
 
         assert max_gradient_error(loss, parts + [weights]) < 1e-4
 
@@ -365,7 +362,7 @@ class TestColumnOpGradients:
         probe = Tensor2D(rng.uniform(-1, 1, (2, 3)))
 
         def loss():
-            return T.sum_all(T.hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
+            return sum_all(T.hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
