@@ -14,12 +14,22 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
 
 PROB_TOL = 1e-6
+
+
+def _distribution(name: str, values) -> list[float]:
+    """``values`` as floats, refused unless a finite distribution within PROB_TOL."""
+    values = [float(v) for v in values]
+    if not (all(map(math.isfinite, values)) and min(values) >= -PROB_TOL
+            and abs(sum(values) - 1.0) <= PROB_TOL):
+        raise ValueError(f"{name} is not a finite probability distribution")
+    return values
 
 
 @dataclass
@@ -35,13 +45,9 @@ class EvalRecord:
     n_tokens: int = 0
 
     def __post_init__(self):
-        for name in ("nc_probs", "wc_probs"):
-            probs = [float(p) for p in getattr(self, name)]
-            if min(probs) < -PROB_TOL or abs(sum(probs) - 1.0) > PROB_TOL:
-                raise ValueError(f"{name} is not a probability distribution")
-            setattr(self, name, probs)
-        if self.attention is not None:
-            self.attention = [float(a) for a in self.attention]
+        for name in ("nc_probs", "wc_probs", "attention"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _distribution(name, getattr(self, name)))
 
     @property
     def nc_correct(self) -> bool:
@@ -73,7 +79,11 @@ def write_records(path, records: list[EvalRecord]) -> None:
                 "wc_probs": r.wc_probs,
                 "attention": r.attention,
                 "n_tokens": r.n_tokens,
-            }) + "\n")
+            }, allow_nan=False) + "\n")
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_records(path) -> list[EvalRecord]:
@@ -83,7 +93,7 @@ def load_records(path) -> list[EvalRecord]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_constant=_refuse_constant)
                 records.append(EvalRecord(**obj))
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc

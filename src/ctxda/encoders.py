@@ -15,20 +15,16 @@ import numpy as np
 
 from .optim import Adam, cross_entropy
 from .tensor import (
+    CheckpointError,
     Parameter,
     Tensor2D,
-    add,
     add_bias,
     backward,
-    hadamard,
-    hstack,
     init_params,
     matmul,
     params_from_json,
     params_to_json,
-    sigmoid_map,
     softmax_columns,
-    tanh_map,
 )
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -66,9 +62,6 @@ class EmbeddingTable:
 
     def lookup(self, token: str) -> np.ndarray | None:
         return self._entries.get(token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -215,38 +208,100 @@ class MLSTMParams(dict):
         return list(self.values())
 
 
-def mlstm_step(
-    x_t: Tensor2D, h_prev: Tensor2D, c_prev: Tensor2D, p: MLSTMParams
-) -> tuple[Tensor2D, Tensor2D]:
-    """One mLSTM transition: returns (h_t, c_t) as graph nodes.
+# registry names stacked by role: input columns (w_mx on top), the matrices
+# applied to m and the biases, gate rows in the order i, f, o, c
+_X_NAMES = ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx")
+_M_NAMES = ("w_im", "w_fm", "w_om", "w_cm")
+_B_NAMES = ("b_i", "b_f", "b_o", "b_c")
 
-    The input ``x_t`` is (X, B) and the states are (H, B), one column per
-    sequence; the biases are added to every column.
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic sigmoid, with no overflow for inputs of either sign."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _stacked(p: MLSTMParams):
+    """The cell as w_x (5H, X), w_mh (H, H), w_gm (4H, H) and a (4H,) bias."""
+    return (np.vstack([p[n].data for n in _X_NAMES]), p["w_mh"].data,
+            np.vstack([p[n].data for n in _M_NAMES]),
+            np.vstack([p[n].data for n in _B_NAMES]).ravel())
+
+
+def _mlstm_run(idx, p: MLSTMParams, keep: bool):
+    """The mLSTM over the input indices ``idx`` from a zero state, in plain
+    numpy: the (H, T) hidden states, and the (H, T) cell states if ``keep``.
+
+    The input is one-hot, so the input products are columns of ``w_x``,
+    gathered once; each step then takes two matrix products.
     """
-    m = hadamard(matmul(p["w_mx"], x_t), matmul(p["w_mh"], h_prev))
-    i = sigmoid_map(add_bias(add(matmul(p["w_ix"], x_t), matmul(p["w_im"], m)), p["b_i"]))
-    f = sigmoid_map(add_bias(add(matmul(p["w_fx"], x_t), matmul(p["w_fm"], m)), p["b_f"]))
-    o = sigmoid_map(add_bias(add(matmul(p["w_ox"], x_t), matmul(p["w_om"], m)), p["b_o"]))
-    cand = tanh_map(add_bias(add(matmul(p["w_cx"], x_t), matmul(p["w_cm"], m)), p["b_c"]))
-    c_t = add(hadamard(f, c_prev), hadamard(i, cand))
-    h_t = hadamard(o, tanh_map(c_t))
-    return h_t, c_t
+    hd, steps = p.hidden_dim, len(idx)
+    w_x, w_mh, w_gm, b = _stacked(p)
+    xs = w_x.T[idx]  # row t is w_x[:, idx[t]]
+    hs = np.empty((hd, steps))
+    cs = np.empty((hd, steps)) if keep else None
+    h, c = np.zeros(hd), np.zeros(hd)
+    for t in range(steps):
+        m = xs[t, :hd] * (w_mh @ h)
+        z = xs[t, hd:] + w_gm @ m + b
+        gates = sigmoid(z[: 3 * hd])  # i, f, o
+        c = gates[hd : 2 * hd] * c + gates[:hd] * np.tanh(z[3 * hd :])
+        h = gates[2 * hd :] * np.tanh(c)
+        hs[:, t] = h
+        if keep:
+            cs[:, t] = c
+    return hs, cs
 
 
-def _one_hot(index: int, size: int) -> Tensor2D:
-    col = np.zeros((size, 1))
-    col[index, 0] = 1.0
-    return Tensor2D._result(col, (), None)
+def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
+    """The (H, T) hidden states of the mLSTM over the input indices ``idx``,
+    as one graph node whose parents are the cell's 14 Parameters.
 
+    Its backward is hand-written BPTT: the gates are recomputed for all steps
+    at once, one reverse loop carries the gradient through h and c, and the
+    weight gradients are one matrix product per stacked matrix plus a
+    scatter-add into the gathered input columns.
+    """
+    if not len(idx):
+        raise ValueError("mlstm_states of an empty sequence")
+    w_x, w_mh, w_gm, b = _stacked(p)
+    hs, cs = _mlstm_run(idx, p, keep=True)
+    hd, steps = hs.shape
 
-def _run_mlstm(text: str, p: MLSTMParams, vocab: CharVocab) -> list[Tensor2D]:
-    h = Tensor2D._result(np.zeros((p.hidden_dim, 1)), (), None)
-    c = Tensor2D._result(np.zeros((p.hidden_dim, 1)), (), None)
-    states = []
-    for idx in vocab.indices(text):
-        h, c = mlstm_step(_one_hot(idx, p.input_dim), h, c, p)
-        states.append(h)
-    return states
+    def backprop(g):
+        xs = w_x.T[idx]
+        h_prev, c_prev = (np.vstack([np.zeros((1, hd)), a.T[:-1]]) for a in (hs, cs))
+        mh = h_prev @ w_mh.T
+        m = xs[:, :hd] * mh
+        z = xs[:, hd:] + m @ w_gm.T + b
+        i, f, o = np.split(sigmoid(z[:, : 3 * hd]), 3, axis=1)
+        cand, tc = np.tanh(z[:, 3 * hd :]), np.tanh(cs.T)
+        dc_dh = o * (1.0 - tc * tc)
+        # d(pre-activation)/d(c) for i, f and the candidate, d/d(h) for o
+        dz_dcdh = np.hstack([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                             tc * o * (1.0 - o), i * (1.0 - cand * cand)])
+        d_cols = np.empty((steps, 5 * hd))  # gradients of the gathered input columns
+        d_mh = np.empty((steps, hd))
+        dh_next, dc_next = np.zeros(hd), np.zeros(hd)
+        for t in range(steps - 1, -1, -1):
+            dh = g[:, t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            dz = np.concatenate((dc, dc, dh, dc)) * dz_dcdh[t]
+            dm = w_gm.T @ dz
+            d_cols[t, :hd] = dm * mh[t]
+            d_cols[t, hd:] = dz
+            d_mh[t] = dm * xs[t, :hd]
+            dh_next = w_mh.T @ d_mh[t]
+            dc_next = dc * f[t]
+        g_x = np.zeros((p.input_dim, 5 * hd))
+        np.add.at(g_x, idx, d_cols)
+        p["w_mh"].grad += d_mh.T @ h_prev
+        for names, stacked in ((_X_NAMES, g_x.T), (_M_NAMES, d_cols[:, hd:].T @ m),
+                               (_B_NAMES, d_cols[:, hd:].sum(axis=0)[:, None])):
+            for name, part in zip(names, np.split(stacked, len(names))):
+                p[name].grad += part
+
+    return Tensor2D._result(hs, tuple(p.values()), backprop)
 
 
 def char_encode(
@@ -262,10 +317,10 @@ def char_encode(
         raise ValueError(f"unknown reduce mode {reduce!r}")
     if not text:
         return np.zeros(p.hidden_dim)
-    states = _run_mlstm(text, p, vocab)
+    hs, _ = _mlstm_run(vocab.indices(text), p, keep=False)
     if reduce == "last":
-        return states[-1].data.ravel().copy()
-    return np.mean([h.data.ravel() for h in states], axis=0)
+        return hs[:, -1].copy()
+    return np.mean(list(hs.T), axis=0)
 
 
 class CharMLSTMEncoder:
@@ -284,7 +339,7 @@ class CharMLSTMEncoder:
 def _char_lm_step(text, params, head, vocab, adam) -> float:
     """One Adam step on the mean next-character loss of ``text``; returns
     that loss. The text's graph is freed when this returns."""
-    states = hstack(_run_mlstm(text[:-1], params, vocab))
+    states = mlstm_states(vocab.indices(text[:-1]), params)
     probs = softmax_columns(add_bias(matmul(head["out_w"], states), head["out_b"]))
     loss = cross_entropy(probs, vocab.indices(text[1:]))
     adam.zero_grad()
@@ -308,7 +363,7 @@ def train_char_lm(
     a small cell trained for a few epochs on the corpus text itself, one
     Adam step per text on its mean loss over the characters after the
     first. Returns the cell weights and the per-epoch mean losses. Texts are
-    truncated to ``max_chars`` to bound graph depth.
+    truncated to ``max_chars`` to bound the backpropagation through time.
     """
     params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -378,13 +433,6 @@ def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
     if dim is None:
         raise ValueError(f"{path}: empty feature file")
     return table
-
-
-def write_feature_file(path, features: dict[tuple[str, int], np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (conv_id, idx), vec in features.items():
-            joined = ",".join(repr(float(v)) for v in np.asarray(vec).ravel())
-            fh.write(f"{conv_id}\t{idx}\t{joined}\n")
 
 
 class PrecomputedEncoder:
@@ -470,9 +518,15 @@ def encoder_from_config(cfg: dict):
         enc.source = source
         return enc
     if kind == "char":
+        vocab = CharVocab(cfg["chars"])
+        if vocab.size != cfg["input_dim"]:
+            raise CheckpointError(
+                f"char encoder: {len(vocab.chars)} characters and the unknown index need "
+                f"input_dim {vocab.size}, but the stored input_dim is {cfg['input_dim']}"
+            )
         params = MLSTMParams.zeros(cfg["input_dim"], cfg["hidden_dim"])
         params_from_json(params, cfg["weights"])
-        return CharMLSTMEncoder(params, CharVocab(cfg["chars"]), cfg.get("reduce", "mean"))
+        return CharMLSTMEncoder(params, vocab, cfg.get("reduce", "mean"))
     if kind == "concat":
         return ConcatEncoder(
             encoder_from_config(cfg["char"]), encoder_from_config(cfg["word"])

@@ -80,6 +80,15 @@ class ContextWindow:
         return len(self.features)
 
 
+def _distribution(name: str, values) -> np.ndarray:
+    """``values`` as a flat array, refused (NaN and inf fail both
+    comparisons) unless a finite distribution within PROB_TOL."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if not (values.min() >= 0.0 and abs(values.sum() - 1.0) <= PROB_TOL):
+        raise ValueError(f"{name} are not a finite distribution")
+    return values
+
+
 @dataclass
 class Prediction:
     """Distribution over tag indices, with the attention profile when the
@@ -89,11 +98,9 @@ class Prediction:
     attention: np.ndarray | None = None
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        if np.any(self.probs < 0.0) or abs(self.probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError("prediction probabilities must form a distribution")
+        self.probs = _distribution("prediction probabilities", self.probs)
         if self.attention is not None:
-            self.attention = np.asarray(self.attention, dtype=np.float64).ravel()
+            self.attention = _distribution("attention weights", self.attention)
 
     @property
     def top_class(self) -> int:

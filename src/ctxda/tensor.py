@@ -20,9 +20,8 @@ size n side by side form an ``(n, B)`` matrix, and the column-wise ops
 :func:`mean_neg_log_gather`) treat each column independently;
 :func:`add_bias` adds one ``(n, 1)`` column to every column.
 
-:func:`finite_difference_grad` is the independent oracle for the analytic
-backward passes. It evaluates the function being checked through plain
-forward calls only and never consults any ``.grad`` field.
+Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``
+(the mLSTM sequence op ``mlstm_states`` in :mod:`ctxda.encoders`).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "add",
     "hadamard",
     "tanh_map",
-    "sigmoid_map",
     "softmax_columns",
     "add_bias",
     "weighted_sum",
@@ -50,7 +48,6 @@ __all__ = [
     "vstack",
     "mean_neg_log_gather",
     "backward",
-    "finite_difference_grad",
 ]
 
 
@@ -286,20 +283,6 @@ def tanh_map(t: Tensor2D) -> Tensor2D:
     return Tensor2D._result(y, (t,), backprop)
 
 
-def sigmoid_map(t: Tensor2D) -> Tensor2D:
-    """Elementwise logistic sigmoid; outputs lie in (0, 1)."""
-    y = np.empty_like(t.data)
-    pos = t.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-t.data[pos]))
-    ez = np.exp(t.data[~pos])
-    y[~pos] = ez / (1.0 + ez)
-
-    def backprop(g):
-        t.grad += g * y * (1.0 - y)
-
-    return Tensor2D._result(y, (t,), backprop)
-
-
 def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
     """Stable softmax down each column; every column sums to 1.
 
@@ -479,32 +462,3 @@ def backward(root: Tensor2D) -> None:
         if node._backprop is not None:
             node._backprop(node.grad)
 
-
-def _scalar(x) -> float:
-    if isinstance(x, Tensor2D):
-        return x.item()
-    return float(x)
-
-
-def finite_difference_grad(
-    f: Callable[[Tensor2D], float], at: Tensor2D, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function.
-
-    Perturbs one coordinate at a time: (f(x + h e_ij) - f(x - h e_ij)) / 2h.
-    ``f`` receives a fresh plain Tensor2D and may return a float or a
-    (1, 1) tensor.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    base = np.array(at.data if isinstance(at, Tensor2D) else at, dtype=np.float64)
-    grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    for _ in it:
-        ij = it.multi_index
-        plus = base.copy()
-        plus[ij] += h
-        minus = base.copy()
-        minus[ij] -= h
-        grad[ij] = (_scalar(f(Tensor2D(plus))) - _scalar(f(Tensor2D(minus)))) / (2.0 * h)
-    return grad

@@ -1,8 +1,45 @@
-"""Finite-difference gradient check shared by the test modules."""
+"""Finite-difference gradient checks shared by the test modules.
+
+:func:`finite_difference_grad` is the independent oracle for the analytic
+backward passes. It evaluates the function being checked through plain
+forward calls only and never consults any ``.grad`` field.
+"""
+
+from typing import Callable
 
 import numpy as np
 
-from ctxda.tensor import Parameter, backward, finite_difference_grad
+from ctxda.tensor import Parameter, Tensor2D, backward
+
+
+def _scalar(x) -> float:
+    if isinstance(x, Tensor2D):
+        return x.item()
+    return float(x)
+
+
+def finite_difference_grad(
+    f: Callable[[Tensor2D], float], at: Tensor2D, h: float = 1e-5
+) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function.
+
+    Perturbs one coordinate at a time: (f(x + h e_ij) - f(x - h e_ij)) / 2h.
+    ``f`` receives a fresh plain Tensor2D and may return a float or a
+    (1, 1) tensor.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    base = np.array(at.data if isinstance(at, Tensor2D) else at, dtype=np.float64)
+    grad = np.zeros_like(base)
+    it = np.nditer(base, flags=["multi_index"])
+    for _ in it:
+        ij = it.multi_index
+        plus = base.copy()
+        plus[ij] += h
+        minus = base.copy()
+        minus[ij] -= h
+        grad[ij] = (_scalar(f(Tensor2D(plus))) - _scalar(f(Tensor2D(minus)))) / (2.0 * h)
+    return grad
 
 
 def max_gradient_error(loss_fn, params: list[Parameter], h: float = 1e-5) -> float:

@@ -28,11 +28,12 @@ from ctxda.corpus import (
     load_swda_csv,
     majority_baseline,
 )
-from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder, mlstm_step
+from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, rnn_direction
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
 from ctxda.tensor import Parameter, Tensor2D, softmax_columns
 from gradcheck import max_gradient_error
+from reference_ops import mlstm_step
 
 
 @contextmanager

@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxda.analysis import (
     EvalRecord,
@@ -56,6 +61,60 @@ class TestEvalRecord:
         assert loaded[0].attention == [0.5, 0.2, 0.1, 0.1, 0.1]
         assert loaded[1].attention is None
         assert loaded[1].nc_probs == records[1].nc_probs
+
+    @pytest.mark.parametrize("field", ["nc_probs", "wc_probs", "attention"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        fields = {"nc_probs": dist(0), "wc_probs": dist(1), "attention": [0.5, 0.5]}
+        fields[field] = [bad] + fields[field][1:]
+        with pytest.raises(ValueError, match=f"{field} is not a finite"):
+            EvalRecord("c", 0, "sd", "sd", "sv", **fields)
+
+    @pytest.mark.parametrize("attention", [[0.6, 0.6], [1.2, -0.2], [0.3, 0.3]])
+    def test_rejects_attention_off_the_simplex(self, attention):
+        with pytest.raises(ValueError, match="attention"):
+            EvalRecord("c", 0, "sd", "sd", "sd", dist(0), dist(0), attention=attention)
+
+    def test_write_refuses_a_record_made_non_finite(self, tmp_path):
+        bad = record("sd", "sd", "sd")
+        bad.wc_probs[0] = math.nan
+        with pytest.raises(ValueError):
+            write_records(tmp_path / "records.jsonl", [bad])
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_load_refuses_non_finite_numbers(self, tmp_path, literal):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [record("sd", "sd", "sd", attention=[0.5, 0.5]),
+                             record("sd", "sd", "sd", attention=[0.5, 0.5], idx=1)])
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("[0.5, 0.5]", f"[0.5, {literal}]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2:"):
+            load_records(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_load_refuses_non_finite_constants_in_any_field(self, tmp_path, literal):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [record("sd", "sd", "sd", n_tokens=2)])
+        path.write_text(path.read_text().replace('"n_tokens": 2', f'"n_tokens": {literal}'))
+        with pytest.raises(ValueError, match=f":1:.*{literal} is not a JSON number"):
+            load_records(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(["nc_probs", "wc_probs", "attention"]),
+           at=st.integers(0, 4), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_property_non_finite_refused_on_build_and_load(self, tmp_path_factory,
+                                                           field, at, bad):
+        fields = {"nc_probs": dist(0), "wc_probs": dist(1), "attention": dist(2)}
+        fields[field][at] = bad
+        with pytest.raises(ValueError):
+            EvalRecord("c", 0, "sd", "sd", "sv", **fields)
+        line = json.dumps({"conversation_id": "c", "utterance_index": 0, "gold": "sd",
+                           "nc_pred": "sd", "wc_pred": "sv", "n_tokens": 1, **fields})
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=":1:"):
+            load_records(path)
 
     def test_load_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

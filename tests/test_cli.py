@@ -225,14 +225,16 @@ class TestEvalFailsClosed:
     ends ``eval`` with exit 4 before any record is written, whether it sits in
     the model or in the encoder stored with it."""
 
-    def run_eval(self, tmp_path, edit, n_context=2, also_wc=()):
-        """``eval`` of the v1 fixture checkpoints on their own conversations,
-        after ``edit`` has changed the WC checkpoint's JSON, with the config's
-        ``train.n_context`` and any further WC checkpoints ``also_wc``."""
+    def run_eval(self, tmp_path, edit, n_context=2, also_wc=(),
+                 conversations=DATA / "v1_conversations.jsonl"):
+        """``eval`` of the v1 fixture checkpoints on ``conversations`` (by
+        default their own), after ``edit`` has changed the WC checkpoint's
+        JSON, with the config's ``train.n_context`` and any further WC
+        checkpoints ``also_wc``."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for split in ("train", "test"):
-            shutil.copy(DATA / "v1_conversations.jsonl", corpus / f"{split}.jsonl")
+            shutil.copy(conversations, corpus / f"{split}.jsonl")
         wc = json.loads((DATA / "v1_wc_concat.ckpt.json").read_text())
         TagVocabulary(wc["tags"]).save(corpus / "tags.txt")
         edit(wc)
@@ -300,6 +302,43 @@ class TestEvalFailsClosed:
         assert code == 4 and not records.exists()
         assert "w_ix" in capsys.readouterr().err
 
+    def test_char_inventory_disagreeing_with_input_dim_exit_4(self, tmp_path, capsys):
+        # 26 characters need input_dim 27; the stored cell has input_dim 5,
+        # and an "e" in the text would index past its input columns
+        conversations = tmp_path / "conversations.jsonl"
+        lines = (DATA / "v1_conversations.jsonl").read_text().splitlines()
+        conv = json.loads(lines[0])
+        conv["utterances"][0]["text"] = "bed a"
+        conversations.write_text("\n".join([json.dumps(conv)] + lines[1:]) + "\n")
+
+        def edit(wc):
+            wc["encoder"]["char"]["chars"] = "abcdefghijklmnopqrstuvwxyz"
+
+        code, records = self.run_eval(tmp_path, edit, conversations=conversations)
+        assert code == 4 and not records.exists()
+        err = capsys.readouterr().err
+        assert "input_dim 27" in err and "stored input_dim is 5" in err
+
+    def test_non_finite_prediction_exit_4(self, tmp_path, capsys):
+        # finite weights whose products overflow: the BiRNN states saturate at
+        # tanh(30) = 1, so every summary entry is tanh(1), and output rows of
+        # +-1.7e308 then give logits of +inf and -inf, which softmax turns
+        # into NaN
+        def edit(wc):
+            params = wc["params"]
+            for name in ("fwd.w_in", "fwd.w_rec", "bwd.w_in", "bwd.w_rec", "fwd.bias",
+                         "bwd.bias"):
+                fill = 30.0 if name.endswith("bias") else 0.0
+                params[name]["values"] = [fill] * len(params[name]["values"])
+            out = params["out.weight"]
+            out["values"] = ([1.7e308] * out["cols"] + [-1.7e308] * out["cols"]
+                             + [0.0] * out["cols"] * (out["rows"] - 2))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert "not a finite distribution" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def run_eval(self, config, out):
@@ -357,6 +396,21 @@ class TestAnalyze:
             lines.append(json.dumps(obj))
         stripped.write_text("\n".join(lines) + "\n")
         assert main(["--config", str(config), "analyze", "--records", str(stripped)]) == 5
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["wc_probs", "attention"])
+    def test_non_finite_record_exit_5(self, tmp_path, capsys, field, literal):
+        config, _ = write_config(tmp_path)
+        obj = {"conversation_id": "c", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
+               "wc_pred": "sd", "nc_probs": [1.0, 0.0], "wc_probs": [1.0, 0.0],
+               "attention": [0.5, 0.5], "n_tokens": 1}
+        line = json.dumps(obj).replace(json.dumps(obj[field]), f"[{literal}, 0.5]", 1)
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(obj) + "\n" + line + "\n")
+        assert main(["--config", str(config), "analyze", "--records", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert "cannot load records" in err and ":2:" in err
+        assert not (tmp_path / "run" / "confidence.json").exists()
 
 
 class TestConfig:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxda import encoders as E
 from ctxda.corpus import Utterance
@@ -12,12 +14,21 @@ from ctxda.tensor import (
     add,
     backward,
     hadamard,
+    hstack,
     init_params,
     matmul,
     softmax_columns,
 )
 from gradcheck import max_gradient_error
-from reference_ops import sum_all
+from reference_ops import mlstm_reference_states, mlstm_step, sum_all
+
+
+def write_feature_file(path, features):
+    """Write ``features`` in the format ``load_feature_file`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for (conv_id, idx), vec in features.items():
+            joined = ",".join(repr(float(v)) for v in np.asarray(vec).ravel())
+            fh.write(f"{conv_id}\t{idx}\t{joined}\n")
 
 
 def random_table(vocabulary, dim, seed=0):
@@ -153,7 +164,7 @@ class TestMLSTM:
         p = E.MLSTMParams.zeros(4, 3)
         x = Tensor2D(np.zeros((4, 1)))
         x.data[1, 0] = 1.0
-        h, c = E.mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(np.zeros((3, 1))), p)
+        h, c = mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(np.zeros((3, 1))), p)
         assert np.all(h.data == 0.0)
         assert np.all(c.data == 0.0)
 
@@ -163,14 +174,14 @@ class TestMLSTM:
         p = E.MLSTMParams.zeros(2, 3)
         c_prev = np.array([[0.4], [-1.2], [2.0]])
         x = Tensor2D([[1.0], [0.0]])
-        h, c = E.mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(c_prev), p)
+        h, c = mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(c_prev), p)
         assert np.allclose(c.data, 0.5 * c_prev, atol=1e-15)
         assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
     def test_shape_mismatch(self):
         p = E.MLSTMParams.zeros(4, 3)
         with pytest.raises(DimensionError):
-            E.mlstm_step(
+            mlstm_step(
                 Tensor2D(np.zeros((5, 1))),
                 Tensor2D(np.zeros((3, 1))),
                 Tensor2D(np.zeros((3, 1))),
@@ -186,7 +197,7 @@ class TestMLSTM:
         c0 = rng.uniform(-0.5, 0.5, (2, 1))
 
         def loss():
-            h, _ = E.mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
+            h, _ = mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
             return sum_all(h)
 
         assert max_gradient_error(loss, params) < 1e-4
@@ -203,11 +214,11 @@ class TestMLSTM:
 
     def test_batch_equals_one_column_steps(self):
         p, x, h0, c0 = self.batch_inputs()
-        h, c = E.mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
+        h, c = mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
         assert h.shape == c.shape == (3, 5)
         for j in range(5):
             col = slice(j, j + 1)
-            h_j, c_j = E.mlstm_step(Tensor2D(x[:, col]), Tensor2D(h0[:, col]),
+            h_j, c_j = mlstm_step(Tensor2D(x[:, col]), Tensor2D(h0[:, col]),
                                     Tensor2D(c0[:, col]), p)
             assert np.max(np.abs(h.data[:, col] - h_j.data)) <= 1e-12
             assert np.max(np.abs(c.data[:, col] - c_j.data)) <= 1e-12
@@ -218,13 +229,119 @@ class TestMLSTM:
         probe_c = Tensor2D(np.random.default_rng(14).uniform(-1, 1, (3, 5)))
 
         def loss():
-            h, c = E.mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
+            h, c = mlstm_step(Tensor2D(x), Tensor2D(h0), Tensor2D(c0), p)
             return add(sum_all(hadamard(h, probe_h)), sum_all(hadamard(c, probe_c)))
 
         assert max_gradient_error(loss, p.parameters()) < 1e-4
 
 
+def moved_cell(input_dim, hidden_dim, seed):
+    """A seeded cell with every parameter, biases too, moved off its initial value."""
+    p = E.MLSTMParams.create(input_dim, hidden_dim, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for param in p.parameters():
+        param.data += rng.normal(0.0, 0.5, param.shape)
+    return p
+
+
+def fused_and_reference_grads(idx, p, probe):
+    """Gradients of sum(probe * states) through ``mlstm_states`` and through
+    the reference cell, one list per path in registry order."""
+    grads = []
+    for states in (lambda: E.mlstm_states(idx, p),
+                   lambda: hstack(mlstm_reference_states(idx, p))):
+        for param in p.parameters():
+            param.zero_grad()
+        backward(sum_all(hadamard(states(), Tensor2D(probe))))
+        grads.append([param.grad.copy() for param in p.parameters()])
+    return grads
+
+
+class TestMLSTMStates:
+    """The fused sequence op against the reference cell in ``reference_ops``
+    (the cell as a graph of elementary ops, stepped one character at a time)."""
+
+    # T = 1 on the unknown index, repeats (scatter-added input columns), and both
+    TEXTS = {"one-unk": [0], "repeats": [1, 2, 1, 1, 3, 2, 1], "mixed": [0, 3, 0, 2, 4, 4]}
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_states_match_reference_cell(self, name):
+        idx, p = self.TEXTS[name], moved_cell(5, 4, seed=21)
+        states = E.mlstm_states(idx, p)
+        reference = hstack(mlstm_reference_states(idx, p))
+        assert states.shape == (4, len(idx))
+        assert np.max(np.abs(states.data - reference.data)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_gradients_match_finite_differences(self, name):
+        idx, p = self.TEXTS[name], moved_cell(5, 3, seed=22)
+        probe = Tensor2D(np.random.default_rng(23).uniform(-1, 1, (3, len(idx))))
+
+        def loss():
+            return sum_all(hadamard(E.mlstm_states(idx, p), probe))
+
+        assert max_gradient_error(loss, p.parameters()) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_gradients_match_reference_cell(self, name):
+        idx, p = self.TEXTS[name], moved_cell(5, 4, seed=24)
+        probe = np.random.default_rng(25).uniform(-1, 1, (4, len(idx)))
+        fused, reference = fused_and_reference_grads(idx, p, probe)
+        for key, a, b in zip(p, fused, reference):
+            assert np.max(np.abs(a - b)) <= 1e-12, key
+
+    def test_unused_input_columns_get_no_gradient(self):
+        p = moved_cell(5, 3, seed=26)
+        backward(sum_all(E.mlstm_states([1, 1, 3], p)))
+        for name in ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx"):
+            assert np.all(p[name].grad[:, [0, 2, 4]] == 0.0), name
+            assert np.all(p[name].grad[:, [1, 3]] != 0.0), name
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            E.mlstm_states([], moved_cell(5, 3, seed=27))
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=st.text(alphabet="abcz ", min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_property_forward_and_backward_match_reference_cell(self, text, seed):
+        vocab = E.CharVocab("abc ")  # "z" is the unknown character
+        idx, p = vocab.indices(text), moved_cell(vocab.size, 3, seed=seed)
+        states = E.mlstm_states(idx, p)
+        reference = hstack(mlstm_reference_states(idx, p))
+        assert np.max(np.abs(states.data - reference.data)) <= 1e-12
+        probe = np.random.default_rng(seed).uniform(-1, 1, (3, len(idx)))
+        fused, ref_grads = fused_and_reference_grads(idx, p, probe)
+        for key, a, b in zip(p, fused, ref_grads):
+            assert np.max(np.abs(a - b)) <= 1e-12, key
+
+
 class TestCharEncode:
+    def test_mean_is_bit_identical_to_reference_cell(self):
+        vocab = E.CharVocab("abcd ")
+        p = moved_cell(vocab.size, 6, seed=30)
+        for text in ("a", "abba dcab", "zebra cab"):
+            reference = mlstm_reference_states(vocab.indices(text), p)
+            expected = np.mean([h.data.ravel() for h in reference], axis=0)
+            assert np.array_equal(E.char_encode(text, p, vocab), expected), text
+            last = E.char_encode(text, p, vocab, reduce="last")
+            assert np.array_equal(last, reference[-1].data.ravel()), text
+
+    def test_builds_no_graph_node(self, monkeypatch):
+        calls = []
+        original = Tensor2D._result
+
+        def counting(cls, *args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(Tensor2D, "_result", classmethod(counting))
+        vocab = E.CharVocab("abcd ")
+        E.char_encode("abba dcab", moved_cell(vocab.size, 4, seed=31), vocab)
+        assert calls == []
+        E.mlstm_states([1, 2], moved_cell(vocab.size, 4, seed=31))
+        assert calls == [1]  # the counter does count graph nodes
+
     def test_single_char_is_first_state(self):
         p = E.MLSTMParams.create(96, 5, seed=3)
         vocab = E.CharVocab()
@@ -278,7 +395,7 @@ class TestPrecomputed:
     def test_round_trip(self, tmp_path):
         feats = {("c1", 0): np.array([1.5, -2.0]), ("c1", 1): np.array([0.0, 3.25])}
         path = tmp_path / "feat.tsv"
-        E.write_feature_file(path, feats)
+        write_feature_file(path, feats)
         loaded = E.load_feature_file(path)
         assert set(loaded) == set(feats)
         for key in feats:
@@ -350,7 +467,7 @@ def per_step_char_lm(texts, vocab, hidden_dim, epochs, learning_rate, seed, max_
             for pos in range(len(idxs) - 1):
                 x = np.zeros((vocab.size, 1))
                 x[idxs[pos], 0] = 1.0
-                h, c = E.mlstm_step(Tensor2D(x), h, c, params)
+                h, c = mlstm_step(Tensor2D(x), h, c, params)
                 probs = softmax_columns(add(matmul(out_w, h), out_b))
                 step_loss = cross_entropy(probs, [idxs[pos + 1]])
                 loss = step_loss if loss is None else add(loss, step_loss)

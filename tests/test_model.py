@@ -461,6 +461,23 @@ class TestPrediction:
         with pytest.raises(ValueError):
             Prediction(np.array([-0.1, 1.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="not a finite distribution"):
+            Prediction(np.array([bad, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="not a finite distribution"):
+            Prediction(np.array([0.5, 0.5, bad]))
+
+    @pytest.mark.parametrize("attention", [[0.5, math.nan, 0.5], [0.5, math.inf, 0.5],
+                                           [0.6, 0.6, -0.2], [0.5, 0.2, 0.2]])
+    def test_rejects_attention_off_the_simplex(self, attention):
+        with pytest.raises(ValueError, match="attention weights"):
+            Prediction(np.array([0.2, 0.8]), attention=np.array(attention))
+
+    def test_keeps_a_simplex_attention(self):
+        pred = Prediction(np.array([0.2, 0.8]), attention=[[0.7], [0.2], [0.1]])
+        assert pred.attention.tolist() == [0.7, 0.2, 0.1]
+
     def test_confidence_and_top_class(self):
         pred = Prediction(np.array([0.2, 0.7, 0.1]))
         assert pred.top_class == 1
