@@ -111,19 +111,16 @@ def accuracy(records: list[EvalRecord]) -> dict[str, float]:
     }
 
 
-def ensemble_average(predictions) -> np.ndarray:
-    """Elementwise mean of probability vectors (itself a distribution)."""
-    if not predictions:
-        raise ValueError("cannot ensemble zero predictions")
-    rows = [np.asarray(getattr(p, "probs", p), dtype=np.float64).ravel()
-            for p in predictions]
-    width = rows[0].shape[0]
-    for row in rows:
-        if row.shape[0] != width:
-            raise ValueError(
-                f"ensemble over mismatched vocabularies ({row.shape[0]} vs {width})"
-            )
-    return np.mean(rows, axis=0)
+def ensemble_average(members) -> np.ndarray:
+    """Elementwise mean of same-shape arrays: of the members' (N, C)
+    probabilities, N distributions; of their (N, K) attention, N profiles."""
+    if not members:
+        raise ValueError("cannot ensemble zero members")
+    arrays = [np.asarray(m, dtype=np.float64) for m in members]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1:
+        raise ValueError(f"ensemble over mismatched shapes {sorted(shapes)}")
+    return np.mean(arrays, axis=0)
 
 
 def pct(num: int, total: int) -> float:

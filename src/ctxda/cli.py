@@ -174,11 +174,11 @@ def _load_prepared(cfg: dict):
     for p in (train_path, test_path, tags_path):
         if not p.exists():
             raise CliError(f"prepared corpus artifact missing: {p} (run prepare or synth)")
-    return (
-        cor.load_jsonl(train_path),
-        cor.load_jsonl(test_path),
-        cor.TagVocabulary.load(tags_path),
-    )
+    splits = [cor.load_jsonl(train_path), cor.load_jsonl(test_path)]
+    for path, convs in zip((train_path, test_path), splits):
+        if not convs:
+            raise CliError(f"prepared corpus split is empty: {path}")
+    return (*splits, cor.TagVocabulary.load(tags_path))
 
 
 def _build_encoder(cfg: dict, train_convs, test_convs):
@@ -205,9 +205,7 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
             )
             table = enc.EmbeddingTable.one_hot(vocab)
             source = {"kind": "onehot", "vocabulary": vocab}
-        e = enc.WordMeanEncoder(table)
-        e.source = source
-        return e
+        return enc.WordMeanEncoder(table, source)
 
     def char_encoder():
         texts = [u.text for conv in train_convs for u in conv.utterances]
@@ -433,11 +431,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
         return window_cache[key]
 
     def predictions(group):
-        per_model = []
-        for name, model, meta in group:
-            windows = windows_for(meta)
-            per_model.append((name, model.predict(windows)))
-        return per_model
+        return [(name, model.predict(windows_for(meta))) for name, model, meta in group]
 
     try:
         nc_preds = predictions(nc_group)
@@ -449,27 +443,27 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
         print(f"checkpoint/corpus mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
 
-    reference_windows = windows_for(nc_group[0][2])
-    records = []
-    for i, w in enumerate(reference_windows):
-        nc_probs = ana.ensemble_average([preds[i].probs for _, preds in nc_preds])
-        wc_probs = ana.ensemble_average([preds[i].probs for _, preds in wc_preds])
-        profiles = [preds[i].attention for _, preds in wc_preds
-                    if preds[i].attention is not None]
-        attention = np.mean(profiles, axis=0).tolist() if profiles else None
-        records.append(
-            ana.EvalRecord(
-                conversation_id=w.conversation_id,
-                utterance_index=w.index,
-                gold=vocab.tag_of(w.label),
-                nc_pred=vocab.tag_of(int(np.argmax(nc_probs))),
-                wc_pred=vocab.tag_of(int(np.argmax(wc_probs))),
-                nc_probs=nc_probs.tolist(),
-                wc_probs=wc_probs.tolist(),
-                attention=attention,
-                n_tokens=w.n_tokens,
-            )
+    windows = windows_for(nc_group[0][2])
+    labels = np.array([w.label for w in windows])
+    nc_probs = ana.ensemble_average([pred.probs for _, pred in nc_preds])
+    wc_probs = ana.ensemble_average([pred.probs for _, pred in wc_preds])
+    profiles = [pred.attention for _, pred in wc_preds if pred.attention is not None]
+    attention = ana.ensemble_average(profiles) if profiles else None
+    nc_top, wc_top = nc_probs.argmax(axis=1), wc_probs.argmax(axis=1)
+    records = [
+        ana.EvalRecord(
+            conversation_id=w.conversation_id,
+            utterance_index=w.index,
+            gold=vocab.tag_of(w.label),
+            nc_pred=vocab.tag_of(nc_top[i]),
+            wc_pred=vocab.tag_of(wc_top[i]),
+            nc_probs=nc_probs[i].tolist(),
+            wc_probs=wc_probs[i].tolist(),
+            attention=None if attention is None else attention[i].tolist(),
+            n_tokens=w.n_tokens,
         )
+        for i, w in enumerate(windows)
+    ]
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -478,9 +472,9 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
 
     lines = []
     for kind, per_model in (("NC", nc_preds), ("WC", wc_preds)):
-        for name, preds in per_model:
-            hits = sum(p.top_class == w.label for p, w in zip(preds, reference_windows))
-            lines.append((f"{kind} {name}", 100.0 * hits / len(reference_windows)))
+        for name, pred in per_model:
+            hits = int(np.count_nonzero(pred.top_class == labels))
+            lines.append((f"{kind} {name}", 100.0 * hits / len(windows)))
     acc = ana.accuracy(records)
     if len(nc_preds) > 1:
         lines.append(("NC ensemble", acc["nc"]))
@@ -498,8 +492,15 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load records: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    if any(not rs for rs in record_sets):
-        print("analysis input error: empty records file", file=sys.stderr)
+    # every check before the first write: no output at all from a bad input
+    try:
+        if any(not rs for rs in record_sets):
+            raise ValueError("empty records file")
+        profile = ana.attention_profile_mean(record_sets[0])
+        multi = (ana.attention_profile_mean([], runs=record_sets)
+                 if len(record_sets) > 1 else None)
+    except ValueError as exc:
+        print(f"analysis input error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     records = record_sets[0]
     out_dir = Path(cfg["out_dir"])
@@ -524,16 +525,6 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
         )
         fh.write("\n")
 
-    has_attention = all(r.attention is not None for r in records)
-    if not has_attention:
-        print("analysis input error: records are missing attention profiles",
-              file=sys.stderr)
-        return EXIT_ANALYSIS
-    profile = ana.attention_profile_mean(records)
-    if len(record_sets) > 1:
-        multi = ana.attention_profile_mean([], runs=record_sets)
-    else:
-        multi = None
     with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:
         fh.write("slot," + ",".join(f"a{k}" for k in range(len(profile))) + "\n")
         fh.write("mean," + ",".join(repr(float(v)) for v in profile) + "\n")

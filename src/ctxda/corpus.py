@@ -202,15 +202,13 @@ def load_swda_csv(
     conv_col: str = "conversation_no",
     caller_col: str = "caller",
     tag_map: dict[str, str] | None = None,
-    expected_tags: set[str] | None = None,
 ) -> list[Conversation]:
     """Load per-conversation CSV files in the public SwDA layout.
 
     Each CSV holds one conversation's rows with utterance-text and act-tag
     columns (names configurable). Tags are normalized with ``tag_map`` when
     given, otherwise with :func:`normalize_damsl_tag`; "+" continuation rows
-    are appended to the most recent utterance by the same caller. When
-    ``expected_tags`` is given, any normalized tag outside it is an error.
+    are appended to the most recent utterance by the same caller.
     """
     directory = Path(directory)
     files = sorted(directory.rglob("*.csv"))
@@ -248,8 +246,6 @@ def load_swda_csv(
                 if target is not None:
                     target.text = (target.text + " " + text).strip()
                 continue
-            if expected_tags is not None and tag not in expected_tags:
-                raise ValueError(f"{file}: unknown normalized tag {tag!r}")
             utt = Utterance(conv_id, len(utts), text, tag)
             utts.append(utt)
             if caller:
@@ -306,16 +302,6 @@ def build_all_windows(conversations, n, encoder, vocab) -> list[ContextWindow]:
     return out
 
 
-def majority_baseline(train_tags: list[str], test_tags: list[str]) -> float:
-    """Accuracy (%) of always predicting the most frequent training tag."""
-    if not train_tags or not test_tags:
-        raise ValueError("majority baseline needs non-empty tag lists")
-    counts = Counter(train_tags)
-    top = max(counts, key=lambda t: (counts[t], t))
-    hits = sum(1 for t in test_tags if t == top)
-    return 100.0 * hits / len(test_tags)
-
-
 # --- synthetic corpus -------------------------------------------------------
 
 
@@ -366,10 +352,6 @@ class SyntheticSpec:
 
     def tag_name(self, c: int) -> str:
         return f"c{c}"
-
-    def all_tags(self) -> list[str]:
-        return sorted({self.tag_name(v) for v in self.transition.values()} |
-                      {self.tag_name(c) for c in range(self.n_classes)})
 
     def vocabulary(self) -> list[str]:
         words = [w for c in range(self.n_classes) for w in self.class_words(c)]

@@ -85,7 +85,8 @@ def load_embeddings(path) -> EmbeddingTable:
 
     An optional first line "count dim" (two integers) is treated as a header.
     Duplicate tokens keep the last occurrence. A line whose vector length
-    disagrees with the table dimension raises with its line number.
+    disagrees with the table dimension, or that holds a NaN or an infinity,
+    raises with its line number.
     """
     table: EmbeddingTable | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -106,6 +107,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = [float(x) for x in rest]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
             if table is None:
                 if not vec:
                     raise ValueError(f"{path}:{lineno}: no values on first line")
@@ -133,8 +136,13 @@ def word_mean(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
 
 
 class WordMeanEncoder:
-    def __init__(self, table: EmbeddingTable):
+    """Mean word embedding. ``source`` says where the table came from (a file
+    path or a one-hot vocabulary) for the checkpoint; None stores the table
+    inline."""
+
+    def __init__(self, table: EmbeddingTable, source: dict | None = None):
         self.table = table
+        self.source = source
         self.dim = table.dim
 
     def encode_utterance(self, utt) -> np.ndarray:
@@ -151,14 +159,6 @@ class CharVocab:
             chars = "".join(chr(i) for i in range(32, 127))  # printable ASCII
         self._chars = list(dict.fromkeys(chars))
         self._index = {ch: i + 1 for i, ch in enumerate(self._chars)}
-
-    @classmethod
-    def from_text(cls, texts) -> "CharVocab":
-        seen: dict[str, None] = {}
-        for text in texts:
-            for ch in text:
-                seen[ch] = None
-        return cls("".join(sorted(seen)))
 
     @property
     def size(self) -> int:
@@ -406,7 +406,8 @@ def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
     """Read precomputed per-utterance features.
 
     Format: one record per line, "conversation_id TAB utterance_index TAB
-    v1,v2,...,vD". All records must share one dimension.
+    v1,v2,...,vD". All records must share one dimension, and every value
+    must be finite.
     """
     table: dict[tuple[str, int], np.ndarray] = {}
     dim = None
@@ -423,6 +424,8 @@ def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
                 vec = np.array([float(x) for x in values.split(",")])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
@@ -468,9 +471,8 @@ class PrecomputedEncoder:
 
 def encoder_to_config(encoder) -> dict:
     if isinstance(encoder, WordMeanEncoder):
-        source = getattr(encoder, "source", None)
-        if source:
-            return {"type": "word", "dim": encoder.dim, "source": source}
+        if encoder.source:
+            return {"type": "word", "dim": encoder.dim, "source": encoder.source}
         return {
             "type": "word",
             "dim": encoder.dim,
@@ -514,9 +516,7 @@ def encoder_from_config(cfg: dict):
                 table.add(token, vec)
         else:
             raise ValueError(f"unknown word-table source {source['kind']!r}")
-        enc = WordMeanEncoder(table)
-        enc.source = source
-        return enc
+        return WordMeanEncoder(table, source)
     if kind == "char":
         vocab = CharVocab(cfg["chars"])
         if vocab.size != cfg["input_dim"]:

@@ -2,14 +2,14 @@
 utterance-level attention BiRNN.
 
 Both consume :class:`ContextWindow` objects (the baseline only reads the
-newest slot) and produce a :class:`Prediction`: a probability distribution
-over act tags, plus - for the attention model - the per-slot attention
-profile ordered current-utterance-first.
+newest slot) and produce one :class:`Prediction` per call: a probability
+distribution over act tags for each window, plus - for the attention model -
+each window's per-slot attention profile ordered current-utterance-first.
 
 Layout of a window: slot 0 is the oldest context utterance, the last slot is
-the current one. The attention profile reverses that, so ``attention[0]``
-always belongs to the utterance being classified and ``attention[k]`` to the
-k-th preceding one.
+the current one. The attention profile reverses that, so its entry 0 always
+belongs to the utterance being classified and entry k to the k-th preceding
+one.
 
 Windows are processed in batches: slot k of B windows forms one (D, B)
 input, one column per window, and every layer works on all columns at once.
@@ -81,18 +81,20 @@ class ContextWindow:
 
 
 def _distribution(name: str, values) -> np.ndarray:
-    """``values`` as a flat array, refused (NaN and inf fail both
-    comparisons) unless a finite distribution within PROB_TOL."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if not (values.min() >= 0.0 and abs(values.sum() - 1.0) <= PROB_TOL):
+    """``values`` as a float64 array, refused (NaN and inf fail both
+    comparisons) unless every entry is >= 0 and every row sums to 1 within
+    PROB_TOL."""
+    values = np.asarray(values, dtype=np.float64)
+    if not (values.min() >= 0.0 and np.abs(values.sum(axis=-1) - 1.0).max() <= PROB_TOL):
         raise ValueError(f"{name} are not a finite distribution")
     return values
 
 
 @dataclass
 class Prediction:
-    """Distribution over tag indices, with the attention profile when the
-    model has one."""
+    """Distributions over tag indices, one row per window, with the attention
+    profiles (current utterance first) when the model has them: (N, C) and
+    (N, K) for a batch, (C,) and (K,) for a single window."""
 
     probs: np.ndarray
     attention: np.ndarray | None = None
@@ -103,12 +105,8 @@ class Prediction:
             self.attention = _distribution("attention weights", self.attention)
 
     @property
-    def top_class(self) -> int:
-        return int(np.argmax(self.probs))
-
-    @property
-    def confidence(self) -> float:
-        return float(self.probs.max())
+    def top_class(self) -> np.ndarray:
+        return self.probs.argmax(axis=-1)
 
 
 def apply_dropout(
@@ -201,21 +199,26 @@ def _slot_inputs(windows, slots) -> list[Tensor2D]:
     return [Tensor2D(feats[:, k, :].T) for k in range(len(slots))]
 
 
-def _predict(forward, windows, training: bool, rng):
+def _predict(forward, windows, training: bool, rng) -> Prediction:
     """Run ``forward(batch, training, rng) -> (probs, weights)`` over one
-    window (giving a Prediction) or a sequence of them (giving a list), in
-    batches of at most PREDICT_CHUNK windows."""
-    if isinstance(windows, ContextWindow):
-        return _predict(forward, [windows], training, rng)[0]
-    preds = []
-    for start in range(0, len(windows), PREDICT_CHUNK):
-        chunk = windows[start : start + PREDICT_CHUNK]
-        probs, weights = forward(chunk, training, rng)
-        for j in range(len(chunk)):
-            # window order is oldest->newest; report newest (current) first
-            profile = None if weights is None else weights.data[::-1, j].copy()
-            preds.append(Prediction(probs.data[:, j].copy(), attention=profile))
-    return preds
+    window or a sequence of them, in batches of at most PREDICT_CHUNK
+    windows, giving one Prediction with a row per window (the row itself for
+    a single window)."""
+    single = isinstance(windows, ContextWindow)
+    batch = [windows] if single else windows
+    if not batch:
+        raise ValueError("empty batch of windows")
+    probs, profiles = [], []
+    for start in range(0, len(batch), PREDICT_CHUNK):
+        p, weights = forward(batch[start : start + PREDICT_CHUNK], training, rng)
+        probs.append(p.data.T)
+        # window order is oldest->newest; report newest (current) first
+        profiles.append(None if weights is None else weights.data[::-1].T)
+    probs = np.concatenate(probs)
+    attention = None if profiles[0] is None else np.concatenate(profiles)
+    if single:
+        probs, attention = probs[0], None if attention is None else attention[0]
+    return Prediction(probs, attention)
 
 
 class _Registry:
@@ -240,9 +243,9 @@ class UttAttBiRNN(_Registry):
     pair directly (the no-attention ablation). ``mask_padding`` restricts the
     attention softmax to real utterances.
 
-    ``predict`` takes one window (returning a Prediction) or a list of them
-    (returning a list); ``loss`` takes a batch, a list of windows, and
-    returns its mean cross-entropy. Both run the same batched forward pass.
+    ``predict`` takes one window or a list of them and returns one
+    Prediction; ``loss`` takes a batch, a list of windows, and returns its
+    mean cross-entropy. Both run the same batched forward pass.
     """
 
     kind = "uttattbirnn"

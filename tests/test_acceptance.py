@@ -26,12 +26,12 @@ from ctxda.corpus import (
     bayes_nocontext_accuracy,
     generate_synthetic,
     load_swda_csv,
-    majority_baseline,
 )
 from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, rnn_direction
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
 from ctxda.tensor import Parameter, Tensor2D, softmax_columns
+from baselines import majority_baseline
 from gradcheck import max_gradient_error
 from reference_ops import mlstm_step
 
@@ -97,23 +97,22 @@ def run_experiment(seed: int, mode: str) -> SimpleNamespace:
     )
     train(wc, train_windows, cfg)
 
-    records = []
-    for w in test_windows:
-        nc_pred = nc.predict(w)
-        wc_pred = wc.predict(w)
-        records.append(
-            ana.EvalRecord(
-                conversation_id=w.conversation_id,
-                utterance_index=w.index,
-                gold=vocab.tag_of(w.label),
-                nc_pred=vocab.tag_of(nc_pred.top_class),
-                wc_pred=vocab.tag_of(wc_pred.top_class),
-                nc_probs=nc_pred.probs.tolist(),
-                wc_probs=wc_pred.probs.tolist(),
-                attention=wc_pred.attention.tolist(),
-                n_tokens=w.n_tokens,
-            )
+    nc_pred = nc.predict(test_windows)
+    wc_pred = wc.predict(test_windows)
+    records = [
+        ana.EvalRecord(
+            conversation_id=w.conversation_id,
+            utterance_index=w.index,
+            gold=vocab.tag_of(w.label),
+            nc_pred=vocab.tag_of(nc_pred.top_class[i]),
+            wc_pred=vocab.tag_of(wc_pred.top_class[i]),
+            nc_probs=nc_pred.probs[i].tolist(),
+            wc_probs=wc_pred.probs[i].tolist(),
+            attention=wc_pred.attention[i].tolist(),
+            n_tokens=w.n_tokens,
         )
+        for i, w in enumerate(test_windows)
+    ]
     acc = ana.accuracy(records)
     return SimpleNamespace(
         seed=seed,
@@ -508,14 +507,15 @@ def test_short_utterance_slice_on_mixed_corpus():
                         n_context=4, dropout_rate=e["dropout_rate"], seed=seed)
     train(model, build_all_windows(train_convs, 4, encoder, vocab), cfg)
 
+    test_windows = build_all_windows(test_convs, 4, encoder, vocab)
+    pred = model.predict(test_windows)
     records = []
-    for w in build_all_windows(test_convs, 4, encoder, vocab):
-        pred = model.predict(w)
-        top = vocab.tag_of(pred.top_class)
+    for i, w in enumerate(test_windows):
+        top = vocab.tag_of(pred.top_class[i])
         records.append(ana.EvalRecord(w.conversation_id, w.index,
                                       vocab.tag_of(w.label), top, top,
-                                      pred.probs.tolist(), pred.probs.tolist(),
-                                      attention=pred.attention.tolist(),
+                                      pred.probs[i].tolist(), pred.probs[i].tolist(),
+                                      attention=pred.attention[i].tolist(),
                                       n_tokens=w.n_tokens))
     result = ana.short_utterance_slice(records, max_tokens=1)
     print(f"\n  short-slice a1 {result.slice_mean[1]:.3f} vs full a1 "

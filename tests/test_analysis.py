@@ -159,6 +159,14 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble_average([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    def test_batches_average_row_by_row(self):
+        out = ensemble_average([[[0.6, 0.4], [1.0, 0.0]], [[0.1, 0.9], [0.0, 1.0]]])
+        assert out.tolist() == [[0.35, 0.65], [0.5, 0.5]]
+
+    def test_batches_of_different_sizes_are_refused(self):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            ensemble_average([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]])
+
     def test_k_copies_is_identity(self):
         out = ensemble_average([[0.25, 0.75]] * 7)
         assert np.allclose(out, [0.25, 0.75])

@@ -35,10 +35,10 @@ def test_predictions_are_bit_identical(kind, expected):
     convs = cor.load_jsonl(DATA / "v1_conversations.jsonl")
     windows = cor.build_all_windows(convs, expected["n_context"], encoder,
                                     cor.TagVocabulary(meta["tags"]))
-    preds = model.predict(windows)
-    assert [p.probs.tolist() for p in preds] == expected[f"{kind}_probs"]
-    attention = [None if p.attention is None else p.attention.tolist() for p in preds]
-    assert attention == expected.get(f"{kind}_attention", [None] * len(preds))
+    pred = model.predict(windows)
+    assert pred.probs.tolist() == expected[f"{kind}_probs"]
+    attention = [None] * len(windows) if pred.attention is None else pred.attention.tolist()
+    assert attention == expected.get(f"{kind}_attention", [None] * len(windows))
 
 
 @pytest.mark.parametrize("kind", sorted(CHECKPOINTS))

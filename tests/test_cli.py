@@ -103,6 +103,19 @@ class TestPrepare:
         assert main(["--config", str(config), "prepare"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_non_finite_embedding_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n')
+        emb = tmp_path / "emb.txt"
+        emb.write_text("hi 1.0 2.0\nyo inf 4.0\n")
+        config, _ = write_config(
+            tmp_path,
+            paths={"raw_train": str(raw), "raw_test": str(raw), "embeddings": str(emb)},
+        )
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert f"{emb}:2: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "corpus" / "embeddings.txt").exists()
+
     def test_embedding_cache_filtered(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n')
@@ -153,6 +166,21 @@ class TestTrain:
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 3
         assert "epoch 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["embeddings", "features"])
+    def test_non_finite_input_file_exit_2(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.txt"
+        if kind == "embeddings":
+            bad.write_text("w0_0 1.0 2.0\nw0_1 nan 2.0\n")
+            overrides = {"paths": {"embeddings": str(bad)}}
+        else:
+            bad.write_text("syn0000\t0\t1.0,2.0\nsyn0000\t1\t1.0,-inf\n")
+            overrides = {"paths": {"features": [str(bad)]}, "encoder": "precomputed"}
+        config, _ = write_config(tmp_path, **overrides)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert f"{bad}:2: non-finite" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("*.ckpt.json"))
+
     def test_char_lm_divergence_exit_3(self, tmp_path, capsys):
         config, _ = write_config(
             tmp_path, encoder="char",
@@ -182,6 +210,19 @@ class TestEval:
         records = load_records(out / "eval_records.jsonl")
         assert len(records) == 4 * 8  # test conversations x length
         assert all(r.attention is not None for r in records)
+
+    def test_one_prediction_per_checkpoint(self, pipeline, monkeypatch):
+        from ctxda import model as model_mod
+
+        config, out = pipeline
+        built, check = [], model_mod.Prediction.__post_init__
+        monkeypatch.setattr(model_mod.Prediction, "__post_init__",
+                            lambda self: (built.append(self.probs.shape), check(self)))
+        wc = str(out / "uttattbirnn_word.ckpt.json")
+        code = main(["--config", str(config), "eval",
+                     "--nc", str(out / "baseline_word.ckpt.json"), "--wc", wc, wc])
+        assert code == 0
+        assert built == [(4 * 8, 3)] * 3
 
     def test_corrupted_checkpoint_exit_4(self, pipeline, capsys):
         config, out = pipeline
@@ -226,15 +267,15 @@ class TestEvalFailsClosed:
     the model or in the encoder stored with it."""
 
     def run_eval(self, tmp_path, edit, n_context=2, also_wc=(),
-                 conversations=DATA / "v1_conversations.jsonl"):
+                 conversations=DATA / "v1_conversations.jsonl", test=None):
         """``eval`` of the v1 fixture checkpoints on ``conversations`` (by
-        default their own), after ``edit`` has changed the WC checkpoint's
-        JSON, with the config's ``train.n_context`` and any further WC
-        checkpoints ``also_wc``."""
+        default their own) as both splits, or on ``test`` as the test split,
+        after ``edit`` has changed the WC checkpoint's JSON, with the config's
+        ``train.n_context`` and any further WC checkpoints ``also_wc``."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        for split in ("train", "test"):
-            shutil.copy(conversations, corpus / f"{split}.jsonl")
+        shutil.copy(conversations, corpus / "train.jsonl")
+        shutil.copy(test or conversations, corpus / "test.jsonl")
         wc = json.loads((DATA / "v1_wc_concat.ckpt.json").read_text())
         TagVocabulary(wc["tags"]).save(corpus / "tags.txt")
         edit(wc)
@@ -277,6 +318,36 @@ class TestEvalFailsClosed:
         assert code == 4 and not records.exists()
         err = capsys.readouterr().err
         assert "checkpoint error" in err and "embeddings.txt" in err
+
+    def test_empty_test_split_exit_2(self, tmp_path, capsys, monkeypatch):
+        from ctxda import cli as cli_mod
+
+        def no_checkpoint_may_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(cli_mod, "load_checkpoint", no_checkpoint_may_load)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, records = self.run_eval(tmp_path, lambda wc: None, test=empty)
+        assert code == 2 and not records.exists()
+        assert "prepared corpus split is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["embeddings", "features"])
+    def test_non_finite_encoder_file_exit_4(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.txt"
+        if kind == "embeddings":
+            bad.write_text("hi 1.0 2.0\nyo 3.0 -inf\n")
+            part = {"type": "word", "dim": 2, "source": {"kind": "file", "path": str(bad)}}
+        else:
+            bad.write_text("c\t0\t1.0,2.0\nc\t1\tnan,2.0\n")
+            part = {"type": "precomputed", "paths": [str(bad)], "dim": 2}
+
+        def edit(wc):
+            wc["encoder"]["word"] = part
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert f"{bad}:2: non-finite" in capsys.readouterr().err
 
     def test_n_context_comes_from_the_wc_checkpoint(self, tmp_path):
         code, records = self.run_eval(tmp_path, lambda wc: None, n_context=4)
@@ -396,6 +467,27 @@ class TestAnalyze:
             lines.append(json.dumps(obj))
         stripped.write_text("\n".join(lines) + "\n")
         assert main(["--config", str(config), "analyze", "--records", str(stripped)]) == 5
+
+    OUTPUTS = ("failure_pairs.csv", "rescue_pairs.csv", "confidence.json",
+               "attention_profile.csv", "short_utterance_profile.json",
+               "attention_profile.svg", "attention_profile_runs.svg", "confidence.svg")
+
+    @pytest.mark.parametrize("bad_set", [0, 1])
+    @pytest.mark.parametrize("fault", ["no-attention", "other-width"])
+    def test_bad_attention_in_any_set_writes_nothing(self, tmp_path, capsys, bad_set, fault):
+        config, _ = write_config(tmp_path)
+        obj = {"conversation_id": "a", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
+               "wc_pred": "sd", "nc_probs": [1.0, 0.0], "wc_probs": [1.0, 0.0],
+               "attention": [0.5, 0.5], "n_tokens": 1}
+        bad = {**obj, "attention": None if fault == "no-attention" else [0.5, 0.25, 0.25]}
+        paths = []
+        for k in range(2):
+            path = tmp_path / f"records{k}.jsonl"
+            path.write_text(json.dumps(bad if k == bad_set else obj) + "\n")
+            paths.append(str(path))
+        assert main(["--config", str(config), "analyze", "--records", *paths]) == 5
+        assert "analysis input error" in capsys.readouterr().err
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field", ["wc_probs", "attention"])

@@ -14,11 +14,11 @@ from ctxda.corpus import (
     generate_synthetic,
     load_jsonl,
     load_swda_csv,
-    majority_baseline,
     normalize_damsl_tag,
     write_jsonl,
 )
 from ctxda.encoders import EmbeddingTable, WordMeanEncoder
+from baselines import majority_baseline
 
 
 def conv(conv_id, pairs):
@@ -178,11 +178,6 @@ class TestSwdaCsv:
         convs = load_swda_csv(tmp_path)
         assert len(convs[0]) == 2
         assert convs[0].utterances[0].text == "So we were going -- -- to the lake. /"
-
-    def test_unknown_tag_with_expected_set(self, tmp_path):
-        self.write(tmp_path, "sw_0003.utt.csv", ["4327,A,zz,Hello. /\n"])
-        with pytest.raises(ValueError, match="zz"):
-            load_swda_csv(tmp_path, expected_tags={"sd", "sv"})
 
     def test_tag_map_override(self, tmp_path):
         self.write(tmp_path, "sw_0004.utt.csv", ["4328,A,foo,Hello. /\n"])

@@ -23,6 +23,11 @@ from gradcheck import max_gradient_error
 from reference_ops import mlstm_reference_states, mlstm_step, sum_all
 
 
+def char_vocab_from_text(texts) -> E.CharVocab:
+    """The sorted inventory of the characters in ``texts``."""
+    return E.CharVocab("".join(sorted({ch for text in texts for ch in text})))
+
+
 def write_feature_file(path, features):
     """Write ``features`` in the format ``load_feature_file`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -111,6 +116,13 @@ class TestLoadEmbeddings:
         p.write_text("a 1 1\na 2 2\n")
         assert E.load_embeddings(p).lookup("a").tolist() == [2.0, 2.0]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, bad):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"a 1 2\nb 3 {bad}\n")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: non-finite"):
+            E.load_embeddings(p)
+
 
 class TestWordMean:
     def make_table(self):
@@ -155,7 +167,7 @@ class TestCharVocab:
         assert vocab.index("é") == E.CharVocab.UNK
 
     def test_from_text(self):
-        vocab = E.CharVocab.from_text(["aba", "cb"])
+        vocab = char_vocab_from_text(["aba", "cb"])
         assert vocab.size == 4  # a, b, c + UNK
 
 
@@ -415,11 +427,18 @@ class TestPrecomputed:
         with pytest.raises(ValueError, match=":2:"):
             E.load_feature_file(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        path = tmp_path / "feat.tsv"
+        path.write_text(f"c1\t0\t1.0,2.0\nc1\t1\t{bad},1.0\n")
+        with pytest.raises(ValueError, match=r"feat\.tsv:2: non-finite"):
+            E.load_feature_file(path)
+
 
 class TestCharLM:
     def test_training_reduces_loss(self):
         texts = ["abab abab", "baba baba", "abba abba"] * 4
-        vocab = E.CharVocab.from_text(texts)
+        vocab = char_vocab_from_text(texts)
         params, losses = E.train_char_lm(
             texts, vocab, hidden_dim=8, epochs=4, learning_rate=5e-3, seed=1,
             max_chars=16,
@@ -490,9 +509,8 @@ def round_trip_encoder(kind):
     if kind == "word-inline":
         return E.WordMeanEncoder(random_table(words[:-1], 3, seed=2))
     if kind == "word-onehot":
-        word = E.WordMeanEncoder(E.EmbeddingTable.one_hot(words))
-        word.source = {"kind": "onehot", "vocabulary": words}
-        return word
+        return E.WordMeanEncoder(E.EmbeddingTable.one_hot(words),
+                                 {"kind": "onehot", "vocabulary": words})
     vocab = E.CharVocab("abcd")
     params = E.MLSTMParams.create(vocab.size, 3, seed=3)
     rng = np.random.default_rng(3)

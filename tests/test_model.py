@@ -422,14 +422,33 @@ class TestBatching:
         model = BATCH_MODELS[kind](0.2)
         windows = padded_windows(np.random.default_rng(23), model, [5, 1, 3, 2, 5, 4, 1])
         batched = model.predict(windows)
-        assert len(batched) == len(windows)
-        for w, got in zip(windows, batched):
+        assert batched.probs.shape == (len(windows), 4)
+        for i, w in enumerate(windows):
             want = model.predict(w)
-            assert np.allclose(got.probs, want.probs, rtol=0, atol=1e-12)
+            assert np.allclose(batched.probs[i], want.probs, rtol=0, atol=1e-12)
             if want.attention is None:
-                assert got.attention is None
+                assert batched.attention is None
             else:
-                assert np.allclose(got.attention, want.attention, rtol=0, atol=1e-12)
+                assert np.allclose(batched.attention[i], want.attention, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_predicting_a_list_builds_one_prediction(self, kind, monkeypatch):
+        monkeypatch.setattr(M, "PREDICT_CHUNK", 3)
+        built, check = [], M.Prediction.__post_init__
+        monkeypatch.setattr(M.Prediction, "__post_init__",
+                            lambda self: (built.append(self), check(self)))
+        model = BATCH_MODELS[kind](0.2)
+        windows = padded_windows(np.random.default_rng(23), model, [5, 1, 3, 2, 5, 4, 1])
+        pred = model.predict(windows)
+        assert built == [pred]
+        assert pred.top_class.shape == (len(windows),)
+        if pred.attention is not None:
+            assert pred.attention.shape == (len(windows), model.n_context + 1)
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_predicting_no_windows_is_refused(self, kind):
+        with pytest.raises(ValueError, match="empty batch"):
+            BATCH_MODELS[kind](0.0).predict([])
 
     def test_windows_of_different_sizes_are_refused(self):
         model = UttAttBiRNN(2, 3, hidden_dim=2, seed=0)
@@ -475,13 +494,21 @@ class TestPrediction:
             Prediction(np.array([0.2, 0.8]), attention=np.array(attention))
 
     def test_keeps_a_simplex_attention(self):
-        pred = Prediction(np.array([0.2, 0.8]), attention=[[0.7], [0.2], [0.1]])
+        pred = Prediction(np.array([0.2, 0.8]), attention=[0.7, 0.2, 0.1])
         assert pred.attention.tolist() == [0.7, 0.2, 0.1]
 
-    def test_confidence_and_top_class(self):
+    def test_top_class(self):
         pred = Prediction(np.array([0.2, 0.7, 0.1]))
         assert pred.top_class == 1
-        assert pred.confidence == pytest.approx(0.7)
+
+    def test_a_batch_is_checked_row_by_row(self):
+        pred = Prediction([[0.2, 0.8], [0.9, 0.1]], attention=[[0.5, 0.5], [1.0, 0.0]])
+        assert pred.top_class.tolist() == [1, 0]
+        # every entry is a probability and the rows sum to 2 together, not to 1 each
+        with pytest.raises(ValueError, match="not a finite distribution"):
+            Prediction([[0.2, 0.2], [0.9, 0.7]])
+        with pytest.raises(ValueError, match="attention weights"):
+            Prediction([[0.2, 0.8], [0.9, 0.1]], attention=[[0.5, 0.5], [0.4, 0.4]])
 
 
 class TestCheckpoint:
