@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -38,7 +40,31 @@ EXIT_TRAINING = 3
 EXIT_CHECKPOINT = 4
 EXIT_ANALYSIS = 5
 
-DEFAULT_CONFIG = {
+
+def _defaults(fn, *skip: str) -> dict:
+    """The keyword defaults of ``fn``'s signature (a class: its constructor's),
+    less the parameters named in ``skip``."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty and p.name not in skip}
+
+
+def _synthetic_specs(seed: int, test_conversations: int = 10, **spec):
+    """The train and test ``SyntheticSpec`` of one config: the test split is
+    drawn from its own seed with ``test_conversations`` conversations."""
+    return (cor.SyntheticSpec(seed=seed, **spec),
+            cor.SyntheticSpec(**{**spec, "n_conversations": test_conversations},
+                              seed=seed + 10_000))
+
+
+# model.<key> -> the train_char_lm parameter it sets
+_CHAR_LM = {"char_hidden_dim": "hidden_dim", "char_lm_epochs": "epochs",
+            "char_lm_lr": "learning_rate", "char_max_chars": "max_chars"}
+_WC_DEFAULTS = _defaults(UttAttBiRNN, "n_context", "seed")  # model.<key>
+_NC_KEYS = ("hidden1", "hidden2")  # model.baseline_<key>
+
+# The defaults of every setting a signature consumes are read off that
+# signature; a round trip through JSON makes them what a config file holds.
+DEFAULT_CONFIG = json.loads(json.dumps({
     "seed": 0,
     "out_dir": "runs/out",
     "paths": {
@@ -50,49 +76,20 @@ DEFAULT_CONFIG = {
     },
     "encoder": "word",
     "model": {
-        "hidden_dim": 64,
-        "attention_dim": None,
-        "dropout_rate": 0.2,
-        "head": "attention",
-        "mask_padding": False,
-        "baseline_hidden1": 300,
-        "baseline_hidden2": 100,
-        "char_hidden_dim": 64,
-        "char_lm_epochs": 2,
-        "char_lm_lr": 1e-3,
-        "char_max_chars": 64,
-        "char_reduce": "mean",
+        **_WC_DEFAULTS,
+        **{f"baseline_{key}": _defaults(BaselineMLP)[key] for key in _NC_KEYS},
+        **{key: _defaults(enc.train_char_lm)[name] for key, name in _CHAR_LM.items()},
+        "char_reduce": _defaults(enc.CharMLSTMEncoder)["reduce"],
     },
-    "train": {
-        "n_context": 4,
-        "batch_size": 64,
-        "max_epochs": 100,
-        "learning_rate": 1e-4,
-        "lr_decay": 0.95,
-        "val_fraction": 0.15,
-        "patience": 5,
-        "split_by_conversation": False,
-    },
-    "swda": {
-        "text_col": "text",
-        "tag_col": "act_tag",
-        "conv_col": "conversation_no",
-        "caller_col": "caller",
-        "tag_map": None,
-    },
-    "synthetic": {
-        "n_classes": 5,
-        "words_per_class": 3,
-        "mode": "previous",
-        "n_conversations": 30,
-        "conversation_length": 14,
-        "test_conversations": 10,
-    },
+    "train": _defaults(opt.TrainConfig, "seed", "track_train_accuracy"),
+    "swda": _defaults(cor.load_swda_csv),
+    "synthetic": {**_defaults(cor.SyntheticSpec, "seed"),
+                  **_defaults(_synthetic_specs)},
     "analysis": {
         "short_max_tokens": 3,
         "svg": True,
     },
-}
+}))
 
 
 class CliError(Exception):
@@ -101,13 +98,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _merged(base: dict, user: dict, prefix: str = "") -> dict:
+    """``base`` with ``user``'s values in place of its own. A key ``base``
+    lacks, or a section given as anything but an object, is refused."""
     out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
+    for key, value in user.items():
+        dotted = prefix + key
+        if key not in base:
+            raise CliError(f"unknown config key {dotted!r}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise CliError(f"config section {dotted!r} must be a JSON object")
+            value = _merged(base[key], value, dotted + ".")
+        out[key] = value
     return out
 
 
@@ -123,7 +126,7 @@ def load_config(path: str | None) -> dict:
         raise CliError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(user, dict):
         raise CliError(f"config {path} must hold a JSON object")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return _merged(DEFAULT_CONFIG, user)
 
 
 def _setup_logging(out_dir: Path | None) -> None:
@@ -154,15 +157,8 @@ def _load_corpus_any(path_str: str, cfg: dict):
         raise CliError(f"corpus path does not exist: {path}")
     if path.is_dir():
         swda = cfg["swda"]
-        tag_map = cor.load_tag_map(swda["tag_map"]) if swda.get("tag_map") else None
-        return cor.load_swda_csv(
-            path,
-            text_col=swda["text_col"],
-            tag_col=swda["tag_col"],
-            conv_col=swda["conv_col"],
-            caller_col=swda["caller_col"],
-            tag_map=tag_map,
-        )
+        tag_map = cor.load_tag_map(swda["tag_map"]) if swda["tag_map"] else None
+        return cor.load_swda_csv(path, **{**swda, "tag_map": tag_map})
     return cor.load_jsonl(path)
 
 
@@ -181,31 +177,47 @@ def _load_prepared(cfg: dict):
     return (*splits, cor.TagVocabulary.load(tags_path))
 
 
+def _write_prepared(cfg: dict, train_convs, test_convs):
+    """Write the splits and their tag vocabulary where ``_load_prepared``
+    reads them; returns (corpus_dir, vocabulary)."""
+    corpus_dir = _corpus_dir(cfg)
+    corpus_dir.mkdir(parents=True, exist_ok=True)
+    cor.write_jsonl(corpus_dir / "train.jsonl", train_convs)
+    cor.write_jsonl(corpus_dir / "test.jsonl", test_convs)
+    vocab = cor.TagVocabulary.from_conversations(train_convs + test_convs)
+    vocab.save(corpus_dir / "tags.txt")
+    return corpus_dir, vocab
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _corpus_tokens(convs) -> list[str]:
+    """The sorted token vocabulary of ``convs``."""
+    return sorted({tok for conv in convs for u in conv.utterances
+                   for tok in enc.tokenize(u.text)})
+
+
 def _build_encoder(cfg: dict, train_convs, test_convs):
     choice = cfg["encoder"]
     mcfg = cfg["model"]
     seed = cfg["seed"]
 
     def word_encoder():
-        emb_path = cfg["paths"].get("embeddings")
         cache = _corpus_dir(cfg) / "embeddings.txt"
-        if cache.exists():
-            table = enc.load_embeddings(cache)
-            source = {"kind": "file", "path": str(cache)}
-        elif emb_path:
-            if not Path(emb_path).exists():
-                raise CliError(f"embeddings file does not exist: {emb_path}")
-            table = enc.load_embeddings(emb_path)
-            source = {"kind": "file", "path": str(emb_path)}
-        else:
-            # closed-vocabulary fallback (synthetic corpora): indicator vectors
-            vocab = sorted(
-                {tok for conv in train_convs + test_convs
-                 for u in conv.utterances for tok in enc.tokenize(u.text)}
-            )
-            table = enc.EmbeddingTable.one_hot(vocab)
-            source = {"kind": "onehot", "vocabulary": vocab}
-        return enc.WordMeanEncoder(table, source)
+        path = cache if cache.exists() else cfg["paths"]["embeddings"]
+        if path:
+            if not Path(path).exists():
+                raise CliError(f"embeddings file does not exist: {path}")
+            return enc.WordMeanEncoder(enc.load_embeddings(path),
+                                       {"kind": "file", "path": str(path)})
+        # closed-vocabulary fallback (synthetic corpora): indicator vectors
+        vocab = _corpus_tokens(train_convs + test_convs)
+        return enc.WordMeanEncoder(enc.EmbeddingTable.one_hot(vocab),
+                                   {"kind": "onehot", "vocabulary": vocab})
 
     def char_encoder():
         texts = [u.text for conv in train_convs for u in conv.utterances]
@@ -213,13 +225,7 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
         log.info("training character LM (hidden=%d, epochs=%d)",
                  mcfg["char_hidden_dim"], mcfg["char_lm_epochs"])
         params, losses = enc.train_char_lm(
-            texts,
-            vocab,
-            hidden_dim=mcfg["char_hidden_dim"],
-            epochs=mcfg["char_lm_epochs"],
-            learning_rate=mcfg["char_lm_lr"],
-            seed=seed,
-            max_chars=mcfg["char_max_chars"],
+            texts, vocab, seed=seed, **{name: mcfg[key] for key, name in _CHAR_LM.items()}
         )
         log.info("char LM losses per epoch: %s", ["%.4f" % x for x in losses])
         return enc.CharMLSTMEncoder(params, vocab, reduce=mcfg["char_reduce"])
@@ -245,23 +251,12 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
 
 
 def cmd_synth(cfg: dict) -> int:
-    corpus_dir = _corpus_dir(cfg)
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    syn = cfg["synthetic"]
-    spec_kwargs = {k: v for k, v in syn.items() if k != "test_conversations"}
-    train_spec = cor.SyntheticSpec(seed=cfg["seed"], **spec_kwargs)
-    test_spec = cor.SyntheticSpec(
-        seed=cfg["seed"] + 10_000,
-        **{**spec_kwargs, "n_conversations": syn.get("test_conversations", 10)},
-    )
+    train_spec, test_spec = _synthetic_specs(cfg["seed"], **cfg["synthetic"])
     train_convs = cor.generate_synthetic(train_spec)
     test_convs = cor.generate_synthetic(test_spec)
     if not train_convs or not test_convs:
         raise CliError("synthetic spec produced an empty corpus")
-    cor.write_jsonl(corpus_dir / "train.jsonl", train_convs)
-    cor.write_jsonl(corpus_dir / "test.jsonl", test_convs)
-    vocab = cor.TagVocabulary.from_conversations(train_convs + test_convs)
-    vocab.save(corpus_dir / "tags.txt")
+    corpus_dir, vocab = _write_prepared(cfg, train_convs, test_convs)
     summary = {
         "mode": train_spec.mode,
         "n_classes": train_spec.n_classes,
@@ -272,9 +267,7 @@ def cmd_synth(cfg: dict) -> int:
         "tags": vocab.tags,
         "bayes_nocontext_accuracy": cor.bayes_nocontext_accuracy(test_spec),
     }
-    with open(corpus_dir / "synth_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(corpus_dir / "synth_summary.json", summary)
     print(
         f"synthetic corpus: {summary['train_conversations']} train / "
         f"{summary['test_conversations']} test conversations, "
@@ -293,12 +286,7 @@ def cmd_prepare(cfg: dict) -> int:
     test_convs = _load_corpus_any(raw_test, cfg)
     if not train_convs or not test_convs:
         raise CliError("prepare loaded an empty corpus")
-    corpus_dir = _corpus_dir(cfg)
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    cor.write_jsonl(corpus_dir / "train.jsonl", train_convs)
-    cor.write_jsonl(corpus_dir / "test.jsonl", test_convs)
-    vocab = cor.TagVocabulary.from_conversations(train_convs + test_convs)
-    vocab.save(corpus_dir / "tags.txt")
+    corpus_dir, vocab = _write_prepared(cfg, train_convs, test_convs)
 
     emb_path = cfg["paths"].get("embeddings")
     cached = 0
@@ -306,12 +294,8 @@ def cmd_prepare(cfg: dict) -> int:
         if not Path(emb_path).exists():
             raise CliError(f"embeddings file does not exist: {emb_path}")
         table = enc.load_embeddings(emb_path)
-        used = sorted(
-            {tok for conv in train_convs + test_convs
-             for u in conv.utterances for tok in enc.tokenize(u.text)}
-        )
         with open(corpus_dir / "embeddings.txt", "w", encoding="utf-8") as fh:
-            for tok in used:
+            for tok in _corpus_tokens(train_convs + test_convs):
                 vec = table.lookup(tok)
                 if vec is not None:
                     fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
@@ -328,48 +312,19 @@ def cmd_prepare(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _window_config(cfg: dict) -> opt.TrainConfig:
-    t = cfg["train"]
-    return opt.TrainConfig(
-        n_context=t["n_context"],
-        batch_size=t["batch_size"],
-        max_epochs=t["max_epochs"],
-        learning_rate=t["learning_rate"],
-        lr_decay=t["lr_decay"],
-        val_fraction=t["val_fraction"],
-        patience=t["patience"],
-        seed=cfg["seed"],
-        split_by_conversation=t["split_by_conversation"],
-    )
-
-
 def cmd_train(cfg: dict, model_name: str) -> int:
     train_convs, test_convs, vocab = _load_prepared(cfg)
     encoder = _build_encoder(cfg, train_convs, test_convs)
-    tcfg = _window_config(cfg)
+    tcfg = opt.TrainConfig(seed=cfg["seed"], **cfg["train"])
     windows = cor.build_all_windows(train_convs, tcfg.n_context, encoder, vocab)
     mcfg = cfg["model"]
     if model_name == "baseline":
-        model = BaselineMLP(
-            encoder.dim,
-            len(vocab),
-            hidden1=mcfg["baseline_hidden1"],
-            hidden2=mcfg["baseline_hidden2"],
-            dropout_rate=0.0,
-            seed=cfg["seed"],
-        )
+        kwargs = {key: mcfg[f"baseline_{key}"] for key in _NC_KEYS}
+        model = BaselineMLP(encoder.dim, len(vocab), seed=cfg["seed"], **kwargs)
     else:
-        model = UttAttBiRNN(
-            encoder.dim,
-            len(vocab),
-            hidden_dim=mcfg["hidden_dim"],
-            attention_dim=mcfg["attention_dim"],
-            n_context=tcfg.n_context,
-            dropout_rate=mcfg["dropout_rate"],
-            head=mcfg["head"],
-            mask_padding=mcfg["mask_padding"],
-            seed=cfg["seed"],
-        )
+        kwargs = {key: mcfg[key] for key in _WC_DEFAULTS}
+        model = UttAttBiRNN(encoder.dim, len(vocab), n_context=tcfg.n_context,
+                            seed=cfg["seed"], **kwargs)
     log.info("training %s on %d windows (%d tags)", model_name, len(windows), len(vocab))
     result = opt.train(model, windows, tcfg)
 
@@ -389,10 +344,12 @@ def cmd_train(cfg: dict, model_name: str) -> int:
     return EXIT_OK
 
 
-def _load_model_group(paths: list[str]):
+def _load_model_group(paths: list[str], kind: str):
     group = []
     for path in paths:
         model, meta = load_checkpoint(path)
+        if model.kind != kind:
+            raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {model.kind}")
         group.append((Path(path).name, model, meta))
     tags0 = group[0][2]["tags"]
     for name, _, meta in group[1:]:
@@ -404,12 +361,11 @@ def _load_model_group(paths: list[str]):
 def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     _, test_convs, _ = _load_prepared(cfg)
     try:
-        nc_group, nc_tags = _load_model_group(nc_paths)
-        wc_group, wc_tags = _load_model_group(wc_paths)
+        nc_group, nc_tags = _load_model_group(nc_paths, BaselineMLP.kind)
+        wc_group, wc_tags = _load_model_group(wc_paths, UttAttBiRNN.kind)
         if nc_tags != wc_tags:
             raise CheckpointError("tag vocabulary mismatch between NC and WC checkpoints")
-        n_contexts = {getattr(model, "n_context", cfg["train"]["n_context"])
-                      for _, model, _ in wc_group}
+        n_contexts = {model.n_context for _, model, _ in wc_group}
         if len(n_contexts) > 1:
             raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
     except CheckpointError as exc:
@@ -496,6 +452,9 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     try:
         if any(not rs for rs in record_sets):
             raise ValueError("empty records file")
+        if runs is not None and runs != len(record_sets):
+            raise ValueError(f"--runs {runs} expects {runs} record files, "
+                             f"got {len(record_sets)}")
         profile = ana.attention_profile_mean(record_sets[0])
         multi = (ana.attention_profile_mean([], runs=record_sets)
                  if len(record_sets) > 1 else None)
@@ -511,19 +470,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     rescue = ana.rescue_pairs(records)
     ana.write_pair_csv(out_dir / "rescue_pairs.csv", rescue.rows)
     stats = ana.confidence_stats(records)
-    with open(out_dir / "confidence.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "nc_mean": stats.nc_mean,
-                "nc_median": stats.nc_median,
-                "wc_mean": stats.wc_mean,
-                "wc_median": stats.wc_median,
-                "series": stats.series,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(out_dir / "confidence.json", dataclasses.asdict(stats))
 
     with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:
         fh.write("slot," + ",".join(f"a{k}" for k in range(len(profile))) + "\n")
@@ -532,18 +479,12 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
             fh.write("mean_over_runs," + ",".join(repr(float(v)) for v in multi) + "\n")
 
     short = ana.short_utterance_slice(records, cfg["analysis"]["short_max_tokens"])
-    with open(out_dir / "short_utterance_profile.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "max_tokens": short.max_tokens,
-                "n_sliced": short.n_sliced,
-                "slice_mean": None if short.slice_mean is None else short.slice_mean.tolist(),
-                "full_mean": short.full_mean.tolist(),
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(out_dir / "short_utterance_profile.json", {
+        "max_tokens": short.max_tokens,
+        "n_sliced": short.n_sliced,
+        "slice_mean": None if short.slice_mean is None else short.slice_mean.tolist(),
+        "full_mean": short.full_mean.tolist(),
+    })
 
     if cfg["analysis"]["svg"]:
         labels = [f"a{k}" for k in range(len(profile))]
@@ -570,8 +511,6 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     if multi is not None:
         print(f"attention profile over {len(record_sets)} runs: "
               + " ".join(f"{v:.4f}" for v in multi))
-    if runs is not None and len(record_sets) != runs:
-        log.warning("expected %d record files, got %d", runs, len(record_sets))
     return EXIT_OK
 
 

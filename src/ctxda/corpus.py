@@ -318,6 +318,9 @@ class SyntheticSpec:
     majority-label rate while a context model can reach 100%. "mixed" mode
     interleaves self-informative long utterances with short ambiguous
     responses whose tag only the preceding utterance reveals.
+
+    A ``transition`` key may also be the decimal string of its class index,
+    the form a JSON object gives; every key and value must name a class.
     """
 
     n_classes: int = 5
@@ -337,9 +340,19 @@ class SyntheticSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
+        classes = range(self.n_classes)
         if self.transition is None:
-            self.transition = {c: c for c in range(self.n_classes)}
-        missing = set(range(self.n_classes)) - set(self.transition)
+            self.transition = {c: c for c in classes}
+        names = {str(c): c for c in classes}  # JSON object keys are strings
+        rule = {}
+        for key, value in self.transition.items():
+            source = names.get(key) if isinstance(key, str) else key
+            if source not in classes or value not in classes:
+                raise ValueError(f"transition {key!r} -> {value!r} names a class "
+                                 f"outside 0..{self.n_classes - 1}")
+            rule[int(source)] = int(value)
+        self.transition = rule
+        missing = set(classes) - set(rule)
         if missing:
             raise ValueError(f"transition rule does not cover classes {sorted(missing)}")
         if not (0 <= self.start_class < self.n_classes):

@@ -352,7 +352,7 @@ def train_char_lm(
     texts: list[str],
     vocab: CharVocab,
     hidden_dim: int = 64,
-    epochs: int = 3,
+    epochs: int = 2,
     learning_rate: float = 1e-3,
     seed: int = 0,
     max_chars: int = 64,

@@ -1,15 +1,17 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxda.cli import main
+from ctxda.cli import DEFAULT_CONFIG, load_config, main
 from ctxda.analysis import load_records
 from ctxda.corpus import TagVocabulary
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -71,6 +73,29 @@ class TestSynth:
         assert summary["test_conversations"] == 4
         assert 0 < summary["bayes_nocontext_accuracy"] < 1
         assert "synthetic corpus" in capsys.readouterr().out
+
+    def test_transition_from_json_sets_the_tags(self, tmp_path):
+        rule = {0: 1, 1: 2, 2: 0}
+        config, _ = write_config(tmp_path, synthetic={
+            "mode": "current", "transition": {str(c): t for c, t in rule.items()}})
+        assert main(["--config", str(config), "synth"]) == 0
+        corpus = tmp_path / "run" / "corpus"
+        seen = set()
+        for split in ("train.jsonl", "test.jsonl"):
+            for line in (corpus / split).read_text().splitlines():
+                for u in json.loads(line)["utterances"]:
+                    own = int(u["text"].split()[0][1:].split("_")[0])  # "w<class>_<k>"
+                    assert u["act_tag"] == f"c{rule[own]}"
+                    seen.add(own)
+        assert seen == set(rule)
+
+    @pytest.mark.parametrize("transition", [{"0": 1, "1": 2, "2": 7},
+                                            {"0": 1, "1": 2, "2": 0, "3": 0}])
+    def test_transition_outside_the_classes_exit_2(self, tmp_path, capsys, transition):
+        config, _ = write_config(tmp_path, synthetic={"transition": transition})
+        assert main(["--config", str(config), "synth"]) == 2
+        assert "outside 0..2" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "corpus").exists()
 
     def test_idempotent_given_seed(self, tmp_path):
         config, _ = write_config(tmp_path)
@@ -349,6 +374,27 @@ class TestEvalFailsClosed:
         assert code == 4 and not records.exists()
         assert f"{bad}:2: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given_nc, given_wc, refused", [
+        ("wc", "wc", "expected a baseline checkpoint, got uttattbirnn"),
+        ("nc", "nc", "expected a uttattbirnn checkpoint, got baseline"),
+        ("wc", "nc", "expected a baseline checkpoint, got uttattbirnn"),
+    ])
+    def test_checkpoint_of_the_other_kind_exit_4(self, tmp_path, capsys, given_nc,
+                                                 given_wc, refused):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for split in ("train.jsonl", "test.jsonl"):
+            shutil.copy(DATA / "v1_conversations.jsonl", corpus / split)
+        fixture = {"nc": DATA / "v1_nc_word.ckpt.json", "wc": DATA / "v1_wc_concat.ckpt.json"}
+        TagVocabulary(json.loads(fixture["wc"].read_text())["tags"]).save(corpus / "tags.txt")
+        config, _ = write_config(tmp_path, paths={"corpus_dir": str(corpus)})
+        code = main(["--config", str(config), "eval",
+                     "--nc", str(fixture[given_nc]), "--wc", str(fixture[given_wc])])
+        assert code == 4
+        assert not (tmp_path / "run" / "eval_records.jsonl").exists()
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and refused in err
+
     def test_n_context_comes_from_the_wc_checkpoint(self, tmp_path):
         code, records = self.run_eval(tmp_path, lambda wc: None, n_context=4)
         assert code == 0
@@ -449,6 +495,19 @@ class TestAnalyze:
         assert "over 2 runs" in capsys.readouterr().out
         assert (out / "attention_profile_runs.svg").exists()
 
+    def test_runs_disagreeing_with_record_files_writes_nothing(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path)
+        obj = {"conversation_id": "a", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
+               "wc_pred": "sd", "nc_probs": [1.0, 0.0], "wc_probs": [1.0, 0.0],
+               "attention": [0.5, 0.5], "n_tokens": 1}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        code = main(["--config", str(config), "analyze", "--records", str(path),
+                     "--runs", "3"])
+        assert code == 5
+        assert "--runs 3" in capsys.readouterr().err
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
+
     def test_empty_records_exit_5(self, pipeline, capsys):
         config, out = pipeline
         empty = out / "empty.jsonl"
@@ -518,3 +577,48 @@ class TestConfig:
         first = (tmp_path / "run" / "corpus" / "train.jsonl").read_bytes()
         assert main(["--config", str(config), "synth"]) == 0
         assert (tmp_path / "run" / "corpus" / "train.jsonl").read_bytes() != first
+
+    @pytest.mark.parametrize("config, key", [
+        ({"hiden_dim": 3}, "hiden_dim"),
+        ({"model": {"hiden_dim": 3}}, "model.hiden_dim"),
+        ({"train": {"batchsize": 3}}, "train.batchsize"),
+        ({"paths": {"corpus": "c"}}, "paths.corpus"),
+        ({"swda": {"text": "t"}}, "swda.text"),
+        ({"synthetic": {"classes": 3}}, "synthetic.classes"),
+        ({"synthetic": {"seed": 3}}, "synthetic.seed"),
+        ({"analysis": {"svgs": False}}, "analysis.svgs"),
+        ({"train": 3}, "train"),
+        ({"paths": ["a"]}, "paths"),
+    ])
+    def test_refused_key_exit_2_before_any_output(self, tmp_path, capsys, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **config}))
+        assert main(["--config", str(path), "synth"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_defaults_round_trip(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(DEFAULT_CONFIG))
+        assert load_config(str(path)) == DEFAULT_CONFIG == load_config(None)
+
+    def test_readme_table_matches_the_defaults(self):
+        text = README.read_text()
+        block = text[text.index("## Config reference"):]
+        block = block[block.index("```text\n") + 8:]
+        block = block[:block.index("```")]
+        documented = {}
+        for line in block.splitlines():
+            if line and not line[0].isspace():  # indented lines continue the one above
+                match = re.match(r"(\S+) \((.*?)\)(?: {2,}|$)", line)
+                assert match, line
+                documented[match[1]] = json.loads(match[2])
+
+        def leaves(cfg, prefix=""):
+            for key, value in cfg.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key, value
+
+        assert documented == dict(leaves(DEFAULT_CONFIG))

@@ -264,6 +264,22 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n_classes=3, transition={0: 1, 1: 2})
 
+    def test_transition_keys_may_be_decimal_strings(self):
+        spec = SyntheticSpec(n_classes=3, transition={"0": 1, "1": 2, "2": 0})
+        assert spec.transition == {0: 1, 1: 2, 2: 0}
+
+    @pytest.mark.parametrize("transition", [
+        {0: 1, 1: 2, 2: 7},            # a value outside the classes
+        {0: 1, 1: 2, 2: -1},
+        {0: 1, 1: 2, 2: "0"},          # a value that is not a class index
+        {0: 1, 1: 2, 2: 0, 3: 0},      # a key outside the classes
+        {0: 1, 1: 2, 2: 0, "x": 0},
+        {"0": 1, "1": 2, "02": 0},     # not the decimal form of an index
+    ])
+    def test_transition_naming_no_class_is_refused(self, transition):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            SyntheticSpec(n_classes=3, transition=transition)
+
     def test_previous_mode_label_recoverable_from_previous_text(self):
         spec = SyntheticSpec(mode="previous", n_conversations=10, seed=6)
         for c in generate_synthetic(spec):
