@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
@@ -69,17 +69,8 @@ class EvalRecord:
 def write_records(path, records: list[EvalRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "conversation_id": r.conversation_id,
-                "utterance_index": r.utterance_index,
-                "gold": r.gold,
-                "nc_pred": r.nc_pred,
-                "wc_pred": r.wc_pred,
-                "nc_probs": r.nc_probs,
-                "wc_probs": r.wc_probs,
-                "attention": r.attention,
-                "n_tokens": r.n_tokens,
-            }, allow_nan=False) + "\n")
+            fh.write(json.dumps({f.name: getattr(r, f.name) for f in fields(r)},
+                                allow_nan=False) + "\n")
 
 
 def _refuse_constant(name: str):

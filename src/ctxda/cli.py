@@ -98,9 +98,32 @@ class CliError(Exception):
         self.code = code
 
 
+# The JSON type a leaf whose default is null holds when it is set.
+_NULLABLE = {"paths.raw_train": str, "paths.raw_test": str, "paths.corpus_dir": str,
+             "paths.embeddings": str, "swda.tag_map": str,
+             "model.attention_dim": int, "synthetic.transition": dict}
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list of strings", dict: "an object"}
+
+
+def _check_leaf(dotted: str, default, value) -> None:
+    """Refuse ``value`` unless it has ``default``'s JSON type, an integer
+    passing for a number; a leaf whose default is null also takes null.
+    Every list in the config holds strings."""
+    want = type(default) if default is not None else _NULLABLE[dotted]
+    ok = type(value) is want or (want is float and type(value) is int)
+    if ok and want is list:
+        ok = all(type(item) is str for item in value)
+    if not ok and not (value is None and default is None):
+        null = " or null" if default is None else ""
+        raise CliError(f"config key {dotted!r} must be {_JSON_TYPES[want]}{null}, "
+                       f"got {json.dumps(value)}")
+
+
 def _merged(base: dict, user: dict, prefix: str = "") -> dict:
     """``base`` with ``user``'s values in place of its own. A key ``base``
-    lacks, or a section given as anything but an object, is refused."""
+    lacks, a section given as anything but an object, or a value of the
+    wrong type (see ``_check_leaf``) is refused."""
     out = copy.deepcopy(base)
     for key, value in user.items():
         dotted = prefix + key
@@ -110,6 +133,8 @@ def _merged(base: dict, user: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise CliError(f"config section {dotted!r} must be a JSON object")
             value = _merged(base[key], value, dotted + ".")
+        else:
+            _check_leaf(dotted, base[key], value)
         out[key] = value
     return out
 
@@ -212,8 +237,7 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
         if path:
             if not Path(path).exists():
                 raise CliError(f"embeddings file does not exist: {path}")
-            return enc.WordMeanEncoder(enc.load_embeddings(path),
-                                       {"kind": "file", "path": str(path)})
+            return enc.WordMeanEncoder.from_file(path)
         # closed-vocabulary fallback (synthetic corpora): indicator vectors
         vocab = _corpus_tokens(train_convs + test_convs)
         return enc.WordMeanEncoder(enc.EmbeddingTable.one_hot(vocab),
@@ -286,14 +310,14 @@ def cmd_prepare(cfg: dict) -> int:
     test_convs = _load_corpus_any(raw_test, cfg)
     if not train_convs or not test_convs:
         raise CliError("prepare loaded an empty corpus")
+    emb_path = cfg["paths"].get("embeddings")
+    if emb_path and not Path(emb_path).exists():
+        raise CliError(f"embeddings file does not exist: {emb_path}")
+    table = enc.load_embeddings(emb_path) if emb_path else None  # checked before any write
     corpus_dir, vocab = _write_prepared(cfg, train_convs, test_convs)
 
-    emb_path = cfg["paths"].get("embeddings")
     cached = 0
-    if emb_path:
-        if not Path(emb_path).exists():
-            raise CliError(f"embeddings file does not exist: {emb_path}")
-        table = enc.load_embeddings(emb_path)
+    if table is not None:
         with open(corpus_dir / "embeddings.txt", "w", encoding="utf-8") as fh:
             for tok in _corpus_tokens(train_convs + test_convs):
                 vec = table.lookup(tok)

@@ -9,7 +9,9 @@ them from text.
 
 from __future__ import annotations
 
+import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -135,15 +137,25 @@ def word_mean(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     return np.mean(hits, axis=0)
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class WordMeanEncoder:
     """Mean word embedding. ``source`` says where the table came from (a file
-    path or a one-hot vocabulary) for the checkpoint; None stores the table
-    inline."""
+    path with its sha256, or a one-hot vocabulary) for the checkpoint; None
+    stores the table inline."""
 
     def __init__(self, table: EmbeddingTable, source: dict | None = None):
         self.table = table
         self.source = source
         self.dim = table.dim
+
+    @classmethod
+    def from_file(cls, path) -> "WordMeanEncoder":
+        """The table of the embedding file ``path``, stored by its path and sha256."""
+        source = {"kind": "file", "path": str(path), "sha256": _sha256(path)}
+        return cls(load_embeddings(path), source)
 
     def encode_utterance(self, utt) -> np.ndarray:
         return word_mean(tokenize(utt.text), self.table)
@@ -199,10 +211,6 @@ class MLSTMParams(dict):
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, seed: int = 0) -> "MLSTMParams":
         return cls(input_dim, hidden_dim, np.random.default_rng(seed))
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "MLSTMParams":
-        return cls(input_dim, hidden_dim)
 
     def parameters(self) -> list[Parameter]:
         return list(self.values())
@@ -464,9 +472,9 @@ class PrecomputedEncoder:
 #
 # Checkpoints embed an encoder description so evaluation can rebuild the exact
 # encoder used at training time. Word tables are stored inline (token + vector
-# lists) unless they came from a file, in which case the path is recorded;
-# mLSTM weights are always stored inline, in the checkpoint's parameter layout
-# and with its checks on load.
+# lists) unless they came from a file, in which case its path and sha256 are
+# recorded, and verified with its dim on load; mLSTM weights are always stored
+# inline, in the checkpoint's parameter layout and with its checks on load.
 
 
 def encoder_to_config(encoder) -> dict:
@@ -507,7 +515,15 @@ def encoder_from_config(cfg: dict):
     if kind == "word":
         source = cfg["source"]
         if source["kind"] == "file":
-            table = load_embeddings(source["path"])
+            path = source["path"]
+            # a source without a digest comes from a checkpoint written before them
+            if "sha256" in source and _sha256(path) != source["sha256"]:
+                raise CheckpointError(f"word table {path} changed since the checkpoint "
+                                      f"was written: its sha256 differs")
+            table = load_embeddings(path)
+            if table.dim != cfg["dim"]:
+                raise CheckpointError(f"word table {path} has dim {table.dim}, "
+                                      f"the checkpoint stores {cfg['dim']}")
         elif source["kind"] == "onehot":
             table = EmbeddingTable.one_hot(source["vocabulary"])
         elif source["kind"] == "inline":
@@ -524,7 +540,7 @@ def encoder_from_config(cfg: dict):
                 f"char encoder: {len(vocab.chars)} characters and the unknown index need "
                 f"input_dim {vocab.size}, but the stored input_dim is {cfg['input_dim']}"
             )
-        params = MLSTMParams.zeros(cfg["input_dim"], cfg["hidden_dim"])
+        params = MLSTMParams(cfg["input_dim"], cfg["hidden_dim"])
         params_from_json(params, cfg["weights"])
         return CharMLSTMEncoder(params, vocab, cfg.get("reduce", "mean"))
     if kind == "concat":

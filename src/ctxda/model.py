@@ -109,21 +109,10 @@ class Prediction:
         return self.probs.argmax(axis=-1)
 
 
-def apply_dropout(
-    h: Tensor2D, rate: float, rng, training: bool, uniforms: np.ndarray | None = None
-) -> Tensor2D:
-    """Inverted dropout: zero entries with probability ``rate`` and scale the
-    survivors by 1/(1-rate). Identity at inference or at rate 0.
-
-    ``uniforms`` are the U[0, 1) draws deciding each entry, of ``h``'s shape;
-    when omitted they are drawn from ``rng``.
-    """
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return h
-    if uniforms is None:
-        uniforms = rng.random(h.shape)
+def apply_dropout(h: Tensor2D, rate: float, uniforms: np.ndarray) -> Tensor2D:
+    """Inverted dropout: zero the entries of ``h`` whose U[0, 1) draw in
+    ``uniforms`` (of ``h``'s shape) is below ``rate``, and scale the
+    survivors by 1/(1-rate)."""
     keep = (uniforms >= rate) / (1.0 - rate)
     return hadamard(h, Tensor2D._result(keep, (), None))
 
@@ -199,8 +188,8 @@ def _slot_inputs(windows, slots) -> list[Tensor2D]:
     return [Tensor2D(feats[:, k, :].T) for k in range(len(slots))]
 
 
-def _predict(forward, windows, training: bool, rng) -> Prediction:
-    """Run ``forward(batch, training, rng) -> (probs, weights)`` over one
+def _predict(forward, windows) -> Prediction:
+    """Run ``forward(batch) -> (probs, weights)`` over one
     window or a sequence of them, in batches of at most PREDICT_CHUNK
     windows, giving one Prediction with a row per window (the row itself for
     a single window)."""
@@ -210,7 +199,7 @@ def _predict(forward, windows, training: bool, rng) -> Prediction:
         raise ValueError("empty batch of windows")
     probs, profiles = [], []
     for start in range(0, len(batch), PREDICT_CHUNK):
-        p, weights = forward(batch[start : start + PREDICT_CHUNK], training, rng)
+        p, weights = forward(batch[start : start + PREDICT_CHUNK])
         probs.append(p.data.T)
         # window order is oldest->newest; report newest (current) first
         profiles.append(None if weights is None else weights.data[::-1].T)
@@ -245,7 +234,9 @@ class UttAttBiRNN(_Registry):
 
     ``predict`` takes one window or a list of them and returns one
     Prediction; ``loss`` takes a batch, a list of windows, and returns its
-    mean cross-entropy. Both run the same batched forward pass.
+    mean cross-entropy, with dropout on the step states when it is given an
+    ``rng`` and ``dropout_rate`` is above 0. Both run the same batched
+    forward pass.
     """
 
     kind = "uttattbirnn"
@@ -284,20 +275,19 @@ class UttAttBiRNN(_Registry):
             "out.weight": (c, 2 * h), "out.bias": c,
         })
 
-    def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, Tensor2D | None]:
+    def _forward(self, windows, rng=None) -> tuple[Tensor2D, Tensor2D | None]:
         """(C, B) class distributions and the (n+1, B) attention weights in
-        window order (None for the direct head), one column per window."""
+        window order (None for the direct head), one column per window;
+        dropout draws from ``rng`` when one is given."""
         n_slots = windows[0].size if windows else 0
         if any(w.size != n_slots for w in windows):
             raise ValueError("windows in one batch must have the same number of slots")
         steps = birnn_forward(_slot_inputs(windows, range(n_slots)), self.params)
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training forward pass needs an rng for dropout")
+        if rng is not None and self.dropout_rate > 0.0:
             # one draw, window by window then slot by slot: the masks, in order,
             # that the windows would draw as batches of one
             draws = rng.random((len(windows), n_slots, 2 * self.hidden_dim))
-            steps = [apply_dropout(s, self.dropout_rate, rng, True, uniforms=draws[:, k, :].T)
+            steps = [apply_dropout(s, self.dropout_rate, draws[:, k, :].T)
                      for k, s in enumerate(steps)]
         if self.head == "direct":
             return classify(steps[-1], self.params), None
@@ -305,39 +295,32 @@ class UttAttBiRNN(_Registry):
         weights, summary = attention(steps, self.params, keep)
         return classify(summary, self.params), weights
 
-    def predict(self, windows, training: bool = False, rng=None):
-        return _predict(self._forward, windows, training, rng)
+    def predict(self, windows):
+        return _predict(self._forward, windows)
 
-    def loss(self, windows, training: bool = False, rng=None) -> Tensor2D:
+    def loss(self, windows, rng=None) -> Tensor2D:
         from .optim import cross_entropy
 
-        probs, _ = self._forward(windows, training, rng)
+        probs, _ = self._forward(windows, rng)
         return cross_entropy(probs, [w.label for w in windows])
 
 
-def baseline_forward(
-    u: Tensor2D,
-    params: dict,
-    training: bool = False,
-    rng=None,
-    dropout_rate: float = 0.0,
-) -> Tensor2D:
+def baseline_forward(u: Tensor2D, params: dict, rng=None, dropout_rate: float = 0.0) -> Tensor2D:
     """tanh -> tanh -> softmax over utterance vectors, one per column of ``u``,
-    with the registry's ``mlp.*`` layers."""
+    with the registry's ``mlp.*`` layers; dropout after each tanh layer when
+    ``rng`` is given and ``dropout_rate`` is above 0."""
     draws = (None, None)
-    if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass needs an rng for dropout")
+    if rng is not None and dropout_rate > 0.0:
         # one draw, window by window then layer by layer: the masks, in order,
         # that the windows would draw as batches of one
         h1 = params["mlp.b1"].rows
-        both = rng.random((u.cols, h1 + params["mlp.b2"].rows))
-        draws = (both[:, :h1].T, both[:, h1:].T)
-    h1 = tanh_map(add_bias(matmul(params["mlp.w1"], u), params["mlp.b1"]))
-    h1 = apply_dropout(h1, dropout_rate, rng, training, uniforms=draws[0])
-    h2 = tanh_map(add_bias(matmul(params["mlp.w2"], h1), params["mlp.b2"]))
-    h2 = apply_dropout(h2, dropout_rate, rng, training, uniforms=draws[1])
-    return softmax_columns(add_bias(matmul(params["mlp.w_out"], h2), params["mlp.b_out"]))
+        draws = np.split(rng.random((u.cols, h1 + params["mlp.b2"].rows)).T, [h1])
+    h = u
+    for layer, uniforms in zip("12", draws):
+        h = tanh_map(add_bias(matmul(params[f"mlp.w{layer}"], h), params[f"mlp.b{layer}"]))
+        if uniforms is not None:
+            h = apply_dropout(h, dropout_rate, uniforms)
+    return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"]))
 
 
 class BaselineMLP(_Registry):
@@ -371,19 +354,17 @@ class BaselineMLP(_Registry):
             "mlp.w_out": (n_classes, hidden2), "mlp.b_out": n_classes,
         })
 
-    def _forward(self, windows, training: bool, rng) -> tuple[Tensor2D, None]:
+    def _forward(self, windows, rng=None) -> tuple[Tensor2D, None]:
         (current,) = _slot_inputs(windows, [-1])
-        probs = baseline_forward(current, self.params, training=training, rng=rng,
-                                 dropout_rate=self.dropout_rate)
-        return probs, None
+        return baseline_forward(current, self.params, rng, self.dropout_rate), None
 
-    def predict(self, windows, training: bool = False, rng=None):
-        return _predict(self._forward, windows, training, rng)
+    def predict(self, windows):
+        return _predict(self._forward, windows)
 
-    def loss(self, windows, training: bool = False, rng=None) -> Tensor2D:
+    def loss(self, windows, rng=None) -> Tensor2D:
         from .optim import cross_entropy
 
-        probs, _ = self._forward(windows, training, rng)
+        probs, _ = self._forward(windows, rng)
         return cross_entropy(probs, [w.label for w in windows])
 
 

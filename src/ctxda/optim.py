@@ -31,10 +31,13 @@ def cross_entropy(probs: Tensor2D, gold) -> Tensor2D:
 
 
 class Adam:
-    """Bias-corrected Adam with a mutable learning rate.
+    """Bias-corrected Adam (Kingma & Ba 2014) with a mutable learning rate.
 
-    Highlights: first/second moment estimates per parameter, step counter,
-    update = lr * m_hat / (sqrt(v_hat) + eps) with epsilon outside the root.
+    The constructor copies its Parameters' values and gradients into the flat
+    arrays ``data`` and ``grad``, with moments ``m`` and ``v``, and rebinds
+    each Parameter's ``data`` and ``grad`` to views of them. The views must
+    stay views: write the Parameters in place only. A Parameter belongs to at
+    most one Adam.
     """
 
     def __init__(
@@ -46,35 +49,35 @@ class Adam:
         eps: float = 1e-8,
     ):
         self.params = list(params)
-        self.base_learning_rate = learning_rate
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.data = np.concatenate([p.data.ravel() for p in self.params])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
+        ends = np.cumsum([p.data.size for p in self.params])[:-1]
+        for p, data, grad in zip(self.params, np.split(self.data, ends), np.split(self.grad, ends)):
+            p.data, p.grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grad[:] = 0.0
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                name = p.name if isinstance(p, Parameter) and p.name else repr(p)
-                raise TrainingDiverged(f"non-finite gradient in parameter {name}")
+        if not np.isfinite(self.grad).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise TrainingDiverged(f"non-finite gradient in parameter {bad.name or repr(bad)}")
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def decay_lr(base_lr: float, gamma: float, epoch: int) -> float:
@@ -87,8 +90,9 @@ def decay_lr(base_lr: float, gamma: float, epoch: int) -> float:
 class EarlyStopping:
     """Stop after ``patience`` epochs without a validation-accuracy improvement.
 
-    Keeps a snapshot of the best-scoring parameters; improvement is strictly
-    greater-than, so ties count against patience.
+    Keeps a copy of the best-scoring parameters (an optimizer's flat
+    ``data``); improvement is strictly greater-than, so ties count against
+    patience.
     """
 
     def __init__(self, patience: int = 5):
@@ -98,14 +102,14 @@ class EarlyStopping:
         self.best_accuracy = -np.inf
         self.best_epoch = 0
         self.epochs_since_improvement = 0
-        self.best_snapshot: list[np.ndarray] | None = None
+        self.best_snapshot: np.ndarray | None = None
 
-    def update(self, accuracy: float, snapshot: list[np.ndarray], epoch: int) -> bool:
+    def update(self, accuracy: float, snapshot: np.ndarray, epoch: int) -> bool:
         """Record one epoch's result; returns True when training should stop."""
         if accuracy > self.best_accuracy:
             self.best_accuracy = accuracy
             self.best_epoch = epoch
-            self.best_snapshot = [a.copy() for a in snapshot]
+            self.best_snapshot = snapshot.copy()
             self.epochs_since_improvement = 0
         else:
             self.epochs_since_improvement += 1
@@ -213,8 +217,7 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
         windows, cfg.val_fraction, cfg.seed, by_conversation=cfg.split_by_conversation
     )
     rng = np.random.default_rng(cfg.seed)
-    params = model.parameters()
-    adam = Adam(params, learning_rate=cfg.learning_rate)
+    adam = Adam(model.parameters(), learning_rate=cfg.learning_rate)
     stopper = EarlyStopping(cfg.patience)
     result = TrainResult()
 
@@ -225,7 +228,7 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             adam.zero_grad()
-            loss = model.loss(batch, training=True, rng=rng)
+            loss = model.loss(batch, rng=rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}", epoch=epoch)
@@ -244,12 +247,11 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
             EpochStats(epoch, adam.learning_rate, epoch_loss / len(train_set),
                        val_accuracy, train_accuracy)
         )
-        if stopper.update(val_accuracy, [p.data for p in params], epoch):
+        if stopper.update(val_accuracy, adam.data, epoch):
             break
 
     if stopper.best_snapshot is not None:
-        for p, best in zip(params, stopper.best_snapshot):
-            p.data[:] = best
+        adam.data[:] = stopper.best_snapshot
     result.best_epoch = stopper.best_epoch
     result.best_val_accuracy = stopper.best_accuracy
     return result

@@ -8,7 +8,8 @@ topological order, handing each node's backward closure the gradient of that
 node. Closures refer only to their inputs, never to their own output, so a
 graph holds no reference cycles and is freed as soon as its root is dropped.
 Trainable values are :class:`Parameter` nodes, whose gradients persist and
-accumulate across backward calls until ``zero_grad``. Every model and cell
+accumulate across backward calls until the optimizer zeroes them; every other
+node gets a gradient only when :func:`backward` walks it. Every model and cell
 keeps its Parameters in one ordered registry built by :func:`init_params`,
 stored by :func:`params_to_json` and loaded, with checks, by
 :func:`params_from_json`.
@@ -75,10 +76,11 @@ def _as_matrix(data) -> np.ndarray:
 class Tensor2D:
     """Row-major float64 matrix and computation-graph node.
 
-    ``data`` holds the value, ``grad`` the accumulated gradient of the same
-    shape. Constructing from user data copies and checks finiteness; results
-    of recorded operations skip those checks (they are produced internally
-    from already-validated inputs).
+    ``data`` holds the value. ``grad``, of the same shape, is None until
+    :func:`backward` walks the node and gives it one. Constructing from user
+    data copies and checks finiteness; results of recorded operations skip
+    those checks (they are produced internally from already-validated
+    inputs).
     """
 
     __slots__ = ("data", "grad", "_parents", "_backprop")
@@ -87,7 +89,7 @@ class Tensor2D:
         self.data = _as_matrix(data)
         if not np.isfinite(self.data).all():
             raise ValueError("tensor entries must be finite")
-        self.grad = np.zeros_like(self.data)
+        self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backprop: Callable[[np.ndarray], None] | None = None
 
@@ -95,7 +97,7 @@ class Tensor2D:
     def _result(cls, data: np.ndarray, parents: tuple, backprop) -> "Tensor2D":
         out = Tensor2D.__new__(Tensor2D)
         out.data = data
-        out.grad = np.zeros_like(data)
+        out.grad = None
         out._parents = parents
         out._backprop = backprop
         return out
@@ -112,18 +114,10 @@ class Tensor2D:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @property
-    def values(self) -> np.ndarray:
-        """Entries in row-major order, length rows*cols."""
-        return self.data.ravel()
-
     def item(self) -> float:
         if self.data.shape != (1, 1):
             raise ValueError(f"item() requires a (1, 1) tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self) -> None:
-        self.grad[:] = 0.0
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.data.shape})"
@@ -132,15 +126,16 @@ class Tensor2D:
 class Parameter(Tensor2D):
     """Trainable value/gradient pair.
 
-    Unlike intermediate nodes, a Parameter's gradient survives across
-    backward calls (each call adds its exact contribution) until explicitly
-    reset with ``zero_grad``. ``name`` is used in optimizer diagnostics.
+    Unlike intermediate nodes, a Parameter has a gradient from the start, and
+    it survives across backward calls (each call adds its exact contribution)
+    until written to zero. ``name`` is used in optimizer diagnostics.
     """
 
     __slots__ = ("name",)
 
     def __init__(self, data, name: str = ""):
         super().__init__(data)
+        self.grad = np.zeros_like(self.data)
         self.name = name
 
     def __repr__(self) -> str:
@@ -183,7 +178,7 @@ def params_to_json(params: dict[str, Parameter]) -> dict:
     """Each parameter as ``{"rows", "cols", "values"}``, its values row-major
     at full float64 precision."""
     return {
-        name: {"rows": p.rows, "cols": p.cols, "values": p.values.tolist()}
+        name: {"rows": p.rows, "cols": p.cols, "values": p.data.ravel().tolist()}
         for name, p in params.items()
     }
 
@@ -354,46 +349,33 @@ def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
     return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
 
 
-def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
-    """Concatenate tensors side by side (all must share a row count)."""
+def _concat(parts: Sequence[Tensor2D], axis: int) -> Tensor2D:
+    """The tensors joined along ``axis``; all must share the other dimension."""
     if not parts:
-        raise ValueError("hstack of no tensors")
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.shape[0] != rows:
-            raise DimensionError(
-                f"hstack: row counts differ ({rows} vs {p.data.shape[0]})"
-            )
-    widths = [p.data.shape[1] for p in parts]
+        raise ValueError("stacking no tensors")
+    across = {p.data.shape[1 - axis] for p in parts}
+    if len(across) != 1:
+        raise DimensionError(f"stacking along axis {axis}: sizes {sorted(across)} across it differ")
+    sizes = [p.data.shape[axis] for p in parts]
 
     def backprop(g):
         at = 0
-        for p, w in zip(parts, widths):
-            p.grad += g[:, at : at + w]
-            at += w
+        for p, n in zip(parts, sizes):
+            p.grad += g[:, at : at + n] if axis else g[at : at + n]
+            at += n
 
-    return Tensor2D._result(np.hstack([p.data for p in parts]), tuple(parts), backprop)
+    return Tensor2D._result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                            backprop)
+
+
+def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
+    """Concatenate tensors side by side (all must share a row count)."""
+    return _concat(parts, 1)
 
 
 def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
     """Concatenate tensors top to bottom (all must share a column count)."""
-    if not parts:
-        raise ValueError("vstack of no tensors")
-    cols = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.shape[1] != cols:
-            raise DimensionError(
-                f"vstack: column counts differ ({cols} vs {p.data.shape[1]})"
-            )
-    heights = [p.data.shape[0] for p in parts]
-
-    def backprop(g):
-        at = 0
-        for p, h in zip(parts, heights):
-            p.grad += g[at : at + h, :]
-            at += h
-
-    return Tensor2D._result(np.vstack([p.data for p in parts]), tuple(parts), backprop)
+    return _concat(parts, 0)
 
 
 def mean_neg_log_gather(t: Tensor2D, rows, floor: float = 1e-12) -> Tensor2D:
@@ -445,9 +427,9 @@ def backward(root: Tensor2D) -> None:
     """Accumulate d(root)/d(node) into ``grad`` for every node below ``root``.
 
     ``root`` must be scalar and must be the result of at least one recorded
-    operation. Intermediate gradients are reset on every call; Parameter
-    gradients accumulate across calls (exactly one contribution per call)
-    until ``zero_grad``.
+    operation. Every other node walked gets a fresh zero gradient on every
+    call; Parameter gradients accumulate across calls (exactly one
+    contribution per call) until written to zero.
     """
     if root.data.shape != (1, 1):
         raise GraphError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -456,7 +438,7 @@ def backward(root: Tensor2D) -> None:
     order = _topo_order(root)
     for node in order:
         if not isinstance(node, Parameter):
-            node.grad[:] = 0.0
+            node.grad = np.zeros_like(node.data)
     root.grad[:] = 1.0
     for node in reversed(order):
         if node._backprop is not None:

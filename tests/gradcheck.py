@@ -52,7 +52,7 @@ def max_gradient_error(loss_fn, params: list[Parameter], h: float = 1e-5) -> flo
     differences are accurate to ~1e-10 there).
     """
     for p in params:
-        p.zero_grad()
+        p.grad[:] = 0.0
     backward(loss_fn())
     analytic = [p.grad.copy() for p in params]
 

@@ -214,7 +214,7 @@ def test_criterion_3_hand_oracles():
         assert abs(states[1].item() - math.tanh(0.5 * math.tanh(1.0))) < 1e-9
 
         # zero-parameter mLSTM: gates at 0.5, candidate at 0
-        mp = MLSTMParams.zeros(3, 2)
+        mp = MLSTMParams(3, 2)
         x = Tensor2D([[1.0], [0.0], [0.0]])
         h0 = Tensor2D(np.zeros((2, 1)))
         h, c = mlstm_step(x, h0, Tensor2D(np.zeros((2, 1))), mp)
@@ -230,7 +230,7 @@ def test_criterion_3_hand_oracles():
         adam.step()
         w1 = -1e-4 * (1.0 / (1.0 + 1e-8))
         assert abs(w.data[0, 0] - w1) < 1e-9
-        w.zero_grad()
+        adam.zero_grad()
         w.grad[:] = 0.5
         adam.step()
         m2 = 0.9 * 0.1 + 0.1 * 0.5

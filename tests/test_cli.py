@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -141,6 +142,25 @@ class TestPrepare:
         assert f"{emb}:2: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "run" / "corpus" / "embeddings.txt").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "embeddings file does not exist"),
+        ("hi 1.0 2.0\nyo inf 4.0\n", ":2: non-finite"),
+    ])
+    def test_bad_embeddings_exit_2_before_any_output(self, tmp_path, capsys, content,
+                                                     message):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n')
+        emb = tmp_path / "emb.txt"
+        if content is not None:
+            emb.write_text(content)
+        config, _ = write_config(
+            tmp_path, paths={"raw_train": str(raw), "raw_test": str(raw),
+                             "embeddings": str(emb)},
+        )
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "corpus").exists()
+
     def test_embedding_cache_filtered(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n')
@@ -190,6 +210,17 @@ class TestTrain:
         assert main(["--config", str(config), "synth"]) == 0
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 3
         assert "epoch 4" in capsys.readouterr().err
+
+    def test_file_word_table_stored_with_its_sha256(self, tmp_path):
+        table = tmp_path / "emb.txt"
+        table.write_text("w0_0 1.0 2.0\nw1_0 -1.0 0.5\nw2_1 0.0 3.0\n")
+        config, _ = write_config(tmp_path, paths={"embeddings": str(table)})
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        ckpt = json.loads((tmp_path / "run" / "baseline_word.ckpt.json").read_text())
+        assert ckpt["encoder"] == {"type": "word", "dim": 2, "source": {
+            "kind": "file", "path": str(table),
+            "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}}
 
     @pytest.mark.parametrize("kind", ["embeddings", "features"])
     def test_non_finite_input_file_exit_2(self, tmp_path, capsys, kind):
@@ -343,6 +374,42 @@ class TestEvalFailsClosed:
         assert code == 4 and not records.exists()
         err = capsys.readouterr().err
         assert "checkpoint error" in err and "embeddings.txt" in err
+
+    @staticmethod
+    def onehot_as_file(wc, path, digest=True):
+        """Write the WC checkpoint's one-hot word table to ``path`` and make
+        the checkpoint name the file, with its sha256 when ``digest``."""
+        vocab = wc["encoder"]["word"]["source"]["vocabulary"]
+        path.write_text("".join(
+            tok + "".join(" 1.0" if j == i else " 0.0" for j in range(len(vocab))) + "\n"
+            for i, tok in enumerate(vocab)))
+        source = {"kind": "file", "path": str(path)}
+        if digest:
+            source["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        wc["encoder"]["word"]["source"] = source
+
+    @pytest.mark.parametrize("digest", [True, False])
+    def test_file_word_table_evaluates_as_its_one_hot_form(self, tmp_path, digest):
+        table = tmp_path / "table.txt"
+        runs = [tmp_path / "onehot", tmp_path / "file"]
+        for run in runs:
+            run.mkdir()
+        code, onehot = self.run_eval(runs[0], lambda wc: None)
+        assert code == 0
+        code, records = self.run_eval(runs[1], lambda wc: self.onehot_as_file(wc, table, digest))
+        assert code == 0 and records.read_bytes() == onehot.read_bytes()
+
+    def test_changed_word_table_file_exit_4(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+
+        def edit(wc):
+            self.onehot_as_file(wc, table)
+            table.write_text(table.read_text().replace("1.0", "2.0", 1))
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        err = capsys.readouterr().err
+        assert f"word table {table} changed" in err
 
     def test_empty_test_split_exit_2(self, tmp_path, capsys, monkeypatch):
         from ctxda import cli as cli_mod
@@ -596,6 +663,53 @@ class TestConfig:
         assert main(["--config", str(path), "synth"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"train": {"batch_size": "16"}}, "train.batch_size"),
+        ({"train": {"batch_size": True}}, "train.batch_size"),
+        ({"train": {"batch_size": 16.0}}, "train.batch_size"),
+        ({"train": {"learning_rate": "1e-3"}}, "train.learning_rate"),
+        ({"train": {"learning_rate": None}}, "train.learning_rate"),
+        ({"train": {"split_by_conversation": 1}}, "train.split_by_conversation"),
+        ({"seed": "0"}, "seed"),
+        ({"model": {"attention_dim": "x"}}, "model.attention_dim"),
+        ({"model": {"attention_dim": 4.0}}, "model.attention_dim"),
+        ({"synthetic": {"transition": [1, 2]}}, "synthetic.transition"),
+        ({"synthetic": {"response_words": ["ok", 3]}}, "synthetic.response_words"),
+        ({"paths": {"embeddings": 3}}, "paths.embeddings"),
+        ({"paths": {"features": "f.tsv"}}, "paths.features"),
+        ({"paths": {"features": [1]}}, "paths.features"),
+        ({"swda": {"tag_map": {"a": "b"}}}, "swda.tag_map"),
+        ({"analysis": {"svg": "yes"}}, "analysis.svg"),
+    ])
+    def test_wrong_type_exit_2_before_any_output(self, tmp_path, capsys, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **config}))
+        for command in (["synth"], ["train", "--model", "baseline"]):
+            assert main(["--config", str(path), *command]) == 2
+            assert f"config key '{key}' must be" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"train": {"learning_rate": 1}},
+        {"model": {"attention_dim": 4, "dropout_rate": 0}},
+        {"model": {"attention_dim": None}},
+        {"synthetic": {"transition": {"0": 1, "1": 0}, "response_words": []}},
+        {"paths": {"embeddings": "e.txt", "features": ["a.tsv", "b.tsv"]}},
+    ])
+    def test_right_type_accepted(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        merged = load_config(str(path))
+        for section, values in config.items():
+            assert {k: merged[section][k] for k in values} == values
+
+    def test_every_null_default_has_a_type(self):
+        from ctxda.cli import _NULLABLE
+
+        nulls = {f"{section}.{key}" for section, values in DEFAULT_CONFIG.items()
+                 if isinstance(values, dict) for key, value in values.items() if value is None}
+        assert nulls == set(_NULLABLE)
 
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

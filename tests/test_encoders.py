@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ctxda import encoders as E
 from ctxda.corpus import Utterance
 from ctxda.optim import Adam, cross_entropy
 from ctxda.tensor import (
+    CheckpointError,
     DimensionError,
     Tensor2D,
     add,
@@ -173,7 +176,7 @@ class TestCharVocab:
 
 class TestMLSTM:
     def test_zero_params_zero_cell_gives_zero(self):
-        p = E.MLSTMParams.zeros(4, 3)
+        p = E.MLSTMParams(4, 3)
         x = Tensor2D(np.zeros((4, 1)))
         x.data[1, 0] = 1.0
         h, c = mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(np.zeros((3, 1))), p)
@@ -183,7 +186,7 @@ class TestMLSTM:
     def test_zero_params_halves_previous_cell(self):
         # gates sit at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0,
         # so c_t = 0.5 * c_prev exactly
-        p = E.MLSTMParams.zeros(2, 3)
+        p = E.MLSTMParams(2, 3)
         c_prev = np.array([[0.4], [-1.2], [2.0]])
         x = Tensor2D([[1.0], [0.0]])
         h, c = mlstm_step(x, Tensor2D(np.zeros((3, 1))), Tensor2D(c_prev), p)
@@ -191,7 +194,7 @@ class TestMLSTM:
         assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
     def test_shape_mismatch(self):
-        p = E.MLSTMParams.zeros(4, 3)
+        p = E.MLSTMParams(4, 3)
         with pytest.raises(DimensionError):
             mlstm_step(
                 Tensor2D(np.zeros((5, 1))),
@@ -263,7 +266,7 @@ def fused_and_reference_grads(idx, p, probe):
     for states in (lambda: E.mlstm_states(idx, p),
                    lambda: hstack(mlstm_reference_states(idx, p))):
         for param in p.parameters():
-            param.zero_grad()
+            param.grad[:] = 0.0
         backward(sum_all(hadamard(states(), Tensor2D(probe))))
         grads.append([param.grad.copy() for param in p.parameters()])
     return grads
@@ -362,7 +365,7 @@ class TestCharEncode:
         assert np.array_equal(states_mean, last)
 
     def test_zero_params_zero_vector(self):
-        p = E.MLSTMParams.zeros(96, 4)
+        p = E.MLSTMParams(96, 4)
         assert np.all(E.char_encode("hello", p, E.CharVocab()) == 0.0)
 
     def test_empty_text_zero_vector(self):
@@ -385,7 +388,7 @@ class TestCharEncode:
         assert np.array_equal(enc.encode_utterance(utt), enc.encode_utterance(utt))
 
     def test_rejects_unknown_reduce(self):
-        p = E.MLSTMParams.zeros(96, 4)
+        p = E.MLSTMParams(96, 4)
         with pytest.raises(ValueError):
             E.char_encode("a", p, E.CharVocab(), reduce="max")
 
@@ -533,3 +536,47 @@ class TestEncoderConfigRoundTrip:
         for utt in ROUND_TRIP_UTTERANCES:
             assert np.array_equal(rebuilt.encode_utterance(utt), encoder.encode_utterance(utt))
         assert json.dumps(E.encoder_to_config(rebuilt)) == stored
+
+
+class TestFileWordTable:
+    """A file-backed word table is stored by its path and sha256, and
+    verified with the stored dim when the encoder is rebuilt."""
+
+    utterance = Utterance("c", 0, "ab dab", "x")
+
+    def stored(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("ab 1.0 2.0\ndab 3.0 -4.0\n")
+        return path, json.loads(json.dumps(E.encoder_to_config(E.WordMeanEncoder.from_file(path))))
+
+    def test_source_holds_path_and_sha256(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        assert cfg["source"] == {"kind": "file", "path": str(path),
+                                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        rebuilt = E.encoder_from_config(cfg)
+        assert np.array_equal(rebuilt.encode_utterance(self.utterance), [2.0, -1.0])
+        assert E.encoder_to_config(rebuilt) == cfg
+
+    def test_rewritten_file_is_refused(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        path.write_text("ab 1.0 2.0\ndab 3.0 4.0\n")
+        with pytest.raises(CheckpointError, match=f"word table {re.escape(str(path))} changed"):
+            E.encoder_from_config(cfg)
+
+    def test_source_without_a_digest_still_loads(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        del cfg["source"]["sha256"]
+        path.write_text("ab 1.0 2.0\ndab 3.0 4.0\n")  # unverifiable, as before digests
+        assert np.array_equal(E.encoder_from_config(cfg).encode_utterance(self.utterance),
+                              [2.0, 3.0])
+
+    @pytest.mark.parametrize("digest", [True, False])
+    def test_dim_other_than_stored_is_refused(self, tmp_path, digest):
+        path, cfg = self.stored(tmp_path)
+        path.write_text("ab 1.0 2.0 0.0\n")
+        if digest:
+            cfg["source"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            del cfg["source"]["sha256"]
+        with pytest.raises(CheckpointError, match=f"word table {re.escape(str(path))} has dim 3"):
+            E.encoder_from_config(cfg)

@@ -18,6 +18,7 @@ from ctxda.model import (
     rnn_direction,
     save_checkpoint,
 )
+from ctxda import tensor as T
 from ctxda.tensor import Parameter, Tensor2D, backward
 from gradcheck import max_gradient_error
 
@@ -224,24 +225,33 @@ class TestDirectHead:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = Tensor2D(np.ones((4, 4)))
-        assert M.apply_dropout(x, 0.0, np.random.default_rng(0), True) is x
+        # an rng at rate 0 draws nothing and leaves the loss as it is
+        windows = padded_windows(np.random.default_rng(0), BATCH_MODELS["nc"](0.0), [1, 1])
+        for kind in sorted(BATCH_MODELS):
+            model, rng = BATCH_MODELS[kind](0.0), np.random.default_rng(0)
+            assert model.loss(windows, rng=rng).item() == model.loss(windows).item()
+            assert rng.random() == np.random.default_rng(0).random()
 
     def test_inference_identity_any_rate(self):
-        x = Tensor2D(np.ones((4, 4)))
-        assert M.apply_dropout(x, 0.9, np.random.default_rng(0), False) is x
+        # without an rng there is no dropout, whatever the rate
+        windows = padded_windows(np.random.default_rng(0), BATCH_MODELS["nc"](0.0), [5, 2])
+        for kind in sorted(BATCH_MODELS):
+            assert (BATCH_MODELS[kind](0.9).loss(windows).item()
+                    == BATCH_MODELS[kind](0.0).loss(windows).item())
 
     def test_survivor_scaling_preserves_mean(self):
         x = Tensor2D(np.ones((100, 1000)))
-        out = M.apply_dropout(x, 0.5, np.random.default_rng(1), True)
+        out = M.apply_dropout(x, 0.5, np.random.default_rng(1).random(x.shape))
         assert abs(out.data.mean() - 1.0) < 0.02
         survivors = out.data[out.data != 0.0]
         assert np.allclose(survivors, 2.0)
 
     def test_invalid_rate(self):
-        x = Tensor2D(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            M.apply_dropout(x, 1.0, np.random.default_rng(0), True)
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError, match="dropout rate"):
+                UttAttBiRNN(2, 2, hidden_dim=2, dropout_rate=rate)
+            with pytest.raises(ValueError, match="dropout rate"):
+                BaselineMLP(2, 2, hidden1=2, hidden2=2, dropout_rate=rate)
 
 
 class TestBaselineMLP:
@@ -352,13 +362,6 @@ class TestUttAttBiRNN:
         w = self.make_window(rng, model)
         assert np.array_equal(model.predict(w).probs, model.predict(w).probs)
 
-    def test_training_dropout_needs_rng(self):
-        model = UttAttBiRNN(3, 4, hidden_dim=3, seed=14, dropout_rate=0.5)
-        rng = np.random.default_rng(14)
-        w = self.make_window(rng, model)
-        with pytest.raises(ValueError):
-            model.predict(w, training=True)
-
 
 def padded_windows(rng, model, n_real_counts):
     """One window per count: that many real slots, the rest leading pads."""
@@ -394,18 +397,18 @@ class TestBatching:
         params = model.parameters()
 
         for p in params:
-            p.zero_grad()
+            p.grad[:] = 0.0
         batch_rng = np.random.default_rng(22)
-        batch_loss = model.loss(windows, training=True, rng=batch_rng)
+        batch_loss = model.loss(windows, rng=batch_rng)
         backward(batch_loss)
         batch_grads = [p.grad.copy() for p in params]
 
         for p in params:
-            p.zero_grad()
+            p.grad[:] = 0.0
         single_rng = np.random.default_rng(22)
         total = 0.0
         for w in windows:
-            single = model.loss([w], training=True, rng=single_rng)
+            single = model.loss([w], rng=single_rng)
             backward(single)
             total += single.item()
 
@@ -463,7 +466,7 @@ class TestBatching:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            backward(model.loss(windows, training=True, rng=np.random.default_rng(0)))
+            backward(model.loss(windows, rng=np.random.default_rng(0)))
             model.predict(windows)
             gc.collect()
             leaked = [o for o in gc.garbage if isinstance(o, Tensor2D)]
@@ -471,6 +474,32 @@ class TestBatching:
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == []
+
+
+class TestGradientsOnlyInBackward:
+    """A forward pass allocates no gradient; ``backward`` gives one to each
+    node it walks."""
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_loss_graph_has_no_gradient_until_backward(self, kind):
+        model = BATCH_MODELS[kind](0.2)
+        windows = padded_windows(np.random.default_rng(25), model, [5, 2, 1])
+        loss = model.loss(windows, rng=np.random.default_rng(0))
+        nodes = [n for n in T._topo_order(loss) if not isinstance(n, Parameter)]
+        assert len(nodes) > 5 and all(n.grad is None for n in nodes)
+        backward(loss)
+        assert all(n.grad.shape == n.data.shape for n in nodes)
+
+    @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+    def test_predict_allocates_no_gradient(self, kind, monkeypatch):
+        made, result = [], Tensor2D._result
+        monkeypatch.setattr(Tensor2D, "_result",
+                            staticmethod(lambda *args: made.append(result(*args)) or made[-1]))
+        model = BATCH_MODELS[kind](0.2)
+        windows = padded_windows(np.random.default_rng(26), model, [5, 2, 1])
+        model.predict(windows)
+        assert made and all(n.grad is None for n in made)
+        assert all(np.all(p.grad == 0.0) for p in model.parameters())
 
 
 class TestPrediction:

@@ -8,7 +8,7 @@ from ctxda.corpus import SyntheticSpec, TagVocabulary, build_all_windows, genera
 from ctxda.encoders import EmbeddingTable, WordMeanEncoder
 from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN
 from ctxda.optim import Adam, EarlyStopping, TrainConfig, TrainingDiverged
-from ctxda.tensor import Parameter, Tensor2D, softmax_columns
+from ctxda.tensor import Parameter, Tensor2D, params_from_json, params_to_json, softmax_columns
 
 
 class TestCrossEntropy:
@@ -69,7 +69,7 @@ class TestAdam:
         adam.step()
         w1 = -1e-4 / (1.0 + 1e-8)
         assert p.data[0, 0] == pytest.approx(w1, abs=1e-18)
-        p.zero_grad()
+        adam.zero_grad()
         p.grad[:] = 0.5
         adam.step()
         m2 = 0.9 * 0.1 + 0.1 * 0.5
@@ -87,7 +87,7 @@ class TestAdam:
         p.grad[:] = 2.0
         adam.step()
         first = p.data[0, 0]
-        p.zero_grad()
+        adam.zero_grad()
         p.grad[:] = 2.0
         adam.step()
         assert p.data[0, 0] - first == pytest.approx(first, abs=1e-15)
@@ -98,6 +98,65 @@ class TestAdam:
         p.grad[:] = np.nan
         with pytest.raises(TrainingDiverged, match="att.proj"):
             adam.step()
+
+
+def assert_views(adam, params):
+    """Each parameter's data and grad are views of the Adam's flat buffers."""
+    for p in params:
+        assert np.shares_memory(p.data, adam.data) and p.data.base is not None, p.name
+        assert np.shares_memory(p.grad, adam.grad) and p.grad.base is not None, p.name
+
+
+class TestFlatBuffer:
+    def test_buffers_hold_the_parameters_in_order(self):
+        model = UttAttBiRNN(3, 4, hidden_dim=3, seed=5)
+        params = model.parameters()
+        params[0].grad[:] = 2.0
+        values = np.concatenate([p.data.ravel() for p in params])
+        grads = np.concatenate([p.grad.ravel() for p in params])
+        adam = Adam(params)
+        assert np.array_equal(adam.data, values) and np.array_equal(adam.grad, grads)
+        for flat in (adam.data, adam.grad, adam.m, adam.v):
+            assert flat.shape == (sum(p.data.size for p in params),)
+        assert_views(adam, params)
+
+    def test_views_survive_loading_and_zero_grad(self):
+        model = UttAttBiRNN(3, 4, hidden_dim=3, seed=5)
+        adam = Adam(model.parameters())
+        stored = params_to_json(UttAttBiRNN(3, 4, hidden_dim=3, seed=6).params)
+        params_from_json(model.params, stored)
+        assert_views(adam, model.parameters())
+        assert params_to_json(model.params) == stored
+        adam.grad[:] = 3.0
+        adam.zero_grad()
+        assert_views(adam, model.parameters())
+        assert all(np.all(p.grad == 0.0) for p in model.parameters())
+
+    def test_views_survive_the_early_stopping_restore(self, monkeypatch):
+        built = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(O, "Adam", RecordingAdam)
+        _, windows, vocab, encoder = tiny_corpus(seed=3, n_conversations=6)
+        model = BaselineMLP(encoder.dim, len(vocab), hidden1=10, hidden2=6, seed=3)
+        cfg = TrainConfig(batch_size=8, max_epochs=12, learning_rate=2e-3,
+                          patience=3, seed=3, val_fraction=0.2)
+        result = O.train(model, windows, cfg)
+        assert result.best_epoch < len(result.history)  # the restore did run
+        (adam,) = built
+        assert_views(adam, model.parameters())
+
+    def test_a_non_finite_gradient_names_its_parameter(self):
+        a, b = Parameter([[0.0, 1.0]], name="first"), Parameter([[2.0], [3.0]], name="second")
+        adam = Adam([a, b])
+        b.grad[1, 0] = np.inf
+        with pytest.raises(TrainingDiverged, match="second"):
+            adam.step()
+        assert a.data.tolist() == [[0.0, 1.0]] and adam.step_count == 0
 
 
 class TestDecay:
@@ -123,20 +182,20 @@ class TestEarlyStopping:
         accs = [60, 61, 61, 61, 61, 61, 61]
         stopped_at = None
         for epoch, acc in enumerate(accs, start=1):
-            if stopper.update(acc, [np.array([[float(epoch)]])], epoch):
+            if stopper.update(acc, np.array([float(epoch)]), epoch):
                 stopped_at = epoch
                 break
         assert stopped_at == 7
         assert stopper.best_epoch == 2
-        assert stopper.best_snapshot[0][0, 0] == 2.0
+        assert stopper.best_snapshot[0] == 2.0
         assert stopper.epochs_since_improvement == stopper.patience
 
     def test_snapshot_is_copied(self):
         stopper = EarlyStopping(patience=2)
-        live = np.array([[1.0]])
-        stopper.update(50.0, [live], 1)
-        live[0, 0] = 99.0
-        assert stopper.best_snapshot[0][0, 0] == 1.0
+        live = np.array([1.0])
+        stopper.update(50.0, live, 1)
+        live[0] = 99.0
+        assert stopper.best_snapshot[0] == 1.0
 
 
 class TestSplitValidation:

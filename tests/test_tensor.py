@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctxda import tensor as T
+from ctxda.optim import Adam
 from ctxda.tensor import (
     DimensionError,
     GraphError,
@@ -22,11 +26,11 @@ class TestTensor2D:
         t = Tensor2D([1.0, 2.0, 3.0])
         assert t.shape == (3, 1)
         assert t.rows == 3 and t.cols == 1
-        assert t.values.tolist() == [1.0, 2.0, 3.0]
+        assert t.data.ravel().tolist() == [1.0, 2.0, 3.0]
 
     def test_row_major_values(self):
         t = Tensor2D([[1.0, 2.0], [3.0, 4.0]])
-        assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert t.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -42,8 +46,16 @@ class TestTensor2D:
         p = Parameter(np.ones((2, 3)), name="w")
         assert p.grad.shape == p.data.shape
         p.grad += 5.0
-        p.zero_grad()
+        Adam([p]).zero_grad()
         assert np.all(p.grad == 0.0)
+
+    def test_only_a_parameter_starts_with_a_gradient(self):
+        x = Tensor2D([[1.0, 2.0]])
+        w = Parameter([[3.0], [4.0]])
+        y = T.matmul(x, w)
+        assert x.grad is None and y.grad is None
+        assert w.grad.tolist() == [[0.0], [0.0]]
+        assert not hasattr(Tensor2D, "zero_grad")
 
 
 class TestMatmul:
@@ -123,6 +135,20 @@ class TestElementwise:
     def test_sigmoid_no_overflow_for_large_negative(self):
         out = sigmoid_map(Tensor2D([[-1e4], [1e4]]))
         assert np.isfinite(out.data).all()
+
+
+class TestStack:
+    def test_values_and_mismatches(self):
+        a, b = Tensor2D([[1.0], [2.0]]), Tensor2D([[3.0, 4.0], [5.0, 6.0]])
+        assert T.hstack([a, b]).data.tolist() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
+        assert T.vstack([b, T.transpose(a)]).data.tolist() == [[3.0, 4.0], [5.0, 6.0],
+                                                                [1.0, 2.0]]
+        with pytest.raises(DimensionError):
+            T.hstack([a, Tensor2D([[1.0]])])
+        with pytest.raises(DimensionError):
+            T.vstack([a, b])
+        with pytest.raises(ValueError):
+            T.hstack([])
 
 
 class TestBackward:
@@ -316,6 +342,25 @@ class TestColumnOps:
         assert p.grad[0, 1] == pytest.approx(-1.0 / (2 * 0.5))
 
 
+class TestSoftmaxProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), masked=st.booleans())
+    def test_property_finite_simplex_columns(self, data, masked):
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        entries = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+        x = data.draw(arrays(np.float64, (rows, cols), elements=entries))
+        keep = None
+        if masked:
+            keep = data.draw(arrays(np.bool_, (rows, cols)))
+            keep[data.draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols)),
+                 np.arange(cols)] = True  # every column keeps an entry
+        y = T.softmax_columns(Tensor2D(x), keep).data
+        assert np.isfinite(y).all() and y.min() >= 0.0
+        assert np.abs(y.sum(axis=0) - 1.0).max() <= 1e-12
+        if masked:
+            assert np.all(y[~keep] == 0.0)
+
+
 class TestColumnOpGradients:
     """Every column-wise op against central finite differences."""
 
@@ -436,6 +481,25 @@ class TestParameterRegistry:
         T.params_from_json(loaded, json.loads(json.dumps(T.params_to_json(params))))
         for name, p in params.items():
             assert np.array_equal(loaded[name].data, p.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_json_round_trip_is_bitwise_also_into_adam_views(self, data):
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                                    min_size=1, max_size=4))
+        names = {f"p{i}": shape for i, shape in enumerate(shapes)}
+        values = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals too
+        params = {name: T.Parameter(data.draw(arrays(np.float64, shape, elements=values)))
+                  for name, shape in names.items()}
+        stored = json.loads(json.dumps(T.params_to_json(params)))
+        plain, viewed = T.init_params(None, names), T.init_params(None, names)
+        adam = Adam(list(viewed.values()))
+        for loaded in (plain, viewed):
+            T.params_from_json(loaded, stored)
+            for name, p in params.items():
+                assert loaded[name].data.tobytes() == p.data.tobytes()
+        assert all(np.shares_memory(p.data, adam.data) for p in viewed.values())
+        assert adam.data.tobytes() == b"".join(p.data.tobytes() for p in params.values())
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s.pop("b"),
