@@ -9,8 +9,10 @@ failure, 4 checkpoint error, 5 analysis input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
+import hashlib
 import inspect
 import json
 import logging
@@ -31,6 +33,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
+from .tensor import params_from_json, params_to_json
 
 log = logging.getLogger("ctxda")
 
@@ -204,9 +207,12 @@ def _load_prepared(cfg: dict):
 
 def _write_prepared(cfg: dict, train_convs, test_convs):
     """Write the splits and their tag vocabulary where ``_load_prepared``
-    reads them; returns (corpus_dir, vocabulary)."""
+    reads them, after removing the character LMs fitted on what the corpus
+    held before; returns (corpus_dir, vocabulary)."""
     corpus_dir = _corpus_dir(cfg)
     corpus_dir.mkdir(parents=True, exist_ok=True)
+    for cached in corpus_dir.glob("char_lm-*.json"):
+        cached.unlink()
     cor.write_jsonl(corpus_dir / "train.jsonl", train_convs)
     cor.write_jsonl(corpus_dir / "test.jsonl", test_convs)
     vocab = cor.TagVocabulary.from_conversations(train_convs + test_convs)
@@ -220,16 +226,64 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _write_char_lm(path: Path, key: dict, params) -> None:
+    """Cache the character LM ``params`` fitted under ``key`` at ``path``.
+    The file appears whole or not at all; a write that fails is logged and
+    skipped, since the cache only saves the next run its training."""
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({"key": key, "weights": params_to_json(params)}),
+                       encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        log.warning("character LM not cached at %s: %s", path, exc)
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
 def _corpus_tokens(convs) -> list[str]:
     """The sorted token vocabulary of ``convs``."""
     return sorted({tok for conv in convs for u in conv.utterances
                    for tok in enc.tokenize(u.text)})
 
 
+def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
+    """The character LM of the prepared corpus for this seed and these LM
+    settings: read from its cache file in the corpus directory, or fitted
+    and cached there. A cache file that does not hold what its name says
+    exits 4; it is never retrained over."""
+    settings = {name: cfg["model"][key] for key, name in _CHAR_LM.items()}
+    corpus_dir = _corpus_dir(cfg)
+    # everything train_char_lm's result depends on
+    key = {"seed": cfg["seed"], **settings, "chars": vocab.chars, "train_sha256":
+           hashlib.sha256((corpus_dir / "train.jsonl").read_bytes()).hexdigest()}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    path = corpus_dir / f"char_lm-{digest[:16]}.json"
+    if not path.exists():
+        texts = [u.text for conv in train_convs for u in conv.utterances]
+        log.info("training character LM (hidden=%d, epochs=%d)",
+                 settings["hidden_dim"], settings["epochs"])
+        params, losses = enc.train_char_lm(texts, vocab, seed=cfg["seed"], **settings)
+        log.info("char LM losses per epoch: %s", ["%.4f" % x for x in losses])
+        _write_char_lm(path, key, params)
+        return params
+    log.info("reusing character LM %s", path)
+    params = enc.MLSTMParams(vocab.size, settings["hidden_dim"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        if stored["key"] != key:
+            raise CheckpointError("its stored key is not this run's")
+        params_from_json(params, stored["weights"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"character LM cache {path} is unusable: {exc} "
+                       f"(delete it to retrain)", EXIT_CHECKPOINT)
+    return params
+
+
 def _build_encoder(cfg: dict, train_convs, test_convs):
     choice = cfg["encoder"]
     mcfg = cfg["model"]
-    seed = cfg["seed"]
 
     def word_encoder():
         cache = _corpus_dir(cfg) / "embeddings.txt"
@@ -244,14 +298,8 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
                                    {"kind": "onehot", "vocabulary": vocab})
 
     def char_encoder():
-        texts = [u.text for conv in train_convs for u in conv.utterances]
         vocab = enc.CharVocab()
-        log.info("training character LM (hidden=%d, epochs=%d)",
-                 mcfg["char_hidden_dim"], mcfg["char_lm_epochs"])
-        params, losses = enc.train_char_lm(
-            texts, vocab, seed=seed, **{name: mcfg[key] for key, name in _CHAR_LM.items()}
-        )
-        log.info("char LM losses per epoch: %s", ["%.4f" % x for x in losses])
+        params = _char_lm(cfg, train_convs, vocab)
         return enc.CharMLSTMEncoder(params, vocab, reduce=mcfg["char_reduce"])
 
     if choice == "word":
@@ -398,17 +446,19 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     vocab = cor.TagVocabulary(nc_tags)
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
-    # windows are built once per distinct encoder configuration
-    window_cache: dict[str, list] = {}
+    # windows are built once per distinct encoder configuration; configurations
+    # are compared as they are, since serializing a character encoder's
+    # weights to key on them costs more than the comparison
+    window_cache: list[tuple[dict, list]] = []
 
     def windows_for(meta) -> list:
-        key = json.dumps(meta["encoder"], sort_keys=True)
-        if key not in window_cache:
-            encoder = enc.encoder_from_config(meta["encoder"])
-            window_cache[key] = cor.build_all_windows(
-                test_convs, n_context, encoder, vocab
-            )
-        return window_cache[key]
+        for config, windows in window_cache:
+            if config == meta["encoder"]:
+                return windows
+        encoder = enc.encoder_from_config(meta["encoder"])
+        windows = cor.build_all_windows(test_convs, n_context, encoder, vocab)
+        window_cache.append((meta["encoder"], windows))
+        return windows
 
     def predictions(group):
         return [(name, model.predict(windows_for(meta))) for name, model, meta in group]

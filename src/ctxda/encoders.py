@@ -236,16 +236,14 @@ def _stacked(p: MLSTMParams):
             np.vstack([p[n].data for n in _B_NAMES]).ravel())
 
 
-def _mlstm_run(idx, p: MLSTMParams, keep: bool):
-    """The mLSTM over the input indices ``idx`` from a zero state, in plain
-    numpy: the (H, T) hidden states, and the (H, T) cell states if ``keep``.
-
-    The input is one-hot, so the input products are columns of ``w_x``,
-    gathered once; each step then takes two matrix products.
+def _mlstm_run(xs, w_mh, w_gm, b, keep: bool):
+    """The mLSTM from a zero state, in plain numpy, over the gathered input
+    columns ``xs`` (row t is ``w_x[:, idx[t]]``; the input is one-hot, so
+    the input products are columns of ``w_x``) and the rest of the stacked
+    cell: the (H, T) hidden states, and the (H, T) cell states if ``keep``.
+    Each step takes two matrix products.
     """
-    hd, steps = p.hidden_dim, len(idx)
-    w_x, w_mh, w_gm, b = _stacked(p)
-    xs = w_x.T[idx]  # row t is w_x[:, idx[t]]
+    hd, steps = w_mh.shape[0], len(xs)
     hs = np.empty((hd, steps))
     cs = np.empty((hd, steps)) if keep else None
     h, c = np.zeros(hd), np.zeros(hd)
@@ -273,11 +271,11 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
     if not len(idx):
         raise ValueError("mlstm_states of an empty sequence")
     w_x, w_mh, w_gm, b = _stacked(p)
-    hs, cs = _mlstm_run(idx, p, keep=True)
+    xs = w_x.T[idx]
+    hs, cs = _mlstm_run(xs, w_mh, w_gm, b, keep=True)
     hd, steps = hs.shape
 
     def backprop(g):
-        xs = w_x.T[idx]
         h_prev, c_prev = (np.vstack([np.zeros((1, hd)), a.T[:-1]]) for a in (hs, cs))
         mh = h_prev @ w_mh.T
         m = xs[:, :hd] * mh
@@ -325,7 +323,8 @@ def char_encode(
         raise ValueError(f"unknown reduce mode {reduce!r}")
     if not text:
         return np.zeros(p.hidden_dim)
-    hs, _ = _mlstm_run(vocab.indices(text), p, keep=False)
+    w_x, *cell = _stacked(p)
+    hs, _ = _mlstm_run(w_x.T[vocab.indices(text)], *cell, keep=False)
     if reduce == "last":
         return hs[:, -1].copy()
     return np.mean(list(hs.T), axis=0)

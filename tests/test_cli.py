@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -249,6 +250,133 @@ class TestTrain:
         assert "training diverged: non-finite gradient in parameter mlstm." in (
             capsys.readouterr().err)
         assert not list((tmp_path / "run").glob("*.ckpt.json"))
+        assert not list((tmp_path / "run" / "corpus").glob("char_lm-*.json"))
+
+
+def char_config(tmp_path, **model):
+    """A small ``char`` config; ``model`` overrides its model section."""
+    return write_config(tmp_path, encoder="char", model={
+        "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16, **model})
+
+
+def count_lm_fits(monkeypatch) -> list:
+    """Record each call of ``train_char_lm`` that the CLI makes."""
+    from ctxda import cli as cli_mod
+
+    calls, fit = [], cli_mod.enc.train_char_lm
+    monkeypatch.setattr(cli_mod.enc, "train_char_lm",
+                        lambda *args, **kwargs: (calls.append(1), fit(*args, **kwargs))[1])
+    return calls
+
+
+class TestCharLMCache:
+    """The character LM is fitted once per corpus, seed and LM settings and
+    kept in the corpus directory as char_lm-<key digest>.json."""
+
+    @staticmethod
+    def cached(tmp_path) -> list[Path]:
+        return sorted((tmp_path / "run" / "corpus").glob("char_lm-*.json"))
+
+    def test_second_train_loads_the_lm_the_first_fitted(self, tmp_path, monkeypatch):
+        config, _ = char_config(tmp_path)
+        calls = count_lm_fits(monkeypatch)
+        assert main(["--config", str(config), "synth"]) == 0
+        for model in ("baseline", "uttattbirnn"):
+            assert main(["--config", str(config), "train", "--model", model]) == 0
+        assert calls == [1]
+        assert len(self.cached(tmp_path)) == 1
+
+    def test_checkpoint_on_a_cached_lm_is_byte_identical(self, tmp_path):
+        runs = [tmp_path / "cached", tmp_path / "fresh"]
+        for run, models in zip(runs, (["baseline", "uttattbirnn"], ["uttattbirnn"])):
+            run.mkdir()
+            config, _ = char_config(run)
+            assert main(["--config", str(config), "synth"]) == 0
+            for model in models:
+                assert main(["--config", str(config), "train", "--model", model]) == 0
+        cached, fresh = (run / "run" / "uttattbirnn_char.ckpt.json" for run in runs)
+        assert cached.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("flags, model", [(["--seed", "8"], {}),
+                                              ([], {"char_lm_epochs": 2})])
+    def test_other_seed_or_settings_fit_another_lm(self, tmp_path, monkeypatch, flags, model):
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        calls = count_lm_fits(monkeypatch)
+        config, _ = char_config(tmp_path, **model)
+        assert main(["--config", str(config), *flags, "train", "--model", "baseline"]) == 0
+        assert calls == [1]
+        assert len(self.cached(tmp_path)) == 2
+
+    @staticmethod
+    def tamper_weight(stored):
+        stored["weights"]["w_mh"]["values"][3] = float("nan")
+
+    @staticmethod
+    def change_key(stored):
+        stored["key"]["epochs"] = 5
+
+    @pytest.mark.parametrize("edit", ["tamper_weight", "change_key", "truncate"])
+    def test_unusable_entry_exit_4_without_refitting(self, tmp_path, capsys, monkeypatch,
+                                                     edit):
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        (entry,) = self.cached(tmp_path)
+        text = entry.read_text()
+        if edit == "truncate":
+            text = text[: len(text) // 2]
+        else:
+            stored = json.loads(text)
+            getattr(self, edit)(stored)
+            text = json.dumps(stored)
+        entry.write_text(text)
+        calls = count_lm_fits(monkeypatch)
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "uttattbirnn"]) == 4
+        assert f"character LM cache {entry} is unusable" in capsys.readouterr().err
+        assert calls == []
+        assert entry.read_text() == text
+        assert not (tmp_path / "run" / "uttattbirnn_char.ckpt.json").exists()
+
+    def test_synth_removes_the_entries(self, tmp_path):
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        (tmp_path / "run" / "corpus" / "char_lm-0000000000000000.json").write_text("{}")
+        assert len(self.cached(tmp_path)) == 2
+        assert main(["--config", str(config), "synth"]) == 0
+        assert self.cached(tmp_path) == []
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="the superuser writes into a read-only directory")
+    def test_read_only_corpus_still_trains(self, tmp_path, capsys):
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        corpus = tmp_path / "run" / "corpus"
+        corpus.chmod(0o555)
+        try:
+            assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        finally:
+            corpus.chmod(0o755)
+        assert "character LM not cached" in capsys.readouterr().err
+        assert (tmp_path / "run" / "baseline_char.ckpt.json").exists()
+        assert self.cached(tmp_path) == []
+
+    def test_failed_cache_write_still_trains(self, tmp_path, capsys, monkeypatch):
+        from ctxda import cli as cli_mod
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot write {dst}")
+
+        monkeypatch.setattr(cli_mod.os, "replace", refuse)
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        assert "character LM not cached" in capsys.readouterr().err
+        assert (tmp_path / "run" / "baseline_char.ckpt.json").exists()
+        assert [p.name for p in (tmp_path / "run" / "corpus").glob("char_lm-*")] == []
 
 
 class TestEval:
@@ -279,6 +407,25 @@ class TestEval:
                      "--nc", str(out / "baseline_word.ckpt.json"), "--wc", wc, wc])
         assert code == 0
         assert built == [(4 * 8, 3)] * 3
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_windows_built_once_per_distinct_encoder(self, pipeline, monkeypatch, equal):
+        from ctxda import cli as cli_mod
+
+        config, out = pipeline
+        wc = out / "uttattbirnn_word.ckpt.json"
+        if not equal:
+            ckpt = json.loads(wc.read_text())
+            ckpt["encoder"]["source"]["vocabulary"].reverse()
+            wc = out / "reversed.ckpt.json"
+            wc.write_text(json.dumps(ckpt))
+        built, rebuild = [], cli_mod.enc.encoder_from_config
+        monkeypatch.setattr(cli_mod.enc, "encoder_from_config",
+                            lambda cfg: (built.append(cfg["type"]), rebuild(cfg))[1])
+        code = main(["--config", str(config), "eval",
+                     "--nc", str(out / "baseline_word.ckpt.json"), "--wc", str(wc), str(wc)])
+        assert code == 0
+        assert built == ["word"] * (1 if equal else 2)
 
     def test_corrupted_checkpoint_exit_4(self, pipeline, capsys):
         config, out = pipeline
