@@ -11,9 +11,10 @@ the current one. The attention profile reverses that, so its entry 0 always
 belongs to the utterance being classified and entry k to the k-th preceding
 one.
 
-Windows are processed in batches: slot k of B windows forms one (D, B)
-input, one column per window, and every layer works on all columns at once.
-A single window is a batch of one.
+Windows are processed in batches: the slot inputs of B windows form one
+(K, B, D) array, the BiRNN turns it into one (2H, K*B) state matrix with a
+column per slot and window, and every later layer works on all columns at
+once. A single window is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import numpy as np
 
 from .tensor import (
     CheckpointError,
+    DimensionError,
     Parameter,
     Tensor2D,
-    add,
     add_bias,
-    hadamard,
-    hstack,
     init_params,
     matmul,
     params_from_json,
@@ -40,7 +39,6 @@ from .tensor import (
     softmax_columns,
     tanh_map,
     transpose,
-    vstack,
     weighted_sum,
 )
 
@@ -112,60 +110,80 @@ class Prediction:
 def apply_dropout(h: Tensor2D, rate: float, uniforms: np.ndarray) -> Tensor2D:
     """Inverted dropout: zero the entries of ``h`` whose U[0, 1) draw in
     ``uniforms`` (of ``h``'s shape) is below ``rate``, and scale the
-    survivors by 1/(1-rate)."""
+    survivors by 1/(1-rate). The mask is a constant, so ``h`` is the node's
+    only parent."""
     keep = (uniforms >= rate) / (1.0 - rate)
-    return hadamard(h, Tensor2D._result(keep, (), None))
+
+    def backprop(g):
+        h.grad += g * keep
+
+    return Tensor2D._result(h.data * keep, (h,), backprop)
 
 
-def rnn_direction(
-    seq: list[Tensor2D], params: dict, reverse: bool = False, prefix: str = "fwd"
-) -> list[Tensor2D]:
-    """Plain tanh RNN over the sequence from a zero initial state, with the
-    registry's ``<prefix>.w_in`` (input -> hidden), ``<prefix>.w_rec``
-    (hidden -> hidden) and ``<prefix>.bias``.
+def birnn_states(x: np.ndarray, params: dict) -> Tensor2D:
+    """The BiRNN over a batch's slot inputs, as one (2H, K*B) graph node whose
+    parents are the registry's ``fwd.*`` and ``bwd.*`` Parameters.
 
-    Each input is (D, B), one column per example, and each state (H, B).
-    ``reverse=True`` iterates newest to oldest; outputs are re-aligned so
-    entry k always corresponds to input slot k.
+    ``x`` is (K, B, D): slot k of B windows, oldest slot first. Each direction
+    is a plain tanh RNN from a zero state, ``tanh((w_rec @ h + w_in @ x_k) +
+    bias)``, the ``bwd`` one run newest to oldest. Rows are [forward;
+    backward] and column k*B + j is slot k of window j. Its backward is
+    hand-written BPTT: one reverse loop per direction in that direction's
+    step order, then the input-weight gradients in slot order.
     """
-    w_in, w_rec, bias = (params[f"{prefix}.{k}"] for k in ("w_in", "w_rec", "bias"))
-    hidden = Tensor2D._result(np.zeros((bias.rows, seq[0].cols)), (), None)
-    steps = reversed(seq) if reverse else seq
-    states = []
-    for u in steps:
-        hidden = tanh_map(add_bias(add(matmul(w_rec, hidden), matmul(w_in, u)), bias))
-        states.append(hidden)
-    if reverse:
-        states.reverse()
-    return states
+    n_slots, batch, dim = x.shape
+    prefixes, orders = ("fwd", "bwd"), (range(n_slots), range(n_slots - 1, -1, -1))
+    parents = tuple(params[f"{d}.{k}"] for d in prefixes for k in ("w_in", "w_rec", "bias"))
+    ys = [[None] * n_slots for _ in prefixes]  # each direction's states by slot
+    for d, order in enumerate(orders):
+        w_in, w_rec, bias = parents[3 * d : 3 * d + 3]
+        if dim != w_in.cols:
+            raise DimensionError(f"birnn_states: inputs of size {dim} for {prefixes[d]}.w_in "
+                                 f"{w_in.shape}")
+        h = np.zeros((bias.rows, batch))
+        for k in order:
+            h = ys[d][k] = np.tanh((w_rec.data @ h + w_in.data @ x[k].T) + bias.data)
+    hidden = parents[2].rows
 
+    def backprop(g):
+        for d, order in enumerate(orders):
+            w_in, w_rec, bias = parents[3 * d : 3 * d + 3]
+            g_dir = g[d * hidden : (d + 1) * hidden]
+            dpre = [None] * n_slots
+            d_next = None
+            for step in range(n_slots - 1, -1, -1):
+                k = order[step]
+                d_out = g_dir[:, k * batch : (k + 1) * batch]
+                if d_next is not None:
+                    d_out = d_out + w_rec.data.T @ d_next
+                d_next = dpre[k] = d_out * (1.0 - ys[d][k] * ys[d][k])
+                bias.grad += d_next.sum(axis=1, keepdims=True)
+                if step:  # the first step's previous state is the zero state
+                    w_rec.grad += d_next @ ys[d][order[step - 1]].T
+            for k in range(n_slots):
+                w_in.grad += dpre[k] @ x[k]
 
-def birnn_forward(features: list[Tensor2D], params: dict) -> list[Tensor2D]:
-    """Per-step concatenation [forward_state; backward_state], forward first,
-    from the registry's ``fwd.*`` and ``bwd.*`` directions."""
-    fwd = rnn_direction(features, params)
-    bwd = rnn_direction(features, params, reverse=True, prefix="bwd")
-    return [vstack([f, b]) for f, b in zip(fwd, bwd)]
+    return Tensor2D._result(np.vstack([np.hstack(y) for y in ys]), parents, backprop)
 
 
 def attention(
-    steps: list[Tensor2D], params: dict, keep: np.ndarray | None = None
+    states: Tensor2D, params: dict, n_slots: int, keep: np.ndarray | None = None
 ) -> tuple[Tensor2D, Tensor2D]:
     """Score the step states and collapse them into one summary per column,
     with the registry's ``att.proj`` (A, 2H) projection and ``att.score``
     (A, 1) scoring vector.
 
-    ``steps`` holds the n+1 step states in window order (oldest first), each
-    (2H, B). Returns (weights, summary): ``weights`` is an (n+1, B) node whose
-    columns are simplices over the steps; ``summary`` (2H, B) is tanh of the
-    weighted sum of the step states. ``keep`` (n+1, B) masks steps out of the
-    softmax, giving them weight 0.
+    ``states`` is the (2H, K*B) output of :func:`birnn_states`, slot k of
+    window j in column k*B + j, with ``n_slots`` = K slots in window order
+    (oldest first). Returns (weights, summary): ``weights`` is a (K, B) node
+    whose columns are simplices over the slots; ``summary`` (2H, B) is tanh
+    of the weighted sum of the slot states. ``keep`` (K, B) masks slots out
+    of the softmax, giving them weight 0.
     """
-    stacked = hstack(steps)                                  # (2H, (n+1)*B), slot-major
-    projected = tanh_map(matmul(params["att.proj"], stacked))     # (A, (n+1)*B)
-    scores = matmul(transpose(params["att.score"]), projected)    # (1, (n+1)*B)
-    weights = softmax_columns(reshape(scores, len(steps), steps[0].cols), keep)
-    summary = tanh_map(weighted_sum(steps, weights))         # (2H, B)
+    projected = tanh_map(matmul(params["att.proj"], states))       # (A, K*B)
+    scores = matmul(transpose(params["att.score"]), projected)      # (1, K*B)
+    weights = softmax_columns(reshape(scores, n_slots, states.cols // n_slots), keep)
+    summary = tanh_map(weighted_sum(states, weights))             # (2H, B)
     return weights, summary
 
 
@@ -178,14 +196,15 @@ def classify(u_final: Tensor2D, params: dict) -> Tensor2D:
 PREDICT_CHUNK = 64  # windows per forward pass when predicting a list; bounds eval memory
 
 
-def _slot_inputs(windows, slots) -> list[Tensor2D]:
-    """The features of the given slots of every window, one (D, B) input per
-    slot with one column per window."""
+def _slot_inputs(windows, slots) -> np.ndarray:
+    """The features of the given slots of every window as one (K, B, D)
+    array: slot k of window j is row j of block k."""
     if not windows:
         raise ValueError("empty batch of windows")
-    feats = np.array([[w.features[k] for k in slots] for w in windows], dtype=np.float64)
-    feats = feats.reshape(len(windows), len(slots), -1)
-    return [Tensor2D(feats[:, k, :].T) for k in range(len(slots))]
+    feats = np.array([[w.features[k] for w in windows] for k in slots], dtype=np.float64)
+    if not np.isfinite(feats).all():
+        raise ValueError("tensor entries must be finite")
+    return feats.reshape(len(slots), len(windows), -1)
 
 
 def _predict(forward, windows) -> Prediction:
@@ -282,17 +301,19 @@ class UttAttBiRNN(_Registry):
         n_slots = windows[0].size if windows else 0
         if any(w.size != n_slots for w in windows):
             raise ValueError("windows in one batch must have the same number of slots")
-        steps = birnn_forward(_slot_inputs(windows, range(n_slots)), self.params)
+        states = birnn_states(_slot_inputs(windows, range(n_slots)), self.params)
         if rng is not None and self.dropout_rate > 0.0:
             # one draw, window by window then slot by slot: the masks, in order,
             # that the windows would draw as batches of one
             draws = rng.random((len(windows), n_slots, 2 * self.hidden_dim))
-            steps = [apply_dropout(s, self.dropout_rate, draws[:, k, :].T)
-                     for k, s in enumerate(steps)]
+            states = apply_dropout(states, self.dropout_rate,
+                                   draws.transpose(2, 1, 0).reshape(2 * self.hidden_dim, -1))
         if self.head == "direct":
-            return classify(steps[-1], self.params), None
+            last = np.zeros((n_slots, len(windows)))
+            last[-1] = 1.0
+            return classify(weighted_sum(states, Tensor2D(last)), self.params), None
         keep = np.array([w.pad_mask for w in windows], dtype=bool).T if self.mask_padding else None
-        weights, summary = attention(steps, self.params, keep)
+        weights, summary = attention(states, self.params, n_slots, keep)
         return classify(summary, self.params), weights
 
     def predict(self, windows):
@@ -355,7 +376,7 @@ class BaselineMLP(_Registry):
         })
 
     def _forward(self, windows, rng=None) -> tuple[Tensor2D, None]:
-        (current,) = _slot_inputs(windows, [-1])
+        current = Tensor2D(_slot_inputs(windows, [-1])[0].T)
         return baseline_forward(current, self.params, rng, self.dropout_rate), None
 
     def predict(self, windows):

@@ -21,13 +21,15 @@ size n side by side form an ``(n, B)`` matrix, and the column-wise ops
 :func:`mean_neg_log_gather`) treat each column independently;
 :func:`add_bias` adds one ``(n, 1)`` column to every column.
 
-Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``
-(the mLSTM sequence op ``mlstm_states`` in :mod:`ctxda.encoders`).
+Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``:
+the mLSTM sequence op ``mlstm_states`` in :mod:`ctxda.encoders` and the
+BiRNN op ``birnn_states`` in :mod:`ctxda.model`, each one node with
+hand-written backpropagation through time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,16 +39,12 @@ __all__ = [
     "Tensor2D",
     "Parameter",
     "matmul",
-    "add",
-    "hadamard",
     "tanh_map",
     "softmax_columns",
     "add_bias",
     "weighted_sum",
     "reshape",
     "transpose",
-    "hstack",
-    "vstack",
     "mean_neg_log_gather",
     "backward",
 ]
@@ -210,11 +208,6 @@ def params_from_json(params: dict[str, Parameter], stored) -> None:
         raise CheckpointError(f"malformed parameter entry: {exc!r}") from exc
 
 
-def _check_same_shape(op: str, a: Tensor2D, b: Tensor2D) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def matmul(a: Tensor2D, b: Tensor2D) -> Tensor2D:
     """Matrix product, shape (a.rows, b.cols)."""
     if a.data.shape[1] != b.data.shape[0]:
@@ -227,17 +220,6 @@ def matmul(a: Tensor2D, b: Tensor2D) -> Tensor2D:
         b.grad += a.data.T @ g
 
     return Tensor2D._result(a.data @ b.data, (a, b), backprop)
-
-
-def add(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    """Elementwise sum of two same-shape tensors."""
-    _check_same_shape("add", a, b)
-
-    def backprop(g):
-        a.grad += g
-        b.grad += g
-
-    return Tensor2D._result(a.data + b.data, (a, b), backprop)
 
 
 def add_bias(t: Tensor2D, bias: Tensor2D) -> Tensor2D:
@@ -255,17 +237,6 @@ def add_bias(t: Tensor2D, bias: Tensor2D) -> Tensor2D:
         bias.grad += g.sum(axis=1, keepdims=True)
 
     return Tensor2D._result(t.data + bias.data, (t, bias), backprop)
-
-
-def hadamard(a: Tensor2D, b: Tensor2D) -> Tensor2D:
-    """Elementwise product of two same-shape tensors."""
-    _check_same_shape("hadamard", a, b)
-
-    def backprop(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
-
-    return Tensor2D._result(a.data * b.data, (a, b), backprop)
 
 
 def tanh_map(t: Tensor2D) -> Tensor2D:
@@ -304,30 +275,27 @@ def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
     return Tensor2D._result(y, (t,), backprop)
 
 
-def weighted_sum(parts: Sequence[Tensor2D], weights: Tensor2D) -> Tensor2D:
-    """Column-wise weighted sum of K same-shape (n, B) tensors.
+def weighted_sum(parts: Tensor2D, weights: Tensor2D) -> Tensor2D:
+    """Column-wise weighted sum of the K blocks of an (n, K*B) tensor.
 
-    ``weights`` is (K, B); column j of the result is
-    sum_k weights[k, j] * parts[k][:, j], so each part is scaled by one row
-    of ``weights`` broadcast down its rows.
+    ``weights`` is (K, B) and block k is columns k*B to (k+1)*B - 1 of
+    ``parts``; column j of the result is
+    sum_k weights[k, j] * parts[:, k*B + j], so each block is scaled by one
+    row of ``weights`` broadcast down its rows.
     """
-    if len(parts) != weights.data.shape[0]:
+    (k, b), n = weights.data.shape, parts.data.shape[0]
+    if parts.data.shape[1] != k * b:
         raise DimensionError(
-            f"weighted_sum: {len(parts)} parts but {weights.data.shape[0]} weight rows"
+            f"weighted_sum: parts {parts.data.shape} do not hold {k} blocks of {b} columns"
         )
-    shape = (parts[0].data.shape[0], weights.data.shape[1])
-    for p in parts:
-        if p.data.shape != shape:
-            raise DimensionError(f"weighted_sum: part shape {p.data.shape}, expected {shape}")
-    stacked = np.stack([p.data for p in parts])  # (K, n, B)
+    stacked = np.ascontiguousarray(parts.data.reshape(n, k, b).transpose(1, 0, 2))  # (K, n, B)
     w = weights.data
 
     def backprop(g):
-        for k, p in enumerate(parts):
-            p.grad += g * w[k]
+        parts.grad += (g * w[:, None, :]).transpose(1, 0, 2).reshape(n, k * b)
         weights.grad += (stacked * g).sum(axis=1)
 
-    return Tensor2D._result((stacked * w[:, None, :]).sum(axis=0), (*parts, weights), backprop)
+    return Tensor2D._result((stacked * w[:, None, :]).sum(axis=0), (parts, weights), backprop)
 
 
 def transpose(t: Tensor2D) -> Tensor2D:
@@ -347,35 +315,6 @@ def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
         t.grad += g.reshape(shape)
 
     return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
-
-
-def _concat(parts: Sequence[Tensor2D], axis: int) -> Tensor2D:
-    """The tensors joined along ``axis``; all must share the other dimension."""
-    if not parts:
-        raise ValueError("stacking no tensors")
-    across = {p.data.shape[1 - axis] for p in parts}
-    if len(across) != 1:
-        raise DimensionError(f"stacking along axis {axis}: sizes {sorted(across)} across it differ")
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def backprop(g):
-        at = 0
-        for p, n in zip(parts, sizes):
-            p.grad += g[:, at : at + n] if axis else g[at : at + n]
-            at += n
-
-    return Tensor2D._result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
-                            backprop)
-
-
-def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
-    """Concatenate tensors side by side (all must share a row count)."""
-    return _concat(parts, 1)
-
-
-def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
-    """Concatenate tensors top to bottom (all must share a column count)."""
-    return _concat(parts, 0)
 
 
 def mean_neg_log_gather(t: Tensor2D, rows, floor: float = 1e-12) -> Tensor2D:

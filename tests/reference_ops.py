@@ -1,16 +1,76 @@
 """Kernel ops that only the tests use: reductions to a scalar for gradient
-checks, the per-entry reference for the gathered cross-entropy, and the
-mLSTM cell as a graph of elementary ops, the oracle for the fused
-``ctxda.encoders.mlstm_states``.
+checks, the per-entry reference for the gathered cross-entropy, the
+two-tensor elementwise ops and stacking, and the mLSTM cell and the BiRNN as
+graphs of elementary ops, the oracles for the fused
+``ctxda.encoders.mlstm_states`` and ``ctxda.model.birnn_states``.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
 kernel's ``backward`` walks them like any other op.
 """
 
+from typing import Sequence
+
 import numpy as np
 
 from ctxda.encoders import sigmoid
-from ctxda.tensor import Tensor2D, add, add_bias, hadamard, matmul, tanh_map
+from ctxda.model import _slot_inputs, attention, classify
+from ctxda.tensor import DimensionError, Tensor2D, add_bias, matmul, tanh_map
+
+
+def _check_same_shape(op: str, a: Tensor2D, b: Tensor2D) -> None:
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+
+
+def add(a: Tensor2D, b: Tensor2D) -> Tensor2D:
+    """Elementwise sum of two same-shape tensors."""
+    _check_same_shape("add", a, b)
+
+    def backprop(g):
+        a.grad += g
+        b.grad += g
+
+    return Tensor2D._result(a.data + b.data, (a, b), backprop)
+
+
+def hadamard(a: Tensor2D, b: Tensor2D) -> Tensor2D:
+    """Elementwise product of two same-shape tensors."""
+    _check_same_shape("hadamard", a, b)
+
+    def backprop(g):
+        a.grad += g * b.data
+        b.grad += g * a.data
+
+    return Tensor2D._result(a.data * b.data, (a, b), backprop)
+
+
+def _concat(parts: Sequence[Tensor2D], axis: int) -> Tensor2D:
+    """The tensors joined along ``axis``; all must share the other dimension."""
+    if not parts:
+        raise ValueError("stacking no tensors")
+    across = {p.data.shape[1 - axis] for p in parts}
+    if len(across) != 1:
+        raise DimensionError(f"stacking along axis {axis}: sizes {sorted(across)} across it differ")
+    sizes = [p.data.shape[axis] for p in parts]
+
+    def backprop(g):
+        at = 0
+        for p, n in zip(parts, sizes):
+            p.grad += g[:, at : at + n] if axis else g[at : at + n]
+            at += n
+
+    return Tensor2D._result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                            backprop)
+
+
+def hstack(parts: Sequence[Tensor2D]) -> Tensor2D:
+    """Concatenate tensors side by side (all must share a row count)."""
+    return _concat(parts, 1)
+
+
+def vstack(parts: Sequence[Tensor2D]) -> Tensor2D:
+    """Concatenate tensors top to bottom (all must share a column count)."""
+    return _concat(parts, 0)
 
 
 def scale(a: Tensor2D, k: float) -> Tensor2D:
@@ -108,3 +168,53 @@ def mlstm_reference_states(idx, p) -> list[Tensor2D]:
         h, c = mlstm_step(Tensor2D(x), h, c, p)
         states.append(h)
     return states
+
+
+def rnn_direction(
+    seq: list[Tensor2D], params: dict, reverse: bool = False, prefix: str = "fwd"
+) -> list[Tensor2D]:
+    """Plain tanh RNN over the sequence from a zero initial state, with the
+    registry's ``<prefix>.w_in``, ``<prefix>.w_rec`` and ``<prefix>.bias``,
+    five graph nodes per step.
+
+    Each input is (D, B), one column per example, and each state (H, B).
+    ``reverse=True`` iterates newest to oldest; outputs are re-aligned so
+    entry k always corresponds to input slot k.
+    """
+    w_in, w_rec, bias = (params[f"{prefix}.{k}"] for k in ("w_in", "w_rec", "bias"))
+    hidden = Tensor2D(np.zeros((bias.rows, seq[0].cols)))
+    steps = reversed(seq) if reverse else seq
+    states = []
+    for u in steps:
+        hidden = tanh_map(add_bias(add(matmul(w_rec, hidden), matmul(w_in, u)), bias))
+        states.append(hidden)
+    if reverse:
+        states.reverse()
+    return states
+
+
+def birnn_forward(features: list[Tensor2D], params: dict) -> list[Tensor2D]:
+    """Per-slot concatenation [forward_state; backward_state], forward first,
+    from the registry's ``fwd.*`` and ``bwd.*`` directions."""
+    fwd = rnn_direction(features, params)
+    bwd = rnn_direction(features, params, reverse=True, prefix="bwd")
+    return [vstack([f, b]) for f, b in zip(fwd, bwd)]
+
+
+def graph_forward(model, windows, rng=None):
+    """``UttAttBiRNN``'s forward pass with the BiRNN and dropout built from
+    elementary graph ops, one node per slot and step and one mask leaf per
+    slot: (C, B) class distributions and the (K, B) attention weights (None
+    for the direct head). It draws dropout as the model does."""
+    x = _slot_inputs(windows, range(windows[0].size))
+    steps = birnn_forward([Tensor2D(xk.T) for xk in x], model.params)
+    if rng is not None and model.dropout_rate > 0.0:
+        draws = rng.random((len(windows), len(steps), 2 * model.hidden_dim))
+        steps = [hadamard(s, Tensor2D((draws[:, k, :].T >= model.dropout_rate)
+                                      / (1.0 - model.dropout_rate)))
+                 for k, s in enumerate(steps)]
+    if model.head == "direct":
+        return classify(steps[-1], model.params), None
+    keep = np.array([w.pad_mask for w in windows], dtype=bool).T if model.mask_padding else None
+    weights, summary = attention(hstack(steps), model.params, len(steps), keep)
+    return classify(summary, model.params), weights

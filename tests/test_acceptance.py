@@ -28,7 +28,7 @@ from ctxda.corpus import (
     load_swda_csv,
 )
 from ctxda.encoders import EmbeddingTable, MLSTMParams, WordMeanEncoder
-from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, rnn_direction
+from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN, birnn_states
 from ctxda.optim import Adam, TrainConfig, cross_entropy, train
 from ctxda.tensor import Parameter, Tensor2D, softmax_columns
 from baselines import majority_baseline
@@ -207,11 +207,12 @@ def test_criterion_2_simplex_invariants():
 def test_criterion_3_hand_oracles():
     with criterion(3, "hand-evaluated RNN/mLSTM/Adam/cross-entropy values (1e-9)"):
         # two-step RNN, dims 1, all weights 0.5, inputs [1, -1]
-        p = {"fwd.w_in": Parameter([[0.5]]), "fwd.w_rec": Parameter([[0.5]]),
-             "fwd.bias": Parameter([[0.5]])}
-        states = rnn_direction([Tensor2D([[1.0]]), Tensor2D([[-1.0]])], p)
-        assert abs(states[0].item() - math.tanh(1.0)) < 1e-9
-        assert abs(states[1].item() - math.tanh(0.5 * math.tanh(1.0))) < 1e-9
+        p = {f"{d}.{name}": Parameter([[0.5]])
+             for d in ("fwd", "bwd") for name in ("w_in", "w_rec", "bias")}
+        x = np.array([[[1.0]], [[-1.0]]])  # (K, B, D) = (2, 1, 1)
+        fwd = birnn_states(x, p).data[0]  # the forward row, one column per slot
+        assert abs(fwd[0] - math.tanh(1.0)) < 1e-9
+        assert abs(fwd[1] - math.tanh(0.5 * math.tanh(1.0))) < 1e-9
 
         # zero-parameter mLSTM: gates at 0.5, candidate at 0
         mp = MLSTMParams(3, 2)

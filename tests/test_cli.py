@@ -364,6 +364,26 @@ class TestCharLMCache:
         assert (tmp_path / "run" / "baseline_char.ckpt.json").exists()
         assert self.cached(tmp_path) == []
 
+    def test_failed_temporary_write_still_trains(self, tmp_path, capsys, monkeypatch):
+        # the read-only corpus case where chmod cannot cause it (as the
+        # superuser): the temporary file is half written, then the write fails
+        write_text = Path.write_text
+
+        def full_disk(path, text, *args, **kwargs):
+            if path.suffix != ".tmp":
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        assert "character LM not cached" in capsys.readouterr().err
+        assert (tmp_path / "run" / "baseline_char.ckpt.json").exists()
+        assert self.cached(tmp_path) == []
+        assert list((tmp_path / "run" / "corpus").glob("*.tmp")) == []
+
     def test_failed_cache_write_still_trains(self, tmp_path, capsys, monkeypatch):
         from ctxda import cli as cli_mod
 

@@ -14,16 +14,13 @@ from ctxda.tensor import (
     CheckpointError,
     DimensionError,
     Tensor2D,
-    add,
     backward,
-    hadamard,
-    hstack,
     init_params,
     matmul,
     softmax_columns,
 )
 from gradcheck import max_gradient_error
-from reference_ops import mlstm_reference_states, mlstm_step, sum_all
+from reference_ops import add, hadamard, hstack, mlstm_reference_states, mlstm_step, sum_all
 
 
 def char_vocab_from_text(texts) -> E.CharVocab:

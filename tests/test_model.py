@@ -12,15 +12,16 @@ from ctxda.model import (
     Prediction,
     UttAttBiRNN,
     attention,
-    birnn_forward,
+    birnn_states,
     classify,
     load_checkpoint,
-    rnn_direction,
     save_checkpoint,
 )
 from ctxda import tensor as T
-from ctxda.tensor import Parameter, Tensor2D, backward
+from ctxda.optim import cross_entropy
+from ctxda.tensor import DimensionError, Parameter, Tensor2D, backward
 from gradcheck import max_gradient_error
+from reference_ops import graph_forward, hadamard, sum_all
 
 
 def window(features, mask=None, label=0, **kw):
@@ -49,28 +50,45 @@ class TestContextWindow:
         assert w.size == 2
 
 
+def slot_blocks(states: Tensor2D, n_slots: int) -> list[np.ndarray]:
+    """The (2H, B) block of each slot of a (2H, K*B) state matrix."""
+    return np.split(states.data, n_slots, axis=1)
+
+
+def directions(inputs, p):
+    """``birnn_states`` over the (D, B) slot inputs; (fwd, bwd), each the K
+    (H, B) slot states of one direction. A registry with only ``fwd.*`` runs
+    its weights in both directions."""
+    if "bwd.w_in" not in p:
+        p = {**p, **{"bwd" + name[3:]: v for name, v in p.items()}}
+    blocks = slot_blocks(birnn_states(np.stack([np.asarray(u).T for u in inputs]), p),
+                         len(inputs))
+    h = p["fwd.bias"].rows
+    return [b[:h] for b in blocks], [b[h:] for b in blocks]
+
+
 class TestRNNDirection:
     def test_zero_params_zero_states(self):
         p = direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1)))
-        states = rnn_direction([Tensor2D(np.ones((2, 1)))] * 4, p)
-        assert all(np.all(s.data == 0.0) for s in states)
+        states, _ = directions([np.ones((2, 1))] * 4, p)
+        assert all(np.all(s == 0.0) for s in states)
 
     def test_no_recurrence_depends_only_on_own_input(self):
         rng = np.random.default_rng(0)
         p = direction_params(rng.uniform(-1, 1, (3, 2)), np.zeros((3, 3)),
                              rng.uniform(-1, 1, (3, 1)))
-        inputs = [Tensor2D(rng.uniform(-1, 1, (2, 1))) for _ in range(4)]
-        states = rnn_direction(inputs, p)
-        solo = [rnn_direction([u], p)[0] for u in inputs]
+        inputs = [rng.uniform(-1, 1, (2, 1)) for _ in range(4)]
+        states, _ = directions(inputs, p)
+        solo = [directions([u], p)[0][0] for u in inputs]
         for got, want in zip(states, solo):
-            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got, want)
 
     def test_two_step_hand_evaluation(self):
         # dims 1, all weights 0.5, inputs [1, -1]:
         #   h1 = tanh(0.5*0 + 0.5*1 + 0.5)       = tanh(1)
         #   h2 = tanh(0.5*h1 - 0.5 + 0.5)        = tanh(0.5*tanh(1))
         p = direction_params([[0.5]], [[0.5]], [[0.5]])
-        states = rnn_direction([Tensor2D([[1.0]]), Tensor2D([[-1.0]])], p)
+        states, _ = directions([[[1.0]], [[-1.0]]], p)
         assert states[0].item() == pytest.approx(math.tanh(1.0), abs=1e-15)
         assert states[1].item() == pytest.approx(
             math.tanh(0.5 * math.tanh(1.0)), abs=1e-15
@@ -80,12 +98,11 @@ class TestRNNDirection:
         rng = np.random.default_rng(1)
         p = direction_params(rng.uniform(-1, 1, (2, 2)), np.zeros((2, 2)),
                              np.zeros((2, 1)))
-        inputs = [Tensor2D(rng.uniform(-1, 1, (2, 1))) for _ in range(3)]
-        fwd = rnn_direction(inputs, p)
-        bwd = rnn_direction(inputs, p, reverse=True)
+        inputs = [rng.uniform(-1, 1, (2, 1)) for _ in range(3)]
+        fwd, bwd = directions(inputs, p)
         # no recurrence: both directions see only the slot's own input
         for f, b in zip(fwd, bwd):
-            assert np.allclose(f.data, b.data)
+            assert np.allclose(f, b)
 
 
 def small_birnn(seed=0, feature_dim=2, hidden=3):
@@ -107,8 +124,8 @@ class TestBiRNNForward:
             **direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1))),
             **direction_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 1)), "bwd"),
         }
-        steps = birnn_forward([Tensor2D(np.ones((2, 1)))] * 5, p)
-        assert all(s.shape == (6, 1) and np.all(s.data == 0.0) for s in steps)
+        states = birnn_states(np.ones((5, 1, 2)), p)
+        assert states.shape == (6, 5) and np.all(states.data == 0.0)
 
     def test_pad_rows_equal_without_recurrence(self):
         # one real utterance plus zero pads, recurrence off: every pad slot
@@ -117,26 +134,83 @@ class TestBiRNNForward:
         p = small_birnn(seed=2)
         p["fwd.w_rec"].data[:] = 0.0
         p["bwd.w_rec"].data[:] = 0.0
-        feats = [Tensor2D(np.zeros((2, 1))) for _ in range(4)]
-        feats.append(Tensor2D(rng.uniform(-1, 1, (2, 1))))
-        steps = birnn_forward(feats, p)
+        feats = np.zeros((5, 1, 2))
+        feats[4, 0] = rng.uniform(-1, 1, 2)
+        steps = slot_blocks(birnn_states(feats, p), 5)
         for pad_step in steps[1:4]:
-            assert np.allclose(pad_step.data, steps[0].data)
-        assert not np.allclose(steps[4].data, steps[0].data)
+            assert np.allclose(pad_step, steps[0])
+        assert not np.allclose(steps[4], steps[0])
 
     def test_reversal_swaps_direction_blocks(self):
         rng = np.random.default_rng(3)
         p = small_birnn(seed=3)
         swapped = {{"fwd": "bwd", "bwd": "fwd"}[n[:3]] + n[3:]: v for n, v in p.items()}
-        feats = [Tensor2D(rng.uniform(-1, 1, (2, 1))) for _ in range(5)]
-        steps = birnn_forward(feats, p)
-        rev_steps = birnn_forward(list(reversed(feats)), swapped)
+        feats = np.stack([rng.uniform(-1, 1, (2, 1)).T for _ in range(5)])
+        steps = slot_blocks(birnn_states(feats, p), 5)
+        rev_steps = slot_blocks(birnn_states(feats[::-1].copy(), swapped), 5)
         h = p["fwd.w_rec"].rows
         for k in range(5):
-            orig = steps[4 - k].data
-            got = rev_steps[k].data
+            orig = steps[4 - k]
+            got = rev_steps[k]
             assert np.allclose(got[:h], orig[h:])  # new fwd block = old bwd block
             assert np.allclose(got[h:], orig[:h])  # new bwd block = old fwd block
+
+
+def grid_batch(head, mask_padding, rate, feature_dim, hidden, batch, n_slots):
+    """A seeded model and a batch of windows with 1..K real slots each."""
+    model = UttAttBiRNN(feature_dim, 5, hidden_dim=hidden, n_context=n_slots - 1,
+                        dropout_rate=rate, head=head, mask_padding=mask_padding, seed=3)
+    return model, padded_windows(np.random.default_rng(hidden + batch),
+                                 model, [1 + j % n_slots for j in range(batch)])
+
+
+class TestBiRNNStates:
+    """The fused BiRNN op against the graph BiRNN in ``reference_ops``: five
+    nodes per slot, step and direction, and a dropout mask leaf per slot."""
+
+    @pytest.mark.parametrize("shape", [(18, 8, 16, 5), (15, 64, 16, 5), (7, 3, 1, 3)],
+                             ids=lambda s: "D{}-H{}-B{}-K{}".format(*s))
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("head", ["attention", "direct"])
+    def test_model_is_bitwise_the_graph_model(self, head, mask_padding, rate, shape):
+        model, windows = grid_batch(head, mask_padding, rate, *shape)
+        labels = [w.label for w in windows]
+        results = []
+        for forward in (model._forward, lambda ws, rng=None: graph_forward(model, ws, rng)):
+            for p in model.parameters():
+                p.grad[:] = 0.0
+            loss = cross_entropy(forward(windows, np.random.default_rng(7))[0], labels)
+            backward(loss)
+            probs, weights = forward(windows)
+            results.append((loss.item(), [p.grad.copy() for p in model.parameters()],
+                            probs.data, None if weights is None else weights.data))
+        (loss, grads, probs, weights), (ref_loss, ref_grads, ref_probs, ref_weights) = results
+        assert loss == ref_loss
+        for p, g, ref in zip(model.parameters(), grads, ref_grads):
+            assert np.array_equal(g, ref), p.name
+        assert np.array_equal(probs, ref_probs)
+        assert (weights is None) == (head == "direct")
+        assert weights is None or np.array_equal(weights, ref_weights)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        p = small_birnn(seed=31, feature_dim=3, hidden=2)
+        x = rng.uniform(-1, 1, (4, 2, 3))  # K, B, D
+        probe = Tensor2D(rng.uniform(-1, 1, (4, 8)))
+
+        def loss():
+            return sum_all(hadamard(birnn_states(x, p), probe))
+
+        assert max_gradient_error(loss, list(p.values())) < 1e-6
+
+    def test_parents_are_the_six_parameters(self):
+        p = small_birnn(seed=32)
+        assert birnn_states(np.ones((3, 2, 2)), p)._parents == tuple(p.values())
+
+    def test_input_size_must_match_w_in(self):
+        with pytest.raises(DimensionError):
+            birnn_states(np.ones((3, 2, 4)), small_birnn(seed=33))
 
 
 class TestAttention:
@@ -146,10 +220,10 @@ class TestAttention:
             "att.proj": Parameter(rng.uniform(-1, 1, (4, 6))),
             "att.score": Parameter(rng.uniform(-1, 1, (4, 1))),
         }
-        row = Tensor2D(rng.uniform(-1, 1, (6, 1)))
-        weights, summary = attention([row] * 5, att)
+        row = rng.uniform(-1, 1, (6, 1))
+        weights, summary = attention(Tensor2D(np.tile(row, 5)), att, 5)
         assert np.allclose(weights.data, 0.2, atol=1e-12)
-        assert np.allclose(summary.data, np.tanh(row.data), atol=1e-12)
+        assert np.allclose(summary.data, np.tanh(row), atol=1e-12)
 
     def test_saturated_scores_select_one_step(self):
         # project onto the first coordinate and blow the score up: softmax
@@ -158,10 +232,10 @@ class TestAttention:
         att = {
             "att.proj": Parameter([[1.0, 0.0]]), "att.score": Parameter([[1000.0]])
         }
-        steps = [Tensor2D([[0.1], [0.2]]), Tensor2D([[1.0], [-1.0]]), Tensor2D([[0.3], [0.4]])]
-        weights, summary = attention(steps, att)
+        steps = np.array([[0.1, 1.0, 0.3], [0.2, -1.0, 0.4]])  # one column per step
+        weights, summary = attention(Tensor2D(steps), att, 3)
         assert weights.data.ravel()[1] > 1.0 - 1e-9
-        assert np.allclose(summary.data, np.tanh(steps[1].data), atol=1e-9)
+        assert np.allclose(summary.data, np.tanh(steps[:, 1:2]), atol=1e-9)
 
     def test_simplex_and_range(self):
         rng = np.random.default_rng(5)
@@ -170,8 +244,8 @@ class TestAttention:
             "att.score": Parameter(rng.uniform(-1, 1, (3, 1))),
         }
         for _ in range(200):
-            steps = [Tensor2D(rng.uniform(-2, 2, (4, 1))) for _ in range(5)]
-            weights, summary = attention(steps, att)
+            steps = np.hstack([rng.uniform(-2, 2, (4, 1)) for _ in range(5)])
+            weights, summary = attention(Tensor2D(steps), att, 5)
             assert abs(weights.data.sum() - 1.0) < 1e-9
             assert np.all(weights.data >= 0.0)
             assert np.all(np.abs(summary.data) < 1.0)
@@ -218,8 +292,8 @@ class TestDirectHead:
         model = UttAttBiRNN(2, 4, hidden_dim=3, seed=7, dropout_rate=0.0, head="direct")
         model.params.update({**p, **out})
         direct = model.predict(w).probs.reshape(-1, 1)
-        steps = birnn_forward([Tensor2D(f) for f in w.features], p)
-        via_classify = classify(steps[-1], out)
+        states = birnn_states(M._slot_inputs([w], range(w.size)), p)
+        via_classify = classify(Tensor2D(states.data[:, -1:]), out)
         assert np.allclose(direct, via_classify.data)
 
 
@@ -304,8 +378,8 @@ class TestUttAttBiRNN:
         model = UttAttBiRNN(2, 3, hidden_dim=2, seed=0, dropout_rate=0.0)
         rng = np.random.default_rng(0)
         w = self.make_window(rng, model)
-        steps = birnn_forward([Tensor2D(f) for f in w.features], model.params)
-        weights, _ = attention(steps, model.params)
+        states = birnn_states(M._slot_inputs([w], range(w.size)), model.params)
+        weights, _ = attention(states, model.params, w.size)
         pred = model.predict(w)
         assert np.allclose(pred.attention, weights.data.ravel()[::-1])
 
@@ -500,6 +574,17 @@ class TestGradientsOnlyInBackward:
         model.predict(windows)
         assert made and all(n.grad is None for n in made)
         assert all(np.all(p.grad == 0.0) for p in model.parameters())
+
+
+class TestGraphSize:
+    def test_wc_batch_records_few_nodes(self):
+        # 14 nodes: one each for the BiRNN and dropout, the rest attention,
+        # head and loss; a BiRNN recorded per slot and step would pass 15
+        model = UttAttBiRNN(18, 5, hidden_dim=8, n_context=4, dropout_rate=0.3, seed=0)
+        windows = padded_windows(np.random.default_rng(27), model, [5, 3, 1, 4, 2])
+        loss = model.loss(windows, rng=np.random.default_rng(0))
+        nodes = [n for n in T._topo_order(loss) if not isinstance(n, Parameter)]
+        assert len(nodes) <= 15
 
 
 class TestPrediction:

@@ -18,7 +18,18 @@ from ctxda.tensor import (
     backward,
 )
 from gradcheck import finite_difference_grad, max_gradient_error
-from reference_ops import mean_columns, neg_log, pick, scale, sigmoid_map, sum_all
+from reference_ops import (
+    add,
+    hadamard,
+    hstack,
+    mean_columns,
+    neg_log,
+    pick,
+    scale,
+    sigmoid_map,
+    sum_all,
+    vstack,
+)
 
 
 class TestTensor2D:
@@ -140,15 +151,15 @@ class TestElementwise:
 class TestStack:
     def test_values_and_mismatches(self):
         a, b = Tensor2D([[1.0], [2.0]]), Tensor2D([[3.0, 4.0], [5.0, 6.0]])
-        assert T.hstack([a, b]).data.tolist() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
-        assert T.vstack([b, T.transpose(a)]).data.tolist() == [[3.0, 4.0], [5.0, 6.0],
-                                                                [1.0, 2.0]]
+        assert hstack([a, b]).data.tolist() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
+        assert vstack([b, T.transpose(a)]).data.tolist() == [[3.0, 4.0], [5.0, 6.0],
+                                                              [1.0, 2.0]]
         with pytest.raises(DimensionError):
-            T.hstack([a, Tensor2D([[1.0]])])
+            hstack([a, Tensor2D([[1.0]])])
         with pytest.raises(DimensionError):
-            T.vstack([a, b])
+            vstack([a, b])
         with pytest.raises(ValueError):
-            T.hstack([])
+            hstack([])
 
 
 class TestBackward:
@@ -162,7 +173,7 @@ class TestBackward:
     def test_symmetric_minimum_grad_zero(self):
         w = Parameter([[0.0]])
         t = T.tanh_map(w)
-        backward(sum_all(T.hadamard(t, t)))
+        backward(sum_all(hadamard(t, t)))
         assert w.grad[0, 0] == 0.0
 
     def test_random_small_graph_matches_finite_differences(self):
@@ -170,9 +181,9 @@ class TestBackward:
         params = [Parameter(rng.uniform(-1, 1, (1, 1)), name=f"p{i}") for i in range(5)]
 
         def loss():
-            a = T.hadamard(T.tanh_map(params[0]), params[1])
-            b = T.add(sigmoid_map(params[2]), T.hadamard(params[3], params[4]))
-            return sum_all(T.hadamard(a, b))
+            a = hadamard(T.tanh_map(params[0]), params[1])
+            b = add(sigmoid_map(params[2]), hadamard(params[3], params[4]))
+            return sum_all(hadamard(a, b))
 
         assert max_gradient_error(loss, params) < 1e-6
 
@@ -180,7 +191,7 @@ class TestBackward:
         w = Parameter([[2.0]])
 
         def build():
-            return sum_all(T.hadamard(w, w))
+            return sum_all(hadamard(w, w))
 
         root = build()
         backward(root)
@@ -200,8 +211,8 @@ class TestBackward:
     def test_reused_node_in_graph(self):
         # y = w*w uses w twice through one intermediate: d(w^4)/dw = 4 w^3
         w = Parameter([[3.0]])
-        y = T.hadamard(w, w)
-        z = T.hadamard(y, y)
+        y = hadamard(w, w)
+        z = hadamard(y, y)
         backward(sum_all(z))
         assert w.grad[0, 0] == pytest.approx(4 * 3.0**3)
 
@@ -213,15 +224,15 @@ class TestOpGradients:
         "name,build",
         [
             ("matmul", lambda p: sum_all(T.matmul(p[0], p[1]))),
-            ("add", lambda p: sum_all(T.add(p[0], p[0]))),
-            ("hadamard", lambda p: sum_all(T.hadamard(p[0], p[1]))),
+            ("add", lambda p: sum_all(add(p[0], p[0]))),
+            ("hadamard", lambda p: sum_all(hadamard(p[0], p[1]))),
             ("scale", lambda p: sum_all(scale(p[0], -1.7))),
             ("tanh", lambda p: sum_all(T.tanh_map(p[0]))),
             ("sigmoid", lambda p: sum_all(sigmoid_map(p[0]))),
             ("transpose", lambda p: sum_all(T.matmul(T.transpose(p[0]), p[2]))),
-            ("hstack", lambda p: sum_all(T.tanh_map(T.hstack([p[0], p[1]])))),
-            ("vstack", lambda p: sum_all(sigmoid_map(T.vstack([p[0], p[1]])))),
-            ("pick", lambda p: pick(T.hadamard(p[0], p[1]), 1, 2)),
+            ("hstack", lambda p: sum_all(T.tanh_map(hstack([p[0], p[1]])))),
+            ("vstack", lambda p: sum_all(sigmoid_map(vstack([p[0], p[1]])))),
+            ("pick", lambda p: pick(hadamard(p[0], p[1]), 1, 2)),
             ("mean_columns", lambda p: sum_all(mean_columns(T.tanh_map(p[0])))),
         ],
     )
@@ -242,7 +253,7 @@ class TestOpGradients:
         weights = Tensor2D(rng.uniform(-1, 1, (6, 1)))
 
         def loss():
-            return sum_all(T.hadamard(T.softmax_columns(p), weights))
+            return sum_all(hadamard(T.softmax_columns(p), weights))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -305,10 +316,12 @@ class TestColumnOps:
             T.softmax_columns(Tensor2D(np.zeros((2, 2))), keep)
 
     def test_weighted_sum_hand_values(self):
-        parts = [Tensor2D([[1.0, 2.0]]), Tensor2D([[10.0, 20.0]])]
+        parts = Tensor2D([[1.0, 2.0, 10.0, 20.0]])  # two blocks of two columns
         weights = Tensor2D([[0.5, 0.0], [0.25, 1.0]])
         # column 0: 0.5*1 + 0.25*10; column 1: 0*2 + 1*20
         assert T.weighted_sum(parts, weights).data.tolist() == [[3.0, 20.0]]
+        with pytest.raises(DimensionError):
+            T.weighted_sum(Tensor2D([[1.0, 2.0, 10.0]]), weights)
 
     def test_reshape_is_row_major(self):
         out = T.reshape(Tensor2D([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), 2, 3)
@@ -371,7 +384,7 @@ class TestColumnOpGradients:
         w = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return sum_all(T.hadamard(T.tanh_map(T.add_bias(t, b)), w))
+            return sum_all(hadamard(T.tanh_map(T.add_bias(t, b)), w))
 
         assert max_gradient_error(loss, [t, b]) < 1e-4
 
@@ -385,20 +398,20 @@ class TestColumnOpGradients:
             keep[-1] = True
 
         def loss():
-            return sum_all(T.hadamard(T.softmax_columns(p, keep), weights))
+            return sum_all(hadamard(T.softmax_columns(p, keep), weights))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
     def test_weighted_sum_gradcheck(self):
         rng = np.random.default_rng(33)
-        parts = [Parameter(rng.uniform(-1, 1, (3, 4)), name=f"s{k}") for k in range(3)]
+        parts = Parameter(rng.uniform(-1, 1, (3, 12)), name="s")  # three blocks of four
         weights = Parameter(rng.uniform(-1, 1, (3, 4)), name="w")
         probe = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return sum_all(T.hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
+            return sum_all(hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
 
-        assert max_gradient_error(loss, parts + [weights]) < 1e-4
+        assert max_gradient_error(loss, [parts, weights]) < 1e-4
 
     def test_reshape_gradcheck(self):
         rng = np.random.default_rng(34)
@@ -406,7 +419,7 @@ class TestColumnOpGradients:
         probe = Tensor2D(rng.uniform(-1, 1, (2, 3)))
 
         def loss():
-            return sum_all(T.hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
+            return sum_all(hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -432,11 +445,12 @@ class TestGraphLifetime:
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             hidden = T.tanh_map(T.add_bias(T.matmul(w, x), b))
-            scores = T.reshape(T.matmul(T.transpose(b), T.hstack([hidden, x])), 2, 4)
-            mixed = T.weighted_sum([hidden, x], T.softmax_columns(scores))
+            stacked = hstack([hidden, x])
+            scores = T.reshape(T.matmul(T.transpose(b), stacked), 2, 4)
+            mixed = T.weighted_sum(stacked, T.softmax_columns(scores))
             loss = T.mean_neg_log_gather(T.softmax_columns(mixed), [0, 1, 2, 0])
             backward(loss)
-            del hidden, scores, mixed, loss
+            del hidden, stacked, scores, mixed, loss
             gc.collect()
             leaked = [o for o in gc.garbage if isinstance(o, Tensor2D)]
         finally:
