@@ -9,7 +9,6 @@ failure, 4 checkpoint error, 5 analysis input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -33,7 +32,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import params_from_json, params_to_json
+from .tensor import params_from_json, params_to_json, write_json_file
 
 log = logging.getLogger("ctxda")
 
@@ -230,15 +229,10 @@ def _write_char_lm(path: Path, key: dict, params) -> None:
     """Cache the character LM ``params`` fitted under ``key`` at ``path``.
     The file appears whole or not at all; a write that fails is logged and
     skipped, since the cache only saves the next run its training."""
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps({"key": key, "weights": params_to_json(params)}),
-                       encoding="utf-8")
-        os.replace(tmp, path)
+        write_json_file(path, {"key": key, "weights": params_to_json(params)})
     except OSError as exc:
         log.warning("character LM not cached at %s: %s", path, exc)
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
 
 
 def _corpus_tokens(convs) -> list[str]:
@@ -403,9 +397,12 @@ def cmd_train(cfg: dict, model_name: str) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{model_name}_{cfg['encoder']}.ckpt.json"
-    save_checkpoint(
-        ckpt_path, model, enc.encoder_to_config(encoder), vocab.tags, cfg["seed"]
-    )
+    try:
+        save_checkpoint(
+            ckpt_path, model, enc.encoder_to_config(encoder), vocab.tags, cfg["seed"]
+        )
+    except ValueError as exc:  # a non-finite weight, which no checkpoint may hold
+        raise opt.TrainingDiverged(f"checkpoint {ckpt_path} not written: {exc}") from exc
     history_path = out_dir / f"{model_name}_{cfg['encoder']}_history.csv"
     opt.write_history_csv(history_path, result.history)
     print(

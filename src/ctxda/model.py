@@ -40,6 +40,7 @@ from .tensor import (
     tanh_map,
     transpose,
     weighted_sum,
+    write_json_file,
 )
 
 PROB_TOL = 1e-9
@@ -401,7 +402,8 @@ def save_checkpoint(path, model, encoder_config: dict, tags: list[str], seed: in
     Layout (stable, documented in the README): format marker and version,
     model kind + constructor config, encoder configuration, the ordered tag
     vocabulary, the training seed, and every parameter tensor with its shape
-    and row-major values at full float64 precision.
+    and row-major values at full float64 precision. The file appears whole
+    or not at all; a non-finite weight raises ValueError and writes nothing.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -413,9 +415,7 @@ def save_checkpoint(path, model, encoder_config: dict, tags: list[str], seed: in
         "seed": seed,
         "params": params_to_json(model.params),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json_file(path, payload, end="\n")
 
 
 def load_checkpoint(path):

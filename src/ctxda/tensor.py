@@ -12,7 +12,7 @@ accumulate across backward calls until the optimizer zeroes them; every other
 node gets a gradient only when :func:`backward` walks it. Every model and cell
 keeps its Parameters in one ordered registry built by :func:`init_params`,
 stored by :func:`params_to_json` and loaded, with checks, by
-:func:`params_from_json`.
+:func:`params_from_json`; :func:`write_json_file` writes such documents.
 
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
 are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
@@ -29,6 +29,9 @@ hand-written backpropagation through time.
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 from typing import Callable
 
 import numpy as np
@@ -179,6 +182,56 @@ def params_to_json(params: dict[str, Parameter]) -> dict:
         name: {"rows": p.rows, "cols": p.cols, "values": p.data.ravel().tolist()}
         for name, p in params.items()
     }
+
+
+# list entries per C-encoder call when write_json_file streams a long list
+_JSON_SLICE = 1024
+
+
+def _json_chunks(obj):
+    """The text of ``json.dumps(obj, allow_nan=False)`` in pieces: dicts are
+    walked here, a list longer than _JSON_SLICE is encoded one slice at a
+    time, and every other value in one call."""
+    if isinstance(obj, dict):
+        yield "{"
+        sep = ""
+        for key, value in obj.items():
+            if not isinstance(key, str):  # json.dumps would coerce it
+                raise TypeError(f"dict keys must be str, not {type(key).__name__}")
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(value)
+            sep = ", "
+        yield "}"
+    elif isinstance(obj, list) and len(obj) > _JSON_SLICE:
+        yield "["
+        for start in range(0, len(obj), _JSON_SLICE):
+            text = json.dumps(obj[start:start + _JSON_SLICE], allow_nan=False)[1:-1]
+            yield text if start == 0 else ", " + text
+        yield "]"
+    else:
+        yield json.dumps(obj, allow_nan=False)
+
+
+def write_json_file(path, obj, end: str = "") -> None:
+    """Write ``json.dumps(obj) + end`` to ``path``, streamed through the C
+    encoder; the file appears whole or not at all.
+
+    The text goes to ``<path>.<pid>.tmp``, which ``os.replace`` moves onto
+    ``path``; a write that fails removes it and re-raises. A NaN or infinite
+    float raises ValueError and a non-str dict key TypeError, before
+    ``path`` is touched.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in _json_chunks(obj):
+                fh.write(chunk)
+            fh.write(end)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def params_from_json(params: dict[str, Parameter], stored) -> None:

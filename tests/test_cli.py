@@ -11,6 +11,7 @@ import pytest
 from ctxda.cli import DEFAULT_CONFIG, load_config, main
 from ctxda.analysis import load_records
 from ctxda.corpus import TagVocabulary
+from faults import fill_disk, refuse_replace
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -212,6 +213,22 @@ class TestTrain:
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 3
         assert "epoch 4" in capsys.readouterr().err
 
+    def test_non_finite_weight_exit_3_without_checkpoint(self, tmp_path, capsys, monkeypatch):
+        from ctxda import cli as cli_mod
+
+        def save_nan(path, model, *args):
+            next(iter(model.params.values())).data[0, 0] = np.nan
+            return save(path, model, *args)
+
+        save = cli_mod.save_checkpoint
+        monkeypatch.setattr(cli_mod, "save_checkpoint", save_nan)
+        config, _ = write_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 3
+        err = capsys.readouterr().err
+        assert "training diverged: checkpoint" in err and "not written" in err
+        assert not list((tmp_path / "run").glob("baseline_word.ckpt.json*"))
+
     def test_file_word_table_stored_with_its_sha256(self, tmp_path):
         table = tmp_path / "emb.txt"
         table.write_text("w0_0 1.0 2.0\nw1_0 -1.0 0.5\nw2_1 0.0 3.0\n")
@@ -367,15 +384,7 @@ class TestCharLMCache:
     def test_failed_temporary_write_still_trains(self, tmp_path, capsys, monkeypatch):
         # the read-only corpus case where chmod cannot cause it (as the
         # superuser): the temporary file is half written, then the write fails
-        write_text = Path.write_text
-
-        def full_disk(path, text, *args, **kwargs):
-            if path.suffix != ".tmp":
-                return write_text(path, text, *args, **kwargs)
-            write_text(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_text", full_disk)
+        fill_disk(monkeypatch, budget=4096, applies=lambda path: "char_lm-" in path)
         config, _ = char_config(tmp_path)
         assert main(["--config", str(config), "synth"]) == 0
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
@@ -385,12 +394,7 @@ class TestCharLMCache:
         assert list((tmp_path / "run" / "corpus").glob("*.tmp")) == []
 
     def test_failed_cache_write_still_trains(self, tmp_path, capsys, monkeypatch):
-        from ctxda import cli as cli_mod
-
-        def refuse(src, dst):
-            raise PermissionError(f"cannot write {dst}")
-
-        monkeypatch.setattr(cli_mod.os, "replace", refuse)
+        refuse_replace(monkeypatch, applies=lambda dst: "char_lm-" in dst)
         config, _ = char_config(tmp_path)
         assert main(["--config", str(config), "synth"]) == 0
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 0

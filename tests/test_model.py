@@ -20,6 +20,7 @@ from ctxda.model import (
 from ctxda import tensor as T
 from ctxda.optim import cross_entropy
 from ctxda.tensor import DimensionError, Parameter, Tensor2D, backward
+from faults import fill_disk
 from gradcheck import max_gradient_error
 from reference_ops import graph_forward, hadamard, sum_all
 
@@ -649,6 +650,24 @@ class TestCheckpoint:
         assert isinstance(loaded, BaselineMLP)
         for (_, p1), (_, p2) in zip(model.params.items(), loaded.params.items()):
             assert np.array_equal(p1.data, p2.data)
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=1), {}, ["a"], 1)
+        good = path.read_bytes()
+        fill_disk(monkeypatch, budget=len(good) // 2)
+        with pytest.raises(OSError):
+            save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=2), {}, ["a"], 2)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt.json"]
+        assert path.read_bytes() == good
+        load_checkpoint(path)
+
+    def test_non_finite_weight_writes_nothing(self, tmp_path):
+        model = UttAttBiRNN(3, 5, hidden_dim=4, seed=15)
+        model.params["fwd.w_rec"].data[1, 2] = np.nan
+        with pytest.raises(ValueError, match="Out of range float"):
+            save_checkpoint(tmp_path / "m.ckpt.json", model, {}, list("abcde"), 15)
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -17,6 +17,7 @@ from ctxda.tensor import (
     Tensor2D,
     backward,
 )
+from faults import fill_disk, refuse_replace
 from gradcheck import finite_difference_grad, max_gradient_error
 from reference_ops import (
     add,
@@ -531,3 +532,67 @@ class TestParameterRegistry:
         corrupt(stored)
         with pytest.raises(T.CheckpointError):
             T.params_from_json(self.registry(), stored)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+# lengths around the writer's 1,024-entry slices; a long list repeats a few
+# drawn entries, each a scalar or a small list or dict
+SMALL_JSON = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+              | st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3))
+LONG_LISTS = st.builds(lambda n, items: (items * n)[:n],
+                       st.sampled_from([0, 1, 1023, 1024, 1025, 2049]),
+                       st.lists(SMALL_JSON, min_size=1, max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | LONG_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestWriteJsonFile:
+    @settings(max_examples=80, deadline=None)
+    @given(obj=JSON_VALUES)
+    def test_property_bytes_are_json_dumps(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        T.write_json_file(path, obj)
+        assert path.read_bytes() == json.dumps(obj).encode()
+        assert [p.name for p in path.parent.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_slice_edges_and_end(self, tmp_path, n):
+        obj = {"values": [i / 7 for i in range(n)], "ü": [{"k": [-0.0, 1e-300]}] * n}
+        T.write_json_file(tmp_path / "doc.json", obj, end="\n")
+        assert (tmp_path / "doc.json").read_bytes() == (json.dumps(obj) + "\n").encode()
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"w": {"values": [0.5] * 3000 + [float("nan")]}}, ValueError),
+        ({"w": [float("-inf")]}, ValueError),
+        ({"w": {1: "a"}}, TypeError),
+    ])
+    def test_refused_values_leave_the_old_file(self, tmp_path, bad, error):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+        with pytest.raises(error):
+            T.write_json_file(path, bad)
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+        assert path.read_text() == "old"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_failing_halfway_leaves_nothing(self, tmp_path, monkeypatch, existing):
+        obj = {"values": [i / 3 for i in range(5000)]}
+        path = tmp_path / "doc.json"
+        if existing:
+            path.write_text("old")
+        fill_disk(monkeypatch, budget=len(json.dumps(obj)) // 2)
+        with pytest.raises(OSError, match="No space left"):
+            T.write_json_file(path, obj)
+        assert [p.name for p in tmp_path.iterdir()] == (["doc.json"] if existing else [])
+        if existing:
+            assert path.read_text() == "old"
+
+    def test_refused_replace_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        refuse_replace(monkeypatch)
+        with pytest.raises(PermissionError):
+            T.write_json_file(tmp_path / "doc.json", {"a": [1.5] * 2000})
+        assert list(tmp_path.iterdir()) == []
