@@ -216,11 +216,12 @@ class TestTrain:
     def test_non_finite_weight_exit_3_without_checkpoint(self, tmp_path, capsys, monkeypatch):
         from ctxda import cli as cli_mod
 
+        save = cli_mod.save_checkpoint
+
         def save_nan(path, model, *args):
             next(iter(model.params.values())).data[0, 0] = np.nan
             return save(path, model, *args)
 
-        save = cli_mod.save_checkpoint
         monkeypatch.setattr(cli_mod, "save_checkpoint", save_nan)
         config, _ = write_config(tmp_path)
         assert main(["--config", str(config), "synth"]) == 0

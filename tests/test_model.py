@@ -653,11 +653,11 @@ class TestCheckpoint:
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt.json"
-        save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=1), {}, ["a"], 1)
+        save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=1), {}, list("abc"), 1)
         good = path.read_bytes()
         fill_disk(monkeypatch, budget=len(good) // 2)
         with pytest.raises(OSError):
-            save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=2), {}, ["a"], 2)
+            save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=2), {}, list("abc"), 2)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt.json"]
         assert path.read_bytes() == good
         load_checkpoint(path)
