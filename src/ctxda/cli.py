@@ -2,7 +2,8 @@
 
 One JSON config document drives a run; flags override config values. All
 outputs are deterministic for a fixed config and seed - timestamps appear
-only in the log file. Exit codes: 0 success, 2 input error, 3 training
+only in the log file. Subcommands raise; ``main`` alone maps an exception to
+a message on stderr and an exit code: 0 success, 2 input error, 3 training
 failure, 4 checkpoint error, 5 analysis input error.
 """
 
@@ -156,18 +157,17 @@ def load_config(path: str | None) -> dict:
     return _merged(DEFAULT_CONFIG, user)
 
 
-def _setup_logging(out_dir: Path | None) -> None:
+def _setup_logging(out_dir: Path) -> None:
+    """Log to stderr and to ``<out_dir>/run.log``, creating ``out_dir``: every
+    subcommand writes its outputs there."""
     level = os.environ.get("CTXDA_LOG", "warning").upper()
-    handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    handlers = [logging.StreamHandler(sys.stderr), logging.FileHandler(out_dir / "run.log")]
     handlers[0].setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        file_handler = logging.FileHandler(out_dir / "run.log")
-        # timestamps live here and only here
-        file_handler.setFormatter(
-            logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
-        )
-        handlers.append(file_handler)
+    # timestamps live here and only here
+    handlers[1].setFormatter(
+        logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
+    )
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING), handlers=handlers, force=True
     )
@@ -219,12 +219,6 @@ def _write_prepared(cfg: dict, train_convs, test_convs):
     return corpus_dir, vocab
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_char_lm(path: Path, key: dict, params) -> None:
     """Cache the character LM ``params`` fitted under ``key`` at ``path``.
     The file appears whole or not at all; a write that fails is logged and
@@ -245,7 +239,7 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
     """The character LM of the prepared corpus for this seed and these LM
     settings: read from its cache file in the corpus directory, or fitted
     and cached there. A cache file that does not hold what its name says
-    exits 4; it is never retrained over."""
+    raises CheckpointError; it is never retrained over."""
     settings = {name: cfg["model"][key] for key, name in _CHAR_LM.items()}
     corpus_dir = _corpus_dir(cfg)
     # everything train_char_lm's result depends on
@@ -264,14 +258,13 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
     log.info("reusing character LM %s", path)
     params = enc.MLSTMParams(vocab.size, settings["hidden_dim"])
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+        stored = json.loads(path.read_text(encoding="utf-8"))
         if stored["key"] != key:
             raise CheckpointError("its stored key is not this run's")
         params_from_json(params, stored["weights"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"character LM cache {path} is unusable: {exc} "
-                       f"(delete it to retrain)", EXIT_CHECKPOINT)
+        raise CheckpointError(f"character LM cache {path} is unusable: {exc} "
+                              f"(delete it to retrain)") from exc
     return params
 
 
@@ -333,7 +326,7 @@ def cmd_synth(cfg: dict) -> int:
         "tags": vocab.tags,
         "bayes_nocontext_accuracy": cor.bayes_nocontext_accuracy(test_spec),
     }
-    _write_json(corpus_dir / "synth_summary.json", summary)
+    write_json_file(corpus_dir / "synth_summary.json", summary, end="\n")
     print(
         f"synthetic corpus: {summary['train_conversations']} train / "
         f"{summary['test_conversations']} test conversations, "
@@ -380,8 +373,8 @@ def cmd_prepare(cfg: dict) -> int:
 
 def cmd_train(cfg: dict, model_name: str) -> int:
     train_convs, test_convs, vocab = _load_prepared(cfg)
+    tcfg = opt.TrainConfig(seed=cfg["seed"], **cfg["train"])  # refused before the LM is cached
     encoder = _build_encoder(cfg, train_convs, test_convs)
-    tcfg = opt.TrainConfig(seed=cfg["seed"], **cfg["train"])
     windows = cor.build_all_windows(train_convs, tcfg.n_context, encoder, vocab)
     mcfg = cfg["model"]
     if model_name == "baseline":
@@ -395,7 +388,6 @@ def cmd_train(cfg: dict, model_name: str) -> int:
     result = opt.train(model, windows, tcfg)
 
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{model_name}_{cfg['encoder']}.ckpt.json"
     try:
         save_checkpoint(
@@ -429,17 +421,13 @@ def _load_model_group(paths: list[str], kind: str):
 
 def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     _, test_convs, _ = _load_prepared(cfg)
-    try:
-        nc_group, nc_tags = _load_model_group(nc_paths, BaselineMLP.kind)
-        wc_group, wc_tags = _load_model_group(wc_paths, UttAttBiRNN.kind)
-        if nc_tags != wc_tags:
-            raise CheckpointError("tag vocabulary mismatch between NC and WC checkpoints")
-        n_contexts = {model.n_context for _, model, _ in wc_group}
-        if len(n_contexts) > 1:
-            raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+    nc_group, nc_tags = _load_model_group(nc_paths, BaselineMLP.kind)
+    wc_group, wc_tags = _load_model_group(wc_paths, UttAttBiRNN.kind)
+    if nc_tags != wc_tags:
+        raise CheckpointError("tag vocabulary mismatch between NC and WC checkpoints")
+    n_contexts = {model.n_context for _, model, _ in wc_group}
+    if len(n_contexts) > 1:
+        raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
     vocab = cor.TagVocabulary(nc_tags)
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
@@ -463,12 +451,8 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     try:
         nc_preds = predictions(nc_group)
         wc_preds = predictions(wc_group)
-    except (CheckpointError, OSError) as exc:  # the encoder stored with a checkpoint
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except (ValueError, KeyError) as exc:
-        print(f"checkpoint/corpus mismatch: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+    except (OSError, ValueError, KeyError) as exc:  # a stored encoder, or its predictions
+        raise CheckpointError(str(exc)) from exc
 
     windows = windows_for(nc_group[0][2])
     labels = np.array([w.label for w in windows])
@@ -493,22 +477,15 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     ]
 
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "eval_records.jsonl"
     ana.write_records(records_path, records)
 
-    lines = []
-    for kind, per_model in (("NC", nc_preds), ("WC", wc_preds)):
-        for name, pred in per_model:
-            hits = int(np.count_nonzero(pred.top_class == labels))
-            lines.append((f"{kind} {name}", 100.0 * hits / len(windows)))
-    acc = ana.accuracy(records)
-    if len(nc_preds) > 1:
-        lines.append(("NC ensemble", acc["nc"]))
-    if len(wc_preds) > 1:
-        lines.append(("WC ensemble", acc["wc"]))
-    for name, value in lines:
-        print(f"{name}: {value:.2f}%")
+    groups = (("NC", nc_preds, nc_probs), ("WC", wc_preds, wc_probs))
+    rows = [(f"{kind} {name}", pred.probs) for kind, preds, _ in groups for name, pred in preds]
+    rows += [(f"{kind} ensemble", probs) for kind, preds, probs in groups if len(preds) > 1]
+    for name, probs in rows:
+        hits = np.count_nonzero(probs.argmax(axis=1) == labels)
+        print(f"{name}: {100.0 * hits / len(windows):.2f}%")
     print(f"records: {records_path} ({len(records)} utterances)")
     return EXIT_OK
 
@@ -517,8 +494,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     try:
         record_sets = [ana.load_records(p) for p in record_paths]
     except (OSError, ValueError) as exc:
-        print(f"cannot load records: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+        raise CliError(f"cannot load records: {exc}", EXIT_ANALYSIS) from exc
     # every check before the first write: no output at all from a bad input
     try:
         if any(not rs for rs in record_sets):
@@ -530,41 +506,39 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
         multi = (ana.attention_profile_mean([], runs=record_sets)
                  if len(record_sets) > 1 else None)
     except ValueError as exc:
-        print(f"analysis input error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+        raise CliError(f"analysis input error: {exc}", EXIT_ANALYSIS) from exc
     records = record_sets[0]
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     acc = ana.accuracy(records)
     ana.write_pair_csv(out_dir / "failure_pairs.csv", ana.failure_pairs(records))
     rescue = ana.rescue_pairs(records)
     ana.write_pair_csv(out_dir / "rescue_pairs.csv", rescue.rows)
     stats = ana.confidence_stats(records)
-    _write_json(out_dir / "confidence.json", dataclasses.asdict(stats))
+    write_json_file(out_dir / "confidence.json", dataclasses.asdict(stats), end="\n")
 
+    slots = [f"a{k}" for k in range(len(profile))]
     with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:
-        fh.write("slot," + ",".join(f"a{k}" for k in range(len(profile))) + "\n")
+        fh.write(",".join(["slot", *slots]) + "\n")
         fh.write("mean," + ",".join(repr(float(v)) for v in profile) + "\n")
         if multi is not None:
             fh.write("mean_over_runs," + ",".join(repr(float(v)) for v in multi) + "\n")
 
     short = ana.short_utterance_slice(records, cfg["analysis"]["short_max_tokens"])
-    _write_json(out_dir / "short_utterance_profile.json", {
+    write_json_file(out_dir / "short_utterance_profile.json", {
         "max_tokens": short.max_tokens,
         "n_sliced": short.n_sliced,
         "slice_mean": None if short.slice_mean is None else short.slice_mean.tolist(),
         "full_mean": short.full_mean.tolist(),
-    })
+    }, end="\n")
 
     if cfg["analysis"]["svg"]:
-        labels = [f"a{k}" for k in range(len(profile))]
         (out_dir / "attention_profile.svg").write_text(
-            ana.svg_bar_chart(profile, labels, title="mean attention per slot")
+            ana.svg_bar_chart(profile, slots, title="mean attention per slot")
         )
         if multi is not None:
             (out_dir / "attention_profile_runs.svg").write_text(
-                ana.svg_bar_chart(multi, labels,
+                ana.svg_bar_chart(multi, slots,
                                   title=f"mean attention over {len(record_sets)} runs")
             )
         (out_dir / "confidence.svg").write_text(
@@ -636,9 +610,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg, args.model)
         if args.command == "eval":
             return cmd_eval(cfg, args.nc, args.wc)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.records, args.runs)
-        raise CliError(f"unknown command {args.command!r}")
+        return cmd_analyze(cfg, args.records, args.runs)  # argparse allows no other
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -646,6 +618,9 @@ def main(argv=None) -> int:
         where = "" if exc.epoch is None else f" (epoch {exc.epoch})"
         print(f"training diverged: {exc}{where}", file=sys.stderr)
         return EXIT_TRAINING
+    except CheckpointError as exc:  # before ValueError, its base class
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

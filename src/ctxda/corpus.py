@@ -384,13 +384,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Conversation]:
         for t in range(spec.conversation_length):
             c = int(classes[t])
             prev = int(classes[t - 1]) if t > 0 else spec.start_class
-            if spec.mode == "previous":
-                label = spec.transition[prev]
-                n_words = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-                words = [spec.class_words(c)[int(k)]
-                         for k in rng.integers(0, spec.words_per_class, n_words)]
-            elif spec.mode == "current":
-                label = spec.transition[c]
+            if spec.mode in ("previous", "current"):
+                label = spec.transition[prev if spec.mode == "previous" else c]
                 n_words = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
                 words = [spec.class_words(c)[int(k)]
                          for k in rng.integers(0, spec.words_per_class, n_words)]

@@ -372,6 +372,10 @@ def train_char_lm(
     first. Returns the cell weights and the per-epoch mean losses. Texts are
     truncated to ``max_chars`` to bound the backpropagation through time.
     """
+    if learning_rate <= 0:
+        raise ValueError("char LM learning_rate must be positive")
+    if epochs < 1:
+        raise ValueError("char LM epochs must be positive")
     params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
     rng = np.random.default_rng(seed)
     head = init_params(
@@ -510,42 +514,48 @@ def encoder_to_config(encoder) -> dict:
 
 
 def encoder_from_config(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "word":
-        source = cfg["source"]
-        if source["kind"] == "file":
-            path = source["path"]
-            # a source without a digest comes from a checkpoint written before them
-            if "sha256" in source and _sha256(path) != source["sha256"]:
-                raise CheckpointError(f"word table {path} changed since the checkpoint "
-                                      f"was written: its sha256 differs")
-            table = load_embeddings(path)
-            if table.dim != cfg["dim"]:
-                raise CheckpointError(f"word table {path} has dim {table.dim}, "
-                                      f"the checkpoint stores {cfg['dim']}")
-        elif source["kind"] == "onehot":
-            table = EmbeddingTable.one_hot(source["vocabulary"])
-        elif source["kind"] == "inline":
-            table = EmbeddingTable(cfg["dim"])
-            for token, vec in zip(source["tokens"], source["vectors"]):
-                table.add(token, vec)
-        else:
-            raise ValueError(f"unknown word-table source {source['kind']!r}")
-        return WordMeanEncoder(table, source)
-    if kind == "char":
-        vocab = CharVocab(cfg["chars"])
-        if vocab.size != cfg["input_dim"]:
-            raise CheckpointError(
-                f"char encoder: {len(vocab.chars)} characters and the unknown index need "
-                f"input_dim {vocab.size}, but the stored input_dim is {cfg['input_dim']}"
+    """The encoder ``cfg`` describes, as ``encoder_to_config`` wrote it. Fails
+    closed with CheckpointError on a malformed description, as
+    ``load_checkpoint`` does for the model part."""
+    try:
+        kind = cfg.get("type")
+        if kind == "word":
+            source = cfg["source"]
+            if source["kind"] == "file":
+                path = source["path"]
+                # a source without a digest comes from a checkpoint written before them
+                if "sha256" in source and _sha256(path) != source["sha256"]:
+                    raise CheckpointError(f"word table {path} changed since the checkpoint "
+                                          f"was written: its sha256 differs")
+                table = load_embeddings(path)
+                if table.dim != cfg["dim"]:
+                    raise CheckpointError(f"word table {path} has dim {table.dim}, "
+                                          f"the checkpoint stores {cfg['dim']}")
+            elif source["kind"] == "onehot":
+                table = EmbeddingTable.one_hot(source["vocabulary"])
+            elif source["kind"] == "inline":
+                table = EmbeddingTable(cfg["dim"])
+                for token, vec in zip(source["tokens"], source["vectors"]):
+                    table.add(token, vec)
+            else:
+                raise CheckpointError(f"unknown word-table source {source['kind']!r}")
+            return WordMeanEncoder(table, source)
+        if kind == "char":
+            vocab = CharVocab(cfg["chars"])
+            if vocab.size != cfg["input_dim"]:
+                raise CheckpointError(
+                    f"char encoder: {len(vocab.chars)} characters and the unknown index need "
+                    f"input_dim {vocab.size}, but the stored input_dim is {cfg['input_dim']}"
+                )
+            params = MLSTMParams(cfg["input_dim"], cfg["hidden_dim"])
+            params_from_json(params, cfg["weights"])
+            return CharMLSTMEncoder(params, vocab, cfg.get("reduce", "mean"))
+        if kind == "concat":
+            return ConcatEncoder(
+                encoder_from_config(cfg["char"]), encoder_from_config(cfg["word"])
             )
-        params = MLSTMParams(cfg["input_dim"], cfg["hidden_dim"])
-        params_from_json(params, cfg["weights"])
-        return CharMLSTMEncoder(params, vocab, cfg.get("reduce", "mean"))
-    if kind == "concat":
-        return ConcatEncoder(
-            encoder_from_config(cfg["char"]), encoder_from_config(cfg["word"])
-        )
-    if kind == "precomputed":
-        return PrecomputedEncoder.from_files(cfg["paths"])
-    raise ValueError(f"unknown encoder type {kind!r}")
+        if kind == "precomputed":
+            return PrecomputedEncoder.from_files(cfg["paths"])
+        raise CheckpointError(f"unknown encoder type {kind!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed encoder entry: {exc!r}") from exc

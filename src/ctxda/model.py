@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optim import cross_entropy
 from .tensor import (
     CheckpointError,
     DimensionError,
@@ -321,8 +322,6 @@ class UttAttBiRNN(_Registry):
         return _predict(self._forward, windows)
 
     def loss(self, windows, rng=None) -> Tensor2D:
-        from .optim import cross_entropy
-
         probs, _ = self._forward(windows, rng)
         return cross_entropy(probs, [w.label for w in windows])
 
@@ -384,8 +383,6 @@ class BaselineMLP(_Registry):
         return _predict(self._forward, windows)
 
     def loss(self, windows, rng=None) -> Tensor2D:
-        from .optim import cross_entropy
-
         probs, _ = self._forward(windows, rng)
         return cross_entropy(probs, [w.label for w in windows])
 

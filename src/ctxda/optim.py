@@ -178,6 +178,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.lr_decay <= 0:
+            raise ValueError("lr_decay must be positive")
 
 
 @dataclass

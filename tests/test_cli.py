@@ -270,6 +270,21 @@ class TestTrain:
         assert not list((tmp_path / "run").glob("*.ckpt.json"))
         assert not list((tmp_path / "run" / "corpus").glob("char_lm-*.json"))
 
+    @pytest.mark.parametrize("model, train, refused", [
+        ({}, {"lr_decay": -1}, "lr_decay must be positive"),
+        ({"char_lm_lr": -0.01}, {}, "char LM learning_rate must be positive"),
+        ({"char_lm_epochs": 0}, {}, "char LM epochs must be positive"),
+    ], ids=["lr_decay", "char_lm_lr", "char_lm_epochs"])
+    def test_senseless_learning_rate_setting_exit_2(self, tmp_path, capsys, model, train,
+                                                    refused):
+        config, _ = write_config(tmp_path, encoder="char", train=train, model={
+            "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16, **model})
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert refused in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("baseline_char*"))
+        assert not list((tmp_path / "run" / "corpus").glob("char_lm-*"))
+
 
 def char_config(tmp_path, **model):
     """A small ``char`` config; ``model`` overrides its model section."""
@@ -694,6 +709,15 @@ class TestEvalFailsClosed:
             code, records = self.run_eval(tmp_path, edit)
         assert code == 4 and not records.exists()
         assert "not a finite distribution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda wc: wc.update(encoder=["char", "word"]),
+        lambda wc: wc["encoder"]["word"].update(source="onehot"),
+    ], ids=["encoder_not_an_object", "word_source_a_string"])
+    def test_malformed_encoder_entry_exit_4(self, tmp_path, capsys, edit):
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        assert "checkpoint error" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -462,6 +462,12 @@ class TestCharLM:
         with pytest.raises(ValueError):
             E.train_char_lm(["a"], E.CharVocab("a"), hidden_dim=4)
 
+    @pytest.mark.parametrize("setting", [{"learning_rate": 0.0}, {"learning_rate": -0.01},
+                                         {"epochs": 0}])
+    def test_refuses_a_senseless_setting(self, setting):
+        with pytest.raises(ValueError, match="must be positive"):
+            E.train_char_lm(["ab"], E.CharVocab("ab"), hidden_dim=4, **setting)
+
 
 def per_step_char_lm(texts, vocab, hidden_dim, epochs, learning_rate, seed, max_chars):
     """Reference char-LM training: the cell stepped one character at a time,

@@ -252,6 +252,12 @@ def tiny_corpus(mode="current", seed=0, n_conversations=4, length=6):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("setting", [{"lr_decay": 0.0}, {"lr_decay": -1.0},
+                                         {"learning_rate": 0.0}, {"max_epochs": 0}])
+    def test_config_refuses_a_senseless_setting(self, setting):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainConfig(**setting)
+
     def test_empty_training_set_rejected(self):
         model = BaselineMLP(2, 2, hidden1=3, hidden2=3)
         with pytest.raises(ValueError):
