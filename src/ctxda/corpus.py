@@ -359,6 +359,10 @@ class SyntheticSpec:
             raise ValueError("start_class out of range")
         if not (1 <= self.min_tokens <= self.max_tokens):
             raise ValueError("token bounds must satisfy 1 <= min <= max")
+        if self.words_per_class < 1:
+            raise ValueError("words_per_class must be at least 1")
+        if self.mode == "mixed" and not self.response_words:
+            raise ValueError("mode 'mixed' needs at least one of response_words")
 
     def class_words(self, c: int) -> list[str]:
         return [f"w{c}_{k}" for k in range(self.words_per_class)]

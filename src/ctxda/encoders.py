@@ -376,6 +376,8 @@ def train_char_lm(
         raise ValueError("char LM learning_rate must be positive")
     if epochs < 1:
         raise ValueError("char LM epochs must be positive")
+    if max_chars < 2:  # a text needs two characters for one prediction
+        raise ValueError(f"char LM max_chars must be at least 2, got {max_chars}")
     params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
     rng = np.random.default_rng(seed)
     head = init_params(
@@ -394,12 +396,6 @@ def train_char_lm(
     return params, losses
 
 
-def concat_encode(char_vec: np.ndarray, word_vec: np.ndarray) -> np.ndarray:
-    """Concatenate the two representations, character part first."""
-    return np.concatenate([np.asarray(char_vec, dtype=np.float64).ravel(),
-                           np.asarray(word_vec, dtype=np.float64).ravel()])
-
-
 class ConcatEncoder:
     def __init__(self, char_encoder, word_encoder):
         self.char_encoder = char_encoder
@@ -407,10 +403,8 @@ class ConcatEncoder:
         self.dim = char_encoder.dim + word_encoder.dim
 
     def encode_utterance(self, utt) -> np.ndarray:
-        return concat_encode(
-            self.char_encoder.encode_utterance(utt),
-            self.word_encoder.encode_utterance(utt),
-        )
+        return np.concatenate([self.char_encoder.encode_utterance(utt),
+                               self.word_encoder.encode_utterance(utt)])
 
 
 def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
@@ -450,19 +444,27 @@ def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
 
 
 class PrecomputedEncoder:
-    def __init__(self, features: dict[tuple[str, int], np.ndarray], paths: list[str] | None = None):
+    """Features by (conversation_id, utterance index), read from files of one dim."""
+
+    def __init__(self, features: dict[tuple[str, int], np.ndarray], paths: list[str] | None = None,
+                 digests: list[str] | None = None):
         if not features:
             raise ValueError("empty feature table")
         self.features = features
         self.dim = len(next(iter(features.values())))
         self.paths = list(paths or [])
+        self.digests = list(digests or [])
 
     @classmethod
     def from_files(cls, paths) -> "PrecomputedEncoder":
-        merged: dict[tuple[str, int], np.ndarray] = {}
-        for path in paths:
-            merged.update(load_feature_file(path))
-        return cls(merged, paths=[str(p) for p in paths])
+        digests = [_sha256(path) for path in paths]
+        tables = [load_feature_file(path) for path in paths]
+        dims = [len(next(iter(table.values()))) for table in tables]
+        for path, dim in zip(paths, dims):
+            if dim != dims[0]:
+                raise ValueError(f"{path}: features of dim {dim}, but {paths[0]} has dim {dims[0]}")
+        merged = {key: vec for table in tables for key, vec in table.items()}
+        return cls(merged, [str(p) for p in paths], digests)
 
     def encode_utterance(self, utt) -> np.ndarray:
         key = (utt.conversation_id, utt.index)
@@ -474,10 +476,10 @@ class PrecomputedEncoder:
 # --- encoder persistence ------------------------------------------------------
 #
 # Checkpoints embed an encoder description so evaluation can rebuild the exact
-# encoder used at training time. Word tables are stored inline (token + vector
-# lists) unless they came from a file, in which case its path and sha256 are
-# recorded, and verified with its dim on load; mLSTM weights are always stored
-# inline, in the checkpoint's parameter layout and with its checks on load.
+# encoder used at training time. A word table or feature file is recorded by its
+# path and sha256, and verified with its dim on load; other word tables are stored
+# inline (token + vector lists), and mLSTM weights always are, in the
+# checkpoint's parameter layout and with its checks on load.
 
 
 def encoder_to_config(encoder) -> dict:
@@ -509,7 +511,8 @@ def encoder_to_config(encoder) -> dict:
             "word": encoder_to_config(encoder.word_encoder),
         }
     if isinstance(encoder, PrecomputedEncoder):
-        return {"type": "precomputed", "paths": encoder.paths, "dim": encoder.dim}
+        return {"type": "precomputed", "paths": encoder.paths, "sha256": encoder.digests,
+                "dim": encoder.dim}
     raise TypeError(f"cannot serialize encoder of type {type(encoder).__name__}")
 
 
@@ -555,7 +558,15 @@ def encoder_from_config(cfg: dict):
                 encoder_from_config(cfg["char"]), encoder_from_config(cfg["word"])
             )
         if kind == "precomputed":
-            return PrecomputedEncoder.from_files(cfg["paths"])
+            encoder = PrecomputedEncoder.from_files(cfg["paths"])
+            # a description without digests comes from a checkpoint written before them
+            if cfg.get("sha256", encoder.digests) != encoder.digests:
+                raise CheckpointError(f"feature files {encoder.paths} changed since the "
+                                      f"checkpoint was written: their sha256 differs")
+            if encoder.dim != cfg["dim"]:
+                raise CheckpointError(f"feature files {encoder.paths} have dim {encoder.dim}, "
+                                      f"the checkpoint stores {cfg['dim']}")
+            return encoder
         raise CheckpointError(f"unknown encoder type {kind!r}")
     except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed encoder entry: {exc!r}") from exc

@@ -326,26 +326,10 @@ class UttAttBiRNN(_Registry):
         return cross_entropy(probs, [w.label for w in windows])
 
 
-def baseline_forward(u: Tensor2D, params: dict, rng=None, dropout_rate: float = 0.0) -> Tensor2D:
-    """tanh -> tanh -> softmax over utterance vectors, one per column of ``u``,
-    with the registry's ``mlp.*`` layers; dropout after each tanh layer when
-    ``rng`` is given and ``dropout_rate`` is above 0."""
-    draws = (None, None)
-    if rng is not None and dropout_rate > 0.0:
-        # one draw, window by window then layer by layer: the masks, in order,
-        # that the windows would draw as batches of one
-        h1 = params["mlp.b1"].rows
-        draws = np.split(rng.random((u.cols, h1 + params["mlp.b2"].rows)).T, [h1])
-    h = u
-    for layer, uniforms in zip("12", draws):
-        h = tanh_map(add_bias(matmul(params[f"mlp.w{layer}"], h), params[f"mlp.b{layer}"]))
-        if uniforms is not None:
-            h = apply_dropout(h, dropout_rate, uniforms)
-    return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"]))
-
-
 class BaselineMLP(_Registry):
-    """No-context classifier over the current utterance's features alone.
+    """No-context classifier over the current utterance's features alone:
+    tanh -> tanh -> softmax, with dropout after each tanh layer when ``loss``
+    is given an ``rng`` and ``dropout_rate`` is above 0.
 
     ``predict`` and ``loss`` take windows as :class:`UttAttBiRNN` does.
     """
@@ -376,8 +360,18 @@ class BaselineMLP(_Registry):
         })
 
     def _forward(self, windows, rng=None) -> tuple[Tensor2D, None]:
-        current = Tensor2D(_slot_inputs(windows, [-1])[0].T)
-        return baseline_forward(current, self.params, rng, self.dropout_rate), None
+        params = self.params
+        h = Tensor2D(_slot_inputs(windows, [-1])[0].T)
+        draws = (None, None)
+        if rng is not None and self.dropout_rate > 0.0:
+            # one draw, window by window then layer by layer: the masks, in order,
+            # that the windows would draw as batches of one
+            draws = np.split(rng.random((h.cols, self.hidden1 + self.hidden2)).T, [self.hidden1])
+        for layer, uniforms in zip("12", draws):
+            h = tanh_map(add_bias(matmul(params[f"mlp.w{layer}"], h), params[f"mlp.b{layer}"]))
+            if uniforms is not None:
+                h = apply_dropout(h, self.dropout_rate, uniforms)
+        return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"])), None
 
     def predict(self, windows):
         return _predict(self._forward, windows)

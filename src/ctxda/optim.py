@@ -1,4 +1,4 @@
-"""Loss, Adam, learning-rate decay, early stopping, and the training loop."""
+"""Loss, Adam and the training loop with learning-rate decay and early stopping."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Parameter, Tensor2D, backward, mean_neg_log_gather
+from .tensor import DimensionError, Parameter, Tensor2D, backward
 
 LOSS_FLOOR = 1e-12
 
@@ -21,13 +21,28 @@ class TrainingDiverged(RuntimeError):
 
 
 def cross_entropy(probs: Tensor2D, gold) -> Tensor2D:
-    """Categorical cross-entropy -log(max(p_gold, 1e-12)) as a graph node.
+    """Categorical cross-entropy, the mean over columns j of
+    -log(max(probs[gold[j], j], LOSS_FLOOR)), as a (1, 1) graph node.
 
     ``probs`` holds one probability column per example and ``gold`` the gold
-    index of each column; the result is the mean over the columns, a (1, 1)
-    node.
+    index of each column. The floor keeps an entry that has underflowed to
+    zero finite; entries at or below it get zero gradient.
     """
-    return mean_neg_log_gather(probs, gold, floor=LOSS_FLOOR)
+    gold = np.asarray(gold, dtype=np.intp)
+    n_classes, n = probs.data.shape
+    if gold.shape != (n,):
+        raise DimensionError(f"cross_entropy: {gold.size} gold indices for {n} columns")
+    if np.any((gold < 0) | (gold >= n_classes)):
+        raise ValueError(f"cross_entropy: gold index out of range for {n_classes} classes")
+    cols = np.arange(n)
+    picked = probs.data[gold, cols]
+    clipped = np.maximum(picked, LOSS_FLOOR)
+    active = picked > LOSS_FLOOR
+
+    def backprop(g):
+        probs.grad[gold, cols] += np.where(active, -(g[0, 0] / n) / clipped, 0.0)
+
+    return Tensor2D._result(np.array([[-np.log(clipped).mean()]]), (probs,), backprop)
 
 
 class Adam:
@@ -40,19 +55,13 @@ class Adam:
     most one Adam.
     """
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        learning_rate: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9  # the moment decays and eps are Kingma & Ba's defaults
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Parameter], learning_rate: float = 1e-4):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.data = np.concatenate([p.data.ravel() for p in self.params])
         self.grad = np.concatenate([p.grad.ravel() for p in self.params])
@@ -78,42 +87,6 @@ class Adam:
         v *= self.beta2
         v += (1.0 - self.beta2) * (g * g)
         self.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def decay_lr(base_lr: float, gamma: float, epoch: int) -> float:
-    """Exponential schedule: base_lr * gamma**epoch (epoch 0 -> base rate)."""
-    if epoch < 0:
-        raise ValueError(f"epoch must be non-negative, got {epoch}")
-    return base_lr * gamma**epoch
-
-
-class EarlyStopping:
-    """Stop after ``patience`` epochs without a validation-accuracy improvement.
-
-    Keeps a copy of the best-scoring parameters (an optimizer's flat
-    ``data``); improvement is strictly greater-than, so ties count against
-    patience.
-    """
-
-    def __init__(self, patience: int = 5):
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        self.patience = patience
-        self.best_accuracy = -np.inf
-        self.best_epoch = 0
-        self.epochs_since_improvement = 0
-        self.best_snapshot: np.ndarray | None = None
-
-    def update(self, accuracy: float, snapshot: np.ndarray, epoch: int) -> bool:
-        """Record one epoch's result; returns True when training should stop."""
-        if accuracy > self.best_accuracy:
-            self.best_accuracy = accuracy
-            self.best_epoch = epoch
-            self.best_snapshot = snapshot.copy()
-            self.epochs_since_improvement = 0
-        else:
-            self.epochs_since_improvement += 1
-        return self.epochs_since_improvement >= self.patience
 
 
 def split_validation(windows, fraction: float, seed: int, by_conversation: bool = False):
@@ -220,11 +193,11 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
     )
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(model.parameters(), learning_rate=cfg.learning_rate)
-    stopper = EarlyStopping(cfg.patience)
-    result = TrainResult()
+    result = TrainResult(best_val_accuracy=-np.inf)
+    best_data = None  # a copy of adam.data at the best epoch
 
     for epoch in range(1, cfg.max_epochs + 1):
-        adam.learning_rate = decay_lr(cfg.learning_rate, cfg.lr_decay, epoch - 1)
+        adam.learning_rate = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
@@ -249,13 +222,13 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
             EpochStats(epoch, adam.learning_rate, epoch_loss / len(train_set),
                        val_accuracy, train_accuracy)
         )
-        if stopper.update(val_accuracy, adam.data, epoch):
+        if val_accuracy > result.best_val_accuracy:  # a tie is no improvement
+            result.best_epoch, result.best_val_accuracy = epoch, val_accuracy
+            best_data = adam.data.copy()
+        elif epoch - result.best_epoch >= cfg.patience:
             break
 
-    if stopper.best_snapshot is not None:
-        adam.data[:] = stopper.best_snapshot
-    result.best_epoch = stopper.best_epoch
-    result.best_val_accuracy = stopper.best_accuracy
+    adam.data[:] = best_data
     return result
 
 

@@ -17,8 +17,8 @@ stored by :func:`params_to_json` and loaded, with checks, by
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
 are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
 size n side by side form an ``(n, B)`` matrix, and the column-wise ops
-(:func:`add_bias`, :func:`softmax_columns`, :func:`weighted_sum`,
-:func:`mean_neg_log_gather`) treat each column independently;
+(:func:`add_bias`, :func:`softmax_columns`, :func:`weighted_sum`, and the
+loss ``cross_entropy`` in :mod:`ctxda.optim`) treat each column independently;
 :func:`add_bias` adds one ``(n, 1)`` column to every column.
 
 Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``:
@@ -48,7 +48,6 @@ __all__ = [
     "weighted_sum",
     "reshape",
     "transpose",
-    "mean_neg_log_gather",
     "backward",
 ]
 
@@ -59,19 +58,6 @@ class DimensionError(ValueError):
 
 class GraphError(RuntimeError):
     """backward() was invoked without a usable recorded computation."""
-
-
-def _as_matrix(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    elif arr.ndim != 2:
-        raise DimensionError(f"expected at most 2 dimensions, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("empty tensors are not supported")
-    return arr
 
 
 class Tensor2D:
@@ -87,9 +73,18 @@ class Tensor2D:
     __slots__ = ("data", "grad", "_parents", "_backprop")
 
     def __init__(self, data):
-        self.data = _as_matrix(data)
-        if not np.isfinite(self.data).all():
+        arr = np.array(data, dtype=np.float64)
+        if arr.ndim == 0:
+            arr = arr.reshape(1, 1)
+        elif arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        elif arr.ndim != 2:
+            raise DimensionError(f"expected at most 2 dimensions, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("empty tensors are not supported")
+        if not np.isfinite(arr).all():
             raise ValueError("tensor entries must be finite")
+        self.data = arr
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backprop: Callable[[np.ndarray], None] | None = None
@@ -370,33 +365,9 @@ def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
     return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
 
 
-def mean_neg_log_gather(t: Tensor2D, rows, floor: float = 1e-12) -> Tensor2D:
-    """Mean over columns j of -log(max(t[rows[j], j], floor)), as (1, 1).
-
-    One entry is gathered per column (the gold class of each example in a
-    batch of probability columns). The floor guards against -inf on entries
-    that have underflowed to zero; entries at or below it get zero gradient.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    r, n = t.data.shape
-    if rows.shape != (n,):
-        raise DimensionError(f"mean_neg_log_gather: {rows.size} rows for {n} columns")
-    if np.any((rows < 0) | (rows >= r)):
-        raise ValueError(f"mean_neg_log_gather: row index out of range for {r} rows")
-    cols = np.arange(n)
-    picked = t.data[rows, cols]
-    clipped = np.maximum(picked, floor)
-    active = picked > floor
-
-    def backprop(g):
-        t.grad[rows, cols] += np.where(active, -(g[0, 0] / n) / clipped, 0.0)
-
-    return Tensor2D._result(np.array([[-np.log(clipped).mean()]]), (t,), backprop)
-
-
 def _topo_order(root: Tensor2D) -> list[Tensor2D]:
-    # Iterative post-order: mLSTM graphs over long strings overflow the
-    # recursion limit.
+    # Iterative post-order: deep graphs of elementary ops, such as the op-by-op
+    # cells of tests/reference_ops.py over a long text, overflow the recursion limit.
     order: list[Tensor2D] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor2D, bool]] = [(root, False)]

@@ -10,7 +10,8 @@ import pytest
 
 from ctxda.cli import DEFAULT_CONFIG, load_config, main
 from ctxda.analysis import load_records
-from ctxda.corpus import TagVocabulary
+from ctxda.corpus import TagVocabulary, load_jsonl
+from ctxda.encoders import PrecomputedEncoder, encoder_from_config, encoder_to_config
 from faults import fill_disk, refuse_replace
 
 DATA = Path(__file__).parent / "data"
@@ -92,12 +93,17 @@ class TestSynth:
                     seen.add(own)
         assert seen == set(rule)
 
-    @pytest.mark.parametrize("transition", [{"0": 1, "1": 2, "2": 7},
-                                            {"0": 1, "1": 2, "2": 0, "3": 0}])
-    def test_transition_outside_the_classes_exit_2(self, tmp_path, capsys, transition):
-        config, _ = write_config(tmp_path, synthetic={"transition": transition})
+    @pytest.mark.parametrize("synthetic, refused", [
+        ({"transition": {"0": 1, "1": 2, "2": 7}}, "outside 0..2"),
+        ({"transition": {"0": 1, "1": 2, "2": 0, "3": 0}}, "outside 0..2"),
+        ({"words_per_class": 0}, "words_per_class must be at least 1"),
+        ({"mode": "mixed", "response_words": []}, "mode 'mixed' needs at least one of "
+                                                  "response_words"),
+    ], ids=["transition0", "transition1", "words_per_class", "response_words"])
+    def test_transition_outside_the_classes_exit_2(self, tmp_path, capsys, synthetic, refused):
+        config, _ = write_config(tmp_path, synthetic=synthetic)
         assert main(["--config", str(config), "synth"]) == 2
-        assert "outside 0..2" in capsys.readouterr().err
+        assert refused in capsys.readouterr().err
         assert not (tmp_path / "run" / "corpus").exists()
 
     def test_idempotent_given_seed(self, tmp_path):
@@ -274,7 +280,8 @@ class TestTrain:
         ({}, {"lr_decay": -1}, "lr_decay must be positive"),
         ({"char_lm_lr": -0.01}, {}, "char LM learning_rate must be positive"),
         ({"char_lm_epochs": 0}, {}, "char LM epochs must be positive"),
-    ], ids=["lr_decay", "char_lm_lr", "char_lm_epochs"])
+        ({"char_max_chars": 1}, {}, "char LM max_chars must be at least 2, got 1"),
+    ], ids=["lr_decay", "char_lm_lr", "char_lm_epochs", "char_max_chars"])
     def test_senseless_learning_rate_setting_exit_2(self, tmp_path, capsys, model, train,
                                                     refused):
         config, _ = write_config(tmp_path, encoder="char", train=train, model={
@@ -610,6 +617,34 @@ class TestEvalFailsClosed:
         code, records = self.run_eval(tmp_path, lambda wc: None, test=empty)
         assert code == 2 and not records.exists()
         assert "prepared corpus split is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_feature_file_is_checked_by_its_digest(self, tmp_path, capsys, changed):
+        features = tmp_path / "features.tsv"
+
+        def edit(wc):
+            # the word part's own features as a feature file, negated once stored
+            word = encoder_from_config(wc["encoder"]["word"])
+            utterances = [u for conv in load_jsonl(DATA / "v1_conversations.jsonl")
+                          for u in conv.utterances]
+
+            def write(sign):
+                features.write_text("".join(
+                    f"{u.conversation_id}\t{u.index}\t"
+                    + ",".join(repr(sign * float(v)) for v in word.encode_utterance(u)) + "\n"
+                    for u in utterances))
+
+            write(1.0)
+            wc["encoder"]["word"] = encoder_to_config(PrecomputedEncoder.from_files([features]))
+            if changed:
+                write(-1.0)
+
+        code, records = self.run_eval(tmp_path, edit)
+        if changed:
+            assert code == 4 and not records.exists()
+            assert f"feature files {[str(features)]} changed" in capsys.readouterr().err
+        else:
+            assert code == 0 and records.exists()
 
     @pytest.mark.parametrize("kind", ["embeddings", "features"])
     def test_non_finite_encoder_file_exit_4(self, tmp_path, capsys, kind):

@@ -390,17 +390,33 @@ class TestCharEncode:
             E.char_encode("a", p, E.CharVocab(), reduce="max")
 
 
+class Fixed:
+    """An encoder that gives every utterance the vector ``vec``."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=np.float64)
+        self.dim = self.vec.size
+
+    def encode_utterance(self, utt):
+        return self.vec
+
+
 class TestConcat:
+    utterance = Utterance("c", 0, "hi", "x")
+
     def test_order_char_first(self):
-        assert E.concat_encode(np.array([1.0, 2.0]), np.array([3.0])).tolist() == [1, 2, 3]
+        enc = E.ConcatEncoder(Fixed([1.0, 2.0]), Fixed([3.0]))
+        assert enc.dim == 3
+        assert enc.encode_utterance(self.utterance).tolist() == [1, 2, 3]
 
     def test_zero_plus_zero(self):
-        out = E.concat_encode(np.zeros(3), np.zeros(2))
+        enc = E.ConcatEncoder(Fixed(np.zeros(3)), Fixed(np.zeros(2)))
+        out = enc.encode_utterance(self.utterance)
         assert out.shape == (5,) and np.all(out == 0.0)
 
     def test_full_scale_dims(self):
-        out = E.concat_encode(np.zeros(4096), np.zeros(300))
-        assert out.shape == (4396,)
+        enc = E.ConcatEncoder(Fixed(np.zeros(4096)), Fixed(np.zeros(300)))
+        assert enc.dim == 4396 and enc.encode_utterance(self.utterance).shape == (4396,)
 
 
 class TestPrecomputed:
@@ -433,6 +449,49 @@ class TestPrecomputed:
         path.write_text(f"c1\t0\t1.0,2.0\nc1\t1\t{bad},1.0\n")
         with pytest.raises(ValueError, match=r"feat\.tsv:2: non-finite"):
             E.load_feature_file(path)
+
+    def test_files_of_different_dims_are_refused(self, tmp_path):
+        paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        write_feature_file(paths[0], {("c1", 0): [1.0, 2.0]})
+        write_feature_file(paths[1], {("c1", 1): [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError, match=f"{re.escape(str(paths[1]))}: features of dim 3"):
+            E.PrecomputedEncoder.from_files(paths)
+
+
+class TestFileFeatures:
+    """Precomputed features are stored by their files' paths and sha256
+    digests, and verified with the stored dim when the encoder is rebuilt."""
+
+    utterance = Utterance("c1", 1, "hi", "x")
+
+    def stored(self, tmp_path):
+        path = tmp_path / "feat.tsv"
+        write_feature_file(path, {("c1", 0): [1.0, 2.0], ("c1", 1): [0.5, -3.0]})
+        encoder = E.PrecomputedEncoder.from_files([path])
+        return path, json.loads(json.dumps(E.encoder_to_config(encoder)))
+
+    def test_config_holds_paths_and_sha256(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        assert cfg == {"type": "precomputed", "paths": [str(path)], "dim": 2,
+                       "sha256": [hashlib.sha256(path.read_bytes()).hexdigest()]}
+        rebuilt = E.encoder_from_config(cfg)
+        assert rebuilt.encode_utterance(self.utterance).tolist() == [0.5, -3.0]
+        assert E.encoder_to_config(rebuilt) == cfg
+
+    def test_rewritten_file_is_refused(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        write_feature_file(path, {("c1", 0): [-1.0, -2.0], ("c1", 1): [-0.5, 3.0]})
+        with pytest.raises(CheckpointError, match=re.escape(f"feature files {[str(path)]} changed")):
+            E.encoder_from_config(cfg)
+
+    def test_config_without_digests_checks_only_the_dim(self, tmp_path):
+        path, cfg = self.stored(tmp_path)
+        del cfg["sha256"]
+        write_feature_file(path, {("c1", 1): [-0.5, 3.0]})  # unverifiable, as before digests
+        assert E.encoder_from_config(cfg).encode_utterance(self.utterance).tolist() == [-0.5, 3.0]
+        write_feature_file(path, {("c1", 1): [-0.5, 3.0, 1.0]})
+        with pytest.raises(CheckpointError, match="have dim 3, the checkpoint stores 2"):
+            E.encoder_from_config(cfg)
 
 
 class TestCharLM:

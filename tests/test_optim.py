@@ -6,9 +6,20 @@ import pytest
 from ctxda import optim as O
 from ctxda.corpus import SyntheticSpec, TagVocabulary, build_all_windows, generate_synthetic
 from ctxda.encoders import EmbeddingTable, WordMeanEncoder
-from ctxda.model import BaselineMLP, ContextWindow, UttAttBiRNN
-from ctxda.optim import Adam, EarlyStopping, TrainConfig, TrainingDiverged
-from ctxda.tensor import Parameter, Tensor2D, params_from_json, params_to_json, softmax_columns
+from ctxda.model import BaselineMLP, ContextWindow, Prediction, UttAttBiRNN
+from ctxda.optim import Adam, TrainConfig, TrainingDiverged
+from ctxda.tensor import (
+    DimensionError,
+    Parameter,
+    Tensor2D,
+    backward,
+    matmul,
+    params_from_json,
+    params_to_json,
+    softmax_columns,
+)
+from gradcheck import max_gradient_error
+from reference_ops import neg_log, pick
 
 
 class TestCrossEntropy:
@@ -29,10 +40,42 @@ class TestCrossEntropy:
         probs = Tensor2D([[0.0], [1.0]])
         assert O.cross_entropy(probs, [0]).item() == pytest.approx(-math.log(1e-12))
 
+    def test_floor_blocks_gradient(self):
+        p = Parameter([[0.0, 0.5], [1.0, 0.5]])
+        backward(O.cross_entropy(p, [0, 0]))
+        assert p.grad[0, 0] == 0.0
+        assert p.grad[0, 1] == pytest.approx(-1.0 / (2 * 0.5))
+
     def test_gold_out_of_range(self):
         probs = Tensor2D([[0.5], [0.5]])
         with pytest.raises(ValueError):
             O.cross_entropy(probs, [2])
+
+    def test_mean_over_columns(self):
+        probs = Tensor2D([[0.5, 0.25], [0.5, 0.75]])
+        out = O.cross_entropy(probs, [0, 1])
+        assert out.item() == pytest.approx((math.log(2.0) + math.log(4.0 / 3.0)) / 2, abs=1e-15)
+        with pytest.raises(DimensionError):
+            O.cross_entropy(probs, [0])
+
+    def test_one_column_equals_neg_log_pick(self):
+        p = Parameter([[0.2], [0.7], [0.1]])
+        q = Parameter(p.data)
+        gathered = O.cross_entropy(p, [1])
+        picked = neg_log(pick(q, 1, 0))
+        backward(gathered)
+        backward(picked)
+        assert gathered.item() == picked.item()
+        assert np.array_equal(p.grad, q.grad)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(35)
+        p = Parameter(rng.uniform(-1, 1, (4, 3)), name="logits")
+
+        def loss():
+            return O.cross_entropy(softmax_columns(p), [2, 0, 3])
+
+        assert max_gradient_error(loss, [p]) < 1e-4
 
     def test_model_loss_of_a_batch_of_one(self):
         model = BaselineMLP(1, 2, hidden1=2, hidden2=2, seed=0)
@@ -159,43 +202,52 @@ class TestFlatBuffer:
         assert a.data.tolist() == [[0.0, 1.0]] and adam.step_count == 0
 
 
-class TestDecay:
-    def test_epoch_zero_base_rate(self):
-        assert O.decay_lr(1e-4, 0.95, 0) == 1e-4
+class ScriptedModel:
+    """A model whose validation accuracy is scripted: the k-th ``predict``
+    call scores ``accuracies[k]`` percent. Its one parameter moves on every
+    Adam step, and ``seen`` records its value at each ``predict`` call."""
 
-    def test_gamma_one_constant(self):
-        assert O.decay_lr(5e-3, 1.0, 17) == 5e-3
+    def __init__(self, accuracies):
+        self.w = Parameter([[0.0]], name="w")
+        self.accuracies = accuracies
+        self.seen = []
 
-    def test_ten_epochs(self):
-        assert O.decay_lr(1e-4, 0.95, 10) == pytest.approx(5.9874e-5, rel=1e-4)
+    def parameters(self):
+        return [self.w]
 
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            O.decay_lr(1e-4, 0.95, -1)
+    def loss(self, windows, rng=None):
+        return matmul(Tensor2D([[1.0]]), self.w)
+
+    def predict(self, windows):
+        self.seen.append(self.w.data.item())
+        hits = len(windows) * self.accuracies[len(self.seen) - 1] // 100
+        probs = np.zeros((len(windows), 2))
+        probs[:hits, 0] = 1.0  # every label is 0
+        probs[hits:, 1] = 1.0
+        return Prediction(probs)
 
 
 class TestEarlyStopping:
+    """``train`` stops after ``patience`` epochs without a strict improvement
+    in validation accuracy and restores the best epoch's parameters."""
+
+    def run(self):
+        # 60, then 61 at epoch 2 and five ties; an eighth epoch would score 70
+        model = ScriptedModel([60, 61, 61, 61, 61, 61, 61, 70])
+        windows = [ContextWindow([np.zeros(1)], [True], label=0) for _ in range(200)]
+        cfg = TrainConfig(batch_size=200, max_epochs=8, learning_rate=0.1, patience=5,
+                          val_fraction=0.5)
+        return model, O.train(model, windows, cfg)
+
     def test_patience_scenario(self):
-        # accuracies [60, 61, 61, 61, 61, 61, 61]: improvement at epoch 2,
-        # then five stagnant epochs -> stop after epoch 7, best epoch is 2
-        stopper = EarlyStopping(patience=5)
-        accs = [60, 61, 61, 61, 61, 61, 61]
-        stopped_at = None
-        for epoch, acc in enumerate(accs, start=1):
-            if stopper.update(acc, np.array([float(epoch)]), epoch):
-                stopped_at = epoch
-                break
-        assert stopped_at == 7
-        assert stopper.best_epoch == 2
-        assert stopper.best_snapshot[0] == 2.0
-        assert stopper.epochs_since_improvement == stopper.patience
+        _, result = self.run()
+        assert [h.val_accuracy for h in result.history] == [60, 61, 61, 61, 61, 61, 61]
+        assert result.best_epoch == 2 and result.best_val_accuracy == 61.0
 
     def test_snapshot_is_copied(self):
-        stopper = EarlyStopping(patience=2)
-        live = np.array([1.0])
-        stopper.update(50.0, live, 1)
-        live[0] = 99.0
-        assert stopper.best_snapshot[0] == 1.0
+        model, _ = self.run()
+        assert len(set(model.seen)) == 7  # every epoch's step moved the parameter
+        assert model.w.data.item() == model.seen[1]
 
 
 class TestSplitValidation:

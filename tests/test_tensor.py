@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctxda import tensor as T
-from ctxda.optim import Adam
+from ctxda.optim import Adam, cross_entropy
 from ctxda.tensor import (
     DimensionError,
     GraphError,
@@ -330,31 +330,6 @@ class TestColumnOps:
         with pytest.raises(DimensionError):
             T.reshape(out, 4, 2)
 
-    def test_mean_neg_log_gather_hand_values(self):
-        probs = Tensor2D([[0.5, 0.25], [0.5, 0.75]])
-        out = T.mean_neg_log_gather(probs, [0, 1])
-        assert out.item() == pytest.approx((math.log(2.0) + math.log(4.0 / 3.0)) / 2, abs=1e-15)
-        with pytest.raises(ValueError):
-            T.mean_neg_log_gather(probs, [0, 2])
-        with pytest.raises(DimensionError):
-            T.mean_neg_log_gather(probs, [0])
-
-    def test_mean_neg_log_gather_on_one_column_equals_neg_log_pick(self):
-        p = Parameter([[0.2], [0.7], [0.1]])
-        q = Parameter(p.data)
-        gathered = T.mean_neg_log_gather(p, [1])
-        picked = neg_log(pick(q, 1, 0))
-        backward(gathered)
-        backward(picked)
-        assert gathered.item() == picked.item()
-        assert np.array_equal(p.grad, q.grad)
-
-    def test_mean_neg_log_gather_floor_blocks_gradient(self):
-        p = Parameter([[0.0, 0.5], [1.0, 0.5]])
-        backward(T.mean_neg_log_gather(p, [0, 0]))
-        assert p.grad[0, 0] == 0.0
-        assert p.grad[0, 1] == pytest.approx(-1.0 / (2 * 0.5))
-
 
 class TestSoftmaxProperties:
     @settings(max_examples=150, deadline=None)
@@ -424,15 +399,6 @@ class TestColumnOpGradients:
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
-    def test_mean_neg_log_gather_gradcheck(self):
-        rng = np.random.default_rng(35)
-        p = Parameter(rng.uniform(-1, 1, (4, 3)), name="logits")
-
-        def loss():
-            return T.mean_neg_log_gather(T.softmax_columns(p), [2, 0, 3])
-
-        assert max_gradient_error(loss, [p]) < 1e-4
-
 
 class TestGraphLifetime:
     def test_dropped_graph_leaves_no_cycle_garbage(self):
@@ -449,7 +415,7 @@ class TestGraphLifetime:
             stacked = hstack([hidden, x])
             scores = T.reshape(T.matmul(T.transpose(b), stacked), 2, 4)
             mixed = T.weighted_sum(stacked, T.softmax_columns(scores))
-            loss = T.mean_neg_log_gather(T.softmax_columns(mixed), [0, 1, 2, 0])
+            loss = cross_entropy(T.softmax_columns(mixed), [0, 1, 2, 0])
             backward(loss)
             del hidden, stacked, scores, mixed, loss
             gc.collect()
