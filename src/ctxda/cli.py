@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -515,7 +514,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     rescue = ana.rescue_pairs(records)
     ana.write_pair_csv(out_dir / "rescue_pairs.csv", rescue.rows)
     stats = ana.confidence_stats(records)
-    write_json_file(out_dir / "confidence.json", dataclasses.asdict(stats), end="\n")
+    write_json_file(out_dir / "confidence.json", vars(stats), end="\n")
 
     slots = [f"a{k}" for k in range(len(profile))]
     with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:

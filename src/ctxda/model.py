@@ -36,11 +36,7 @@ from .tensor import (
     matmul,
     params_from_json,
     params_to_json,
-    reshape,
     softmax_columns,
-    tanh_map,
-    transpose,
-    weighted_sum,
     write_json_file,
 )
 
@@ -109,17 +105,24 @@ class Prediction:
         return self.probs.argmax(axis=-1)
 
 
-def apply_dropout(h: Tensor2D, rate: float, uniforms: np.ndarray) -> Tensor2D:
-    """Inverted dropout: zero the entries of ``h`` whose U[0, 1) draw in
-    ``uniforms`` (of ``h``'s shape) is below ``rate``, and scale the
-    survivors by 1/(1-rate). The mask is a constant, so ``h`` is the node's
-    only parent."""
-    keep = (uniforms >= rate) / (1.0 - rate)
-
-    def backprop(g):
-        h.grad += g * keep
-
-    return Tensor2D._result(h.data * keep, (h,), backprop)
+def _birnn_run(x: np.ndarray, params: dict) -> np.ndarray:
+    """The BiRNN's forward pass in plain numpy: the (2H, K*B) state matrix
+    that :func:`birnn_states` describes."""
+    n_slots, batch, dim = x.shape
+    hidden = params["fwd.bias"].rows
+    states = np.empty((2 * hidden, n_slots * batch))
+    blocks = states.reshape(2, hidden, n_slots, batch)  # [direction, :, slot]: views
+    for d, order in enumerate((range(n_slots), range(n_slots - 1, -1, -1))):
+        prefix = ("fwd", "bwd")[d]
+        w_in, w_rec, bias = (params[f"{prefix}.{k}"].data for k in ("w_in", "w_rec", "bias"))
+        if dim != w_in.shape[1]:
+            raise DimensionError(f"birnn_states: inputs of size {dim} for {prefix}.w_in "
+                                 f"{w_in.shape}")
+        h = np.zeros((hidden, batch))
+        for k in order:
+            h = np.tanh((w_rec @ h + w_in @ x[k].T) + bias)
+            blocks[d, :, k] = h
+    return states
 
 
 def birnn_states(x: np.ndarray, params: dict) -> Tensor2D:
@@ -133,19 +136,12 @@ def birnn_states(x: np.ndarray, params: dict) -> Tensor2D:
     hand-written BPTT: one reverse loop per direction in that direction's
     step order, then the input-weight gradients in slot order.
     """
-    n_slots, batch, dim = x.shape
-    prefixes, orders = ("fwd", "bwd"), (range(n_slots), range(n_slots - 1, -1, -1))
-    parents = tuple(params[f"{d}.{k}"] for d in prefixes for k in ("w_in", "w_rec", "bias"))
-    ys = [[None] * n_slots for _ in prefixes]  # each direction's states by slot
-    for d, order in enumerate(orders):
-        w_in, w_rec, bias = parents[3 * d : 3 * d + 3]
-        if dim != w_in.cols:
-            raise DimensionError(f"birnn_states: inputs of size {dim} for {prefixes[d]}.w_in "
-                                 f"{w_in.shape}")
-        h = np.zeros((bias.rows, batch))
-        for k in order:
-            h = ys[d][k] = np.tanh((w_rec.data @ h + w_in.data @ x[k].T) + bias.data)
+    n_slots, batch, _ = x.shape
+    orders = (range(n_slots), range(n_slots - 1, -1, -1))
+    parents = tuple(params[f"{d}.{k}"] for d in ("fwd", "bwd") for k in ("w_in", "w_rec", "bias"))
+    states = _birnn_run(x, params)
     hidden = parents[2].rows
+    ys = states.reshape(2, hidden, n_slots, batch)  # ys[d, :, k]: direction d's state at slot k
 
     def backprop(g):
         for d, order in enumerate(orders):
@@ -158,41 +154,14 @@ def birnn_states(x: np.ndarray, params: dict) -> Tensor2D:
                 d_out = g_dir[:, k * batch : (k + 1) * batch]
                 if d_next is not None:
                     d_out = d_out + w_rec.data.T @ d_next
-                d_next = dpre[k] = d_out * (1.0 - ys[d][k] * ys[d][k])
+                d_next = dpre[k] = d_out * (1.0 - ys[d, :, k] * ys[d, :, k])
                 bias.grad += d_next.sum(axis=1, keepdims=True)
                 if step:  # the first step's previous state is the zero state
-                    w_rec.grad += d_next @ ys[d][order[step - 1]].T
+                    w_rec.grad += d_next @ ys[d, :, order[step - 1]].T
             for k in range(n_slots):
                 w_in.grad += dpre[k] @ x[k]
 
-    return Tensor2D._result(np.vstack([np.hstack(y) for y in ys]), parents, backprop)
-
-
-def attention(
-    states: Tensor2D, params: dict, n_slots: int, keep: np.ndarray | None = None
-) -> tuple[Tensor2D, Tensor2D]:
-    """Score the step states and collapse them into one summary per column,
-    with the registry's ``att.proj`` (A, 2H) projection and ``att.score``
-    (A, 1) scoring vector.
-
-    ``states`` is the (2H, K*B) output of :func:`birnn_states`, slot k of
-    window j in column k*B + j, with ``n_slots`` = K slots in window order
-    (oldest first). Returns (weights, summary): ``weights`` is a (K, B) node
-    whose columns are simplices over the slots; ``summary`` (2H, B) is tanh
-    of the weighted sum of the slot states. ``keep`` (K, B) masks slots out
-    of the softmax, giving them weight 0.
-    """
-    projected = tanh_map(matmul(params["att.proj"], states))       # (A, K*B)
-    scores = matmul(transpose(params["att.score"]), projected)      # (1, K*B)
-    weights = softmax_columns(reshape(scores, n_slots, states.cols // n_slots), keep)
-    summary = tanh_map(weighted_sum(states, weights))             # (2H, B)
-    return weights, summary
-
-
-def classify(u_final: Tensor2D, params: dict) -> Tensor2D:
-    """Softmax head over the summary vectors, one distribution per column,
-    with the registry's ``out.weight`` (C, 2H) and ``out.bias``."""
-    return softmax_columns(add_bias(matmul(params["out.weight"], u_final), params["out.bias"]))
+    return Tensor2D._result(states, parents, backprop)
 
 
 PREDICT_CHUNK = 64  # windows per forward pass when predicting a list; bounds eval memory
@@ -210,7 +179,7 @@ def _slot_inputs(windows, slots) -> np.ndarray:
 
 
 def _predict(forward, windows) -> Prediction:
-    """Run ``forward(batch) -> (probs, weights)`` over one
+    """Run ``forward(batch) -> (probs node, weights array)`` over one
     window or a sequence of them, in batches of at most PREDICT_CHUNK
     windows, giving one Prediction with a row per window (the row itself for
     a single window)."""
@@ -223,7 +192,7 @@ def _predict(forward, windows) -> Prediction:
         p, weights = forward(batch[start : start + PREDICT_CHUNK])
         probs.append(p.data.T)
         # window order is oldest->newest; report newest (current) first
-        profiles.append(None if weights is None else weights.data[::-1].T)
+        profiles.append(None if weights is None else weights[::-1].T)
     probs = np.concatenate(probs)
     attention = None if profiles[0] is None else np.concatenate(profiles)
     if single:
@@ -296,33 +265,74 @@ class UttAttBiRNN(_Registry):
             "out.weight": (c, 2 * h), "out.bias": c,
         })
 
-    def _forward(self, windows, rng=None) -> tuple[Tensor2D, Tensor2D | None]:
+    def _forward(self, windows, rng=None, record=False) -> tuple[Tensor2D, np.ndarray | None]:
         """(C, B) class distributions and the (n+1, B) attention weights in
         window order (None for the direct head), one column per window;
-        dropout draws from ``rng`` when one is given."""
-        n_slots = windows[0].size if windows else 0
+        dropout draws from ``rng`` when one is given.
+
+        Everything below the head is plain numpy. With ``record``, the
+        BiRNN is a graph node and the (2H, B) summaries are one more, whose
+        parents are the BiRNN node and the attention Parameters and whose
+        backward is hand-written; without it, the summaries enter the head
+        as a constant.
+        """
+        n_slots, batch = (windows[0].size if windows else 0), len(windows)
         if any(w.size != n_slots for w in windows):
             raise ValueError("windows in one batch must have the same number of slots")
-        states = birnn_states(_slot_inputs(windows, range(n_slots)), self.params)
+        x = _slot_inputs(windows, range(n_slots))
+        node = birnn_states(x, self.params) if record else None
+        states = node.data if record else _birnn_run(x, self.params)
+        n = states.shape[0]
+        keep = None  # the dropout mask, scaled
         if rng is not None and self.dropout_rate > 0.0:
             # one draw, window by window then slot by slot: the masks, in order,
             # that the windows would draw as batches of one
-            draws = rng.random((len(windows), n_slots, 2 * self.hidden_dim))
-            states = apply_dropout(states, self.dropout_rate,
-                                   draws.transpose(2, 1, 0).reshape(2 * self.hidden_dim, -1))
-        if self.head == "direct":
-            last = np.zeros((n_slots, len(windows)))
-            last[-1] = 1.0
-            return classify(weighted_sum(states, Tensor2D(last)), self.params), None
-        keep = np.array([w.pad_mask for w in windows], dtype=bool).T if self.mask_padding else None
-        weights, summary = attention(states, self.params, n_slots, keep)
-        return classify(summary, self.params), weights
+            draws = rng.random((batch, n_slots, n)).transpose(2, 1, 0).reshape(n, -1)
+            keep = (draws >= self.dropout_rate) / (1.0 - self.dropout_rate)
+            states = states * keep
+        weights = None
+        if self.head == "direct":  # the final slot's states
+            summary = states[:, -batch:].copy()
+            parents = (node,)
+        else:
+            proj, score = self.params["att.proj"], self.params["att.score"]
+            parents = (node, proj, score)
+            projected = np.tanh(proj.data @ states)  # (A, K*B)
+            scores = (score.data.T @ projected).reshape(n_slots, batch)
+            if self.mask_padding:
+                scores = np.where(np.array([w.pad_mask for w in windows]).T, scores, -np.inf)
+            e = np.exp(scores - scores.max(axis=0, keepdims=True))
+            weights = e / e.sum(axis=0, keepdims=True)  # (K, B), a softmax down each column
+            stacked = np.ascontiguousarray(states.reshape(n, n_slots, batch).transpose(1, 0, 2))
+            summary = np.tanh((stacked * weights[:, None, :]).sum(axis=0))  # (2H, B)
+
+        if record:
+            def backprop(g):
+                if self.head == "direct":
+                    node.grad[:, -batch:] += g if keep is None else g * keep[:, -batch:]
+                    return
+                g = g * (1.0 - summary * summary)
+                d_states = (g * weights[:, None, :]).transpose(1, 0, 2).reshape(n, -1)
+                d_weights = (stacked * g).sum(axis=1)
+                d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0, keepdims=True))
+                d_scores = d_scores.reshape(1, -1)
+                score.grad += (d_scores @ projected.T).T
+                d_pre = (score.data @ d_scores) * (1.0 - projected * projected)
+                proj.grad += d_pre @ states.T
+                d_states += proj.data.T @ d_pre
+                node.grad += d_states if keep is None else d_states * keep
+
+            pooled = Tensor2D._result(summary, parents, backprop)
+        else:
+            pooled = Tensor2D(summary)
+        out_weight, out_bias = self.params["out.weight"], self.params["out.bias"]
+        return softmax_columns(add_bias(matmul(out_weight, pooled), out_bias)), weights
 
     def predict(self, windows):
         return _predict(self._forward, windows)
 
     def loss(self, windows, rng=None) -> Tensor2D:
-        probs, _ = self._forward(windows, rng)
+        probs, _ = self._forward(windows, rng, record=True)
         return cross_entropy(probs, [w.label for w in windows])
 
 
@@ -359,25 +369,51 @@ class BaselineMLP(_Registry):
             "mlp.w_out": (n_classes, hidden2), "mlp.b_out": n_classes,
         })
 
-    def _forward(self, windows, rng=None) -> tuple[Tensor2D, None]:
+    def _forward(self, windows, rng=None, record=False) -> tuple[Tensor2D, None]:
+        """(C, B) class distributions, one column per window, and no
+        attention; dropout draws from ``rng`` when one is given.
+
+        The two tanh layers are plain numpy. With ``record`` they are one
+        graph node whose parents are the ``mlp.w1``, ``mlp.b1``, ``mlp.w2``
+        and ``mlp.b2`` Parameters and whose backward is hand-written; without
+        it, their output enters the head as a constant.
+        """
         params = self.params
-        h = Tensor2D(_slot_inputs(windows, [-1])[0].T)
-        draws = (None, None)
+        h = _slot_inputs(windows, [-1])[0].T
+        keeps = (None, None)
         if rng is not None and self.dropout_rate > 0.0:
             # one draw, window by window then layer by layer: the masks, in order,
             # that the windows would draw as batches of one
-            draws = np.split(rng.random((h.cols, self.hidden1 + self.hidden2)).T, [self.hidden1])
-        for layer, uniforms in zip("12", draws):
-            h = tanh_map(add_bias(matmul(params[f"mlp.w{layer}"], h), params[f"mlp.b{layer}"]))
-            if uniforms is not None:
-                h = apply_dropout(h, self.dropout_rate, uniforms)
-        return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"])), None
+            draws = np.split(rng.random((h.shape[1], self.hidden1 + self.hidden2)).T, [self.hidden1])
+            keeps = [(u >= self.dropout_rate) / (1.0 - self.dropout_rate) for u in draws]
+        layers = []  # per layer: its input, its tanh output and its dropout mask
+        for layer, keep in zip("12", keeps):
+            y = np.tanh(params[f"mlp.w{layer}"].data @ h + params[f"mlp.b{layer}"].data)
+            layers.append((h, y, keep))
+            h = y if keep is None else y * keep
+        if record:
+            def backprop(g):
+                for layer, (h_in, y, keep) in zip("21", reversed(layers)):
+                    if keep is not None:
+                        g = g * keep
+                    g = g * (1.0 - y * y)
+                    params[f"mlp.b{layer}"].grad += g.sum(axis=1, keepdims=True)
+                    params[f"mlp.w{layer}"].grad += g @ h_in.T
+                    if layer == "2":
+                        g = params["mlp.w2"].data.T @ g
+
+            parents = tuple(params[name] for name in ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
+            hidden = Tensor2D._result(h, parents, backprop)
+        else:
+            hidden = Tensor2D(h)
+        return softmax_columns(add_bias(matmul(params["mlp.w_out"], hidden),
+                                        params["mlp.b_out"])), None
 
     def predict(self, windows):
         return _predict(self._forward, windows)
 
     def loss(self, windows, rng=None) -> Tensor2D:
-        probs, _ = self._forward(windows, rng)
+        probs, _ = self._forward(windows, rng, record=True)
         return cross_entropy(probs, [w.label for w in windows])
 
 

@@ -52,7 +52,8 @@ class Adam:
     arrays ``data`` and ``grad``, with moments ``m`` and ``v``, and rebinds
     each Parameter's ``data`` and ``grad`` to views of them. The views must
     stay views: write the Parameters in place only. A Parameter belongs to at
-    most one Adam.
+    most one Adam. A step works in place on two scratch buffers of the same
+    size and allocates no array.
     """
 
     beta1 = 0.9  # the moment decays and eps are Kingma & Ba's defaults
@@ -70,23 +71,34 @@ class Adam:
             p.data, p.grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        self._scratch = (np.empty_like(self.data), np.empty_like(self.data))
+        self._finite = np.empty(self.data.shape, dtype=bool)
 
     def zero_grad(self) -> None:
         self.grad[:] = 0.0
 
     def step(self) -> None:
-        if not np.isfinite(self.grad).all():
+        """``data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` after the moment
+        updates, each operation in that order, so the result is bitwise that
+        expression's."""
+        if not np.isfinite(self.grad, out=self._finite).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise TrainingDiverged(f"non-finite gradient in parameter {bad.name or repr(bad)}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        g, m, v = self.grad, self.m, self.v
+        g, m, v, (a, b) = self.grad, self.m, self.v, self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        self.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - self.beta2, out=a)
+        np.divide(m, bc1, out=a)
+        a *= self.learning_rate
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += self.eps
+        a /= b
+        self.data -= a
 
 
 def split_validation(windows, fraction: float, seed: int, by_conversation: bool = False):

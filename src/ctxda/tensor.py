@@ -17,14 +17,16 @@ stored by :func:`params_to_json` and loaded, with checks, by
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
 are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
 size n side by side form an ``(n, B)`` matrix, and the column-wise ops
-(:func:`add_bias`, :func:`softmax_columns`, :func:`weighted_sum`, and the
-loss ``cross_entropy`` in :mod:`ctxda.optim`) treat each column independently;
-:func:`add_bias` adds one ``(n, 1)`` column to every column.
+(:func:`add_bias`, :func:`softmax_columns`, and the loss ``cross_entropy`` in
+:mod:`ctxda.optim`) treat each column independently; :func:`add_bias` adds
+one ``(n, 1)`` column to every column. These ops and :func:`matmul` make the
+classifier head that every model shares.
 
-Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``:
-the mLSTM sequence op ``mlstm_states`` in :mod:`ctxda.encoders` and the
-BiRNN op ``birnn_states`` in :mod:`ctxda.model`, each one node with
-hand-written backpropagation through time.
+Fused ops elsewhere record nodes the same way, through ``Tensor2D._result``,
+each one node with a hand-written backward: the mLSTM sequence op
+``mlstm_states`` in :mod:`ctxda.encoders`, and in :mod:`ctxda.model` the
+BiRNN op ``birnn_states``, the attention pooling over its states and the
+baseline's two hidden layers.
 """
 
 from __future__ import annotations
@@ -42,12 +44,8 @@ __all__ = [
     "Tensor2D",
     "Parameter",
     "matmul",
-    "tanh_map",
     "softmax_columns",
     "add_bias",
-    "weighted_sum",
-    "reshape",
-    "transpose",
     "backward",
 ]
 
@@ -287,16 +285,6 @@ def add_bias(t: Tensor2D, bias: Tensor2D) -> Tensor2D:
     return Tensor2D._result(t.data + bias.data, (t, bias), backprop)
 
 
-def tanh_map(t: Tensor2D) -> Tensor2D:
-    """Elementwise tanh; outputs lie in (-1, 1)."""
-    y = np.tanh(t.data)
-
-    def backprop(g):
-        t.grad += g * (1.0 - y * y)
-
-    return Tensor2D._result(y, (t,), backprop)
-
-
 def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
     """Stable softmax down each column; every column sums to 1.
 
@@ -321,48 +309,6 @@ def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
         t.grad += y * (g - (y * g).sum(axis=0, keepdims=True))
 
     return Tensor2D._result(y, (t,), backprop)
-
-
-def weighted_sum(parts: Tensor2D, weights: Tensor2D) -> Tensor2D:
-    """Column-wise weighted sum of the K blocks of an (n, K*B) tensor.
-
-    ``weights`` is (K, B) and block k is columns k*B to (k+1)*B - 1 of
-    ``parts``; column j of the result is
-    sum_k weights[k, j] * parts[:, k*B + j], so each block is scaled by one
-    row of ``weights`` broadcast down its rows.
-    """
-    (k, b), n = weights.data.shape, parts.data.shape[0]
-    if parts.data.shape[1] != k * b:
-        raise DimensionError(
-            f"weighted_sum: parts {parts.data.shape} do not hold {k} blocks of {b} columns"
-        )
-    stacked = np.ascontiguousarray(parts.data.reshape(n, k, b).transpose(1, 0, 2))  # (K, n, B)
-    w = weights.data
-
-    def backprop(g):
-        parts.grad += (g * w[:, None, :]).transpose(1, 0, 2).reshape(n, k * b)
-        weights.grad += (stacked * g).sum(axis=1)
-
-    return Tensor2D._result((stacked * w[:, None, :]).sum(axis=0), (parts, weights), backprop)
-
-
-def transpose(t: Tensor2D) -> Tensor2D:
-    def backprop(g):
-        t.grad += g.T
-
-    return Tensor2D._result(t.data.T.copy(), (t,), backprop)
-
-
-def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
-    """The same entries in row-major order, as a (rows, cols) tensor."""
-    if rows * cols != t.data.size:
-        raise DimensionError(f"reshape: cannot view {t.data.shape} as {(rows, cols)}")
-    shape = t.data.shape
-
-    def backprop(g):
-        t.grad += g.reshape(shape)
-
-    return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
 
 
 def _topo_order(root: Tensor2D) -> list[Tensor2D]:

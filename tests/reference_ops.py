@@ -1,8 +1,10 @@
 """Kernel ops that only the tests use: reductions to a scalar for gradient
 checks, the per-entry reference for the gathered cross-entropy, the
-two-tensor elementwise ops and stacking, and the mLSTM cell and the BiRNN as
-graphs of elementary ops, the oracles for the fused
-``ctxda.encoders.mlstm_states`` and ``ctxda.model.birnn_states``.
+elementwise ops, stacking, transpose, reshape and the blockwise weighted sum,
+and the models as graphs of elementary ops: the mLSTM cell, the BiRNN,
+dropout, attention and the classifier head. They are the oracles for the
+fused ``ctxda.encoders.mlstm_states``, ``ctxda.model.birnn_states`` and the
+two models' forward and backward passes.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
 kernel's ``backward`` walks them like any other op.
@@ -13,8 +15,60 @@ from typing import Sequence
 import numpy as np
 
 from ctxda.encoders import sigmoid
-from ctxda.model import _slot_inputs, attention, classify
-from ctxda.tensor import DimensionError, Tensor2D, add_bias, matmul, tanh_map
+from ctxda.model import _slot_inputs
+from ctxda.tensor import DimensionError, Tensor2D, add_bias, matmul, softmax_columns
+
+
+def tanh_map(t: Tensor2D) -> Tensor2D:
+    """Elementwise tanh; outputs lie in (-1, 1)."""
+    y = np.tanh(t.data)
+
+    def backprop(g):
+        t.grad += g * (1.0 - y * y)
+
+    return Tensor2D._result(y, (t,), backprop)
+
+
+def weighted_sum(parts: Tensor2D, weights: Tensor2D) -> Tensor2D:
+    """Column-wise weighted sum of the K blocks of an (n, K*B) tensor.
+
+    ``weights`` is (K, B) and block k is columns k*B to (k+1)*B - 1 of
+    ``parts``; column j of the result is
+    sum_k weights[k, j] * parts[:, k*B + j], so each block is scaled by one
+    row of ``weights`` broadcast down its rows.
+    """
+    (k, b), n = weights.data.shape, parts.data.shape[0]
+    if parts.data.shape[1] != k * b:
+        raise DimensionError(
+            f"weighted_sum: parts {parts.data.shape} do not hold {k} blocks of {b} columns"
+        )
+    stacked = np.ascontiguousarray(parts.data.reshape(n, k, b).transpose(1, 0, 2))  # (K, n, B)
+    w = weights.data
+
+    def backprop(g):
+        parts.grad += (g * w[:, None, :]).transpose(1, 0, 2).reshape(n, k * b)
+        weights.grad += (stacked * g).sum(axis=1)
+
+    return Tensor2D._result((stacked * w[:, None, :]).sum(axis=0), (parts, weights), backprop)
+
+
+def transpose(t: Tensor2D) -> Tensor2D:
+    def backprop(g):
+        t.grad += g.T
+
+    return Tensor2D._result(t.data.T.copy(), (t,), backprop)
+
+
+def reshape(t: Tensor2D, rows: int, cols: int) -> Tensor2D:
+    """The same entries in row-major order, as a (rows, cols) tensor."""
+    if rows * cols != t.data.size:
+        raise DimensionError(f"reshape: cannot view {t.data.shape} as {(rows, cols)}")
+    shape = t.data.shape
+
+    def backprop(g):
+        t.grad += g.reshape(shape)
+
+    return Tensor2D._result(t.data.reshape(rows, cols).copy(), (t,), backprop)
 
 
 def _check_same_shape(op: str, a: Tensor2D, b: Tensor2D) -> None:
@@ -201,6 +255,46 @@ def birnn_forward(features: list[Tensor2D], params: dict) -> list[Tensor2D]:
     return [vstack([f, b]) for f, b in zip(fwd, bwd)]
 
 
+def apply_dropout(h: Tensor2D, rate: float, uniforms: np.ndarray) -> Tensor2D:
+    """Inverted dropout: zero the entries of ``h`` whose U[0, 1) draw in
+    ``uniforms`` (of ``h``'s shape) is below ``rate``, and scale the
+    survivors by 1/(1-rate). The mask is a constant, so ``h`` is the node's
+    only parent."""
+    keep = (uniforms >= rate) / (1.0 - rate)
+
+    def backprop(g):
+        h.grad += g * keep
+
+    return Tensor2D._result(h.data * keep, (h,), backprop)
+
+
+def attention(
+    states: Tensor2D, params: dict, n_slots: int, keep: np.ndarray | None = None
+) -> tuple[Tensor2D, Tensor2D]:
+    """Score the step states and collapse them into one summary per column,
+    with the registry's ``att.proj`` (A, 2H) projection and ``att.score``
+    (A, 1) scoring vector.
+
+    ``states`` is the (2H, K*B) output of ``birnn_states``, slot k of window
+    j in column k*B + j, with ``n_slots`` = K slots in window order (oldest
+    first). Returns (weights, summary): ``weights`` is a (K, B) node whose
+    columns are simplices over the slots; ``summary`` (2H, B) is tanh of the
+    weighted sum of the slot states. ``keep`` (K, B) masks slots out of the
+    softmax, giving them weight 0.
+    """
+    projected = tanh_map(matmul(params["att.proj"], states))       # (A, K*B)
+    scores = matmul(transpose(params["att.score"]), projected)      # (1, K*B)
+    weights = softmax_columns(reshape(scores, n_slots, states.cols // n_slots), keep)
+    summary = tanh_map(weighted_sum(states, weights))             # (2H, B)
+    return weights, summary
+
+
+def classify(u_final: Tensor2D, params: dict) -> Tensor2D:
+    """Softmax head over the summary vectors, one distribution per column,
+    with the registry's ``out.weight`` (C, 2H) and ``out.bias``."""
+    return softmax_columns(add_bias(matmul(params["out.weight"], u_final), params["out.bias"]))
+
+
 def graph_forward(model, windows, rng=None):
     """``UttAttBiRNN``'s forward pass with the BiRNN and dropout built from
     elementary graph ops, one node per slot and step and one mask leaf per
@@ -218,3 +312,18 @@ def graph_forward(model, windows, rng=None):
     keep = np.array([w.pad_mask for w in windows], dtype=bool).T if model.mask_padding else None
     weights, summary = attention(hstack(steps), model.params, len(steps), keep)
     return classify(summary, model.params), weights
+
+
+def mlp_graph_forward(model, windows, rng=None):
+    """``BaselineMLP``'s forward pass as a graph of elementary ops: the (C, B)
+    class distributions. It draws dropout as the model does."""
+    params = model.params
+    h = Tensor2D(_slot_inputs(windows, [-1])[0].T)
+    draws = (None, None)
+    if rng is not None and model.dropout_rate > 0.0:
+        draws = np.split(rng.random((h.cols, model.hidden1 + model.hidden2)).T, [model.hidden1])
+    for layer, uniforms in zip("12", draws):
+        h = tanh_map(add_bias(matmul(params[f"mlp.w{layer}"], h), params[f"mlp.b{layer}"]))
+        if uniforms is not None:
+            h = apply_dropout(h, model.dropout_rate, uniforms)
+    return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"]))

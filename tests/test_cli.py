@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ctxda.cli import DEFAULT_CONFIG, load_config, main
-from ctxda.analysis import load_records
+from ctxda.analysis import confidence_stats, load_records
 from ctxda.corpus import TagVocabulary, load_jsonl
 from ctxda.encoders import PrecomputedEncoder, encoder_from_config, encoder_to_config
 from faults import fill_disk, refuse_replace
@@ -780,6 +781,14 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert "rescued by context" in stdout
         assert "attention profile" in stdout
+
+    def test_confidence_json_is_the_stats_dataclass(self, pipeline):
+        config, out = pipeline
+        self.run_eval(config, out)
+        assert main(["--config", str(config), "analyze",
+                     "--records", str(out / "eval_records.jsonl")]) == 0
+        stats = confidence_stats(load_records(out / "eval_records.jsonl"))
+        assert (out / "confidence.json").read_text() == json.dumps(dataclasses.asdict(stats)) + "\n"
 
     def test_multi_run_profile(self, pipeline, capsys):
         config, out = pipeline

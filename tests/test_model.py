@@ -11,9 +11,7 @@ from ctxda.model import (
     ContextWindow,
     Prediction,
     UttAttBiRNN,
-    attention,
     birnn_states,
-    classify,
     load_checkpoint,
     save_checkpoint,
 )
@@ -22,7 +20,15 @@ from ctxda.optim import cross_entropy
 from ctxda.tensor import DimensionError, Parameter, Tensor2D, backward
 from faults import fill_disk
 from gradcheck import max_gradient_error
-from reference_ops import graph_forward, hadamard, sum_all
+from reference_ops import (
+    apply_dropout,
+    attention,
+    classify,
+    graph_forward,
+    hadamard,
+    mlp_graph_forward,
+    sum_all,
+)
 
 
 def window(features, mask=None, label=0, **kw):
@@ -165,9 +171,47 @@ def grid_batch(head, mask_padding, rate, feature_dim, hidden, batch, n_slots):
                                  model, [1 + j % n_slots for j in range(batch)])
 
 
+def fused_and_graph(model, windows, graph_forward):
+    """(loss, Parameter gradients, probabilities, attention) of ``model.loss``
+    + ``backward`` and ``model.predict``, then the same of the graph model
+    ``graph_forward(model, windows, rng) -> (probs node, weights node)``; both
+    draw dropout from a generator seeded 7."""
+    labels = [w.label for w in windows]
+    results = []
+    for loss_of, predict in (
+        (lambda rng: model.loss(windows, rng), lambda: model.predict(windows)),
+        (lambda rng: cross_entropy(graph_forward(model, windows, rng)[0], labels),
+         lambda: graph_forward(model, windows)),
+    ):
+        for p in model.parameters():
+            p.grad[:] = 0.0
+        loss = loss_of(np.random.default_rng(7))
+        backward(loss)
+        pred = predict()
+        if isinstance(pred, Prediction):
+            probs, weights = pred.probs, pred.attention
+        else:  # the graph model's nodes: columns are windows, slots oldest first
+            probs = pred[0].data.T
+            weights = None if pred[1] is None else pred[1].data[::-1].T
+        results.append((loss.item(), [p.grad.copy() for p in model.parameters()],
+                        probs, weights))
+    return results
+
+
+def assert_bitwise(model, results):
+    (loss, grads, probs, weights), (ref_loss, ref_grads, ref_probs, ref_weights) = results
+    assert loss == ref_loss
+    for p, g, ref in zip(model.parameters(), grads, ref_grads):
+        assert np.array_equal(g, ref), p.name
+    assert np.array_equal(probs, ref_probs)
+    assert (weights is None) == (ref_weights is None)
+    assert weights is None or np.array_equal(weights, ref_weights)
+
+
 class TestBiRNNStates:
-    """The fused BiRNN op against the graph BiRNN in ``reference_ops``: five
-    nodes per slot, step and direction, and a dropout mask leaf per slot."""
+    """The fused BiRNN op and the model built on it against the graph model
+    in ``reference_ops``: five nodes per slot, step and direction, a dropout
+    mask leaf per slot, and attention and the head op by op."""
 
     @pytest.mark.parametrize("shape", [(18, 8, 16, 5), (15, 64, 16, 5), (7, 3, 1, 3)],
                              ids=lambda s: "D{}-H{}-B{}-K{}".format(*s))
@@ -176,23 +220,9 @@ class TestBiRNNStates:
     @pytest.mark.parametrize("head", ["attention", "direct"])
     def test_model_is_bitwise_the_graph_model(self, head, mask_padding, rate, shape):
         model, windows = grid_batch(head, mask_padding, rate, *shape)
-        labels = [w.label for w in windows]
-        results = []
-        for forward in (model._forward, lambda ws, rng=None: graph_forward(model, ws, rng)):
-            for p in model.parameters():
-                p.grad[:] = 0.0
-            loss = cross_entropy(forward(windows, np.random.default_rng(7))[0], labels)
-            backward(loss)
-            probs, weights = forward(windows)
-            results.append((loss.item(), [p.grad.copy() for p in model.parameters()],
-                            probs.data, None if weights is None else weights.data))
-        (loss, grads, probs, weights), (ref_loss, ref_grads, ref_probs, ref_weights) = results
-        assert loss == ref_loss
-        for p, g, ref in zip(model.parameters(), grads, ref_grads):
-            assert np.array_equal(g, ref), p.name
-        assert np.array_equal(probs, ref_probs)
-        assert (weights is None) == (head == "direct")
-        assert weights is None or np.array_equal(weights, ref_weights)
+        results = fused_and_graph(model, windows, graph_forward)
+        assert (results[0][3] is None) == (head == "direct")
+        assert_bitwise(model, results)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -316,7 +346,7 @@ class TestDropout:
 
     def test_survivor_scaling_preserves_mean(self):
         x = Tensor2D(np.ones((100, 1000)))
-        out = M.apply_dropout(x, 0.5, np.random.default_rng(1).random(x.shape))
+        out = apply_dropout(x, 0.5, np.random.default_rng(1).random(x.shape))
         assert abs(out.data.mean() - 1.0) < 0.02
         survivors = out.data[out.data != 0.0]
         assert np.allclose(survivors, 2.0)
@@ -344,6 +374,13 @@ class TestBaselineMLP:
         a = model.predict(w).probs
         b = model.predict(w).probs
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_model_is_bitwise_the_graph_model(self, rate):
+        model = BaselineMLP(15, 5, hidden1=30, hidden2=10, seed=4, dropout_rate=rate)
+        windows = padded_windows(np.random.default_rng(4), model, [1 + j % 5 for j in range(16)])
+        assert_bitwise(model, fused_and_graph(
+            model, windows, lambda m, ws, rng=None: (mlp_graph_forward(m, ws, rng), None)))
 
     def test_gradcheck_end_to_end(self):
         model = BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=2)
@@ -551,6 +588,14 @@ class TestBatching:
         assert leaked == []
 
 
+def recorded_nodes(monkeypatch) -> list[Tensor2D]:
+    """Every node ``Tensor2D._result`` makes from now on, in order."""
+    made, result = [], Tensor2D._result
+    monkeypatch.setattr(Tensor2D, "_result",
+                        staticmethod(lambda *args: made.append(result(*args)) or made[-1]))
+    return made
+
+
 class TestGradientsOnlyInBackward:
     """A forward pass allocates no gradient; ``backward`` gives one to each
     node it walks."""
@@ -561,15 +606,16 @@ class TestGradientsOnlyInBackward:
         windows = padded_windows(np.random.default_rng(25), model, [5, 2, 1])
         loss = model.loss(windows, rng=np.random.default_rng(0))
         nodes = [n for n in T._topo_order(loss) if not isinstance(n, Parameter)]
-        assert len(nodes) > 5 and all(n.grad is None for n in nodes)
+        # the hidden layers (for the WC model the BiRNN, then the pooled
+        # summaries), the head's three ops and the loss
+        assert len(nodes) == (5 if kind == "nc" else 6)
+        assert all(n.grad is None for n in nodes)
         backward(loss)
         assert all(n.grad.shape == n.data.shape for n in nodes)
 
     @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
     def test_predict_allocates_no_gradient(self, kind, monkeypatch):
-        made, result = [], Tensor2D._result
-        monkeypatch.setattr(Tensor2D, "_result",
-                            staticmethod(lambda *args: made.append(result(*args)) or made[-1]))
+        made = recorded_nodes(monkeypatch)
         model = BATCH_MODELS[kind](0.2)
         windows = padded_windows(np.random.default_rng(26), model, [5, 2, 1])
         model.predict(windows)
@@ -579,14 +625,26 @@ class TestGradientsOnlyInBackward:
 
 class TestGraphSize:
     def test_wc_batch_records_few_nodes(self):
-        # 14 nodes: one each for the BiRNN and dropout, the rest attention,
-        # head and loss; a BiRNN recorded per slot and step would pass 15
+        # 6 nodes: the BiRNN, the pooled summaries, the head's matmul,
+        # add_bias and softmax, and the loss; dropout and attention record none
         model = UttAttBiRNN(18, 5, hidden_dim=8, n_context=4, dropout_rate=0.3, seed=0)
         windows = padded_windows(np.random.default_rng(27), model, [5, 3, 1, 4, 2])
         loss = model.loss(windows, rng=np.random.default_rng(0))
         nodes = [n for n in T._topo_order(loss) if not isinstance(n, Parameter)]
-        assert len(nodes) <= 15
+        assert len(nodes) == 6
 
+    @pytest.mark.parametrize("head", ["attention", "direct"])
+    def test_predict_records_only_the_head(self, head, monkeypatch):
+        # a recorded node keeps its inputs alive until the chunk's last node
+        # is dropped; the BiRNN states and attention intermediates of a chunk
+        # of 64 windows are many times the head's (C, 64)
+        made = recorded_nodes(monkeypatch)
+        model = UttAttBiRNN(18, 5, hidden_dim=64, head=head, seed=0)
+        windows = padded_windows(np.random.default_rng(28), model,
+                                 [1 + j % 5 for j in range(M.PREDICT_CHUNK)])
+        model.predict(windows)
+        assert len(made) == 3
+        assert max(n.data.size for n in made) <= model.n_classes * 64
 
 class TestPrediction:
     def test_rejects_non_distribution(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,60 @@ class TestAdam:
         p.grad[:] = np.nan
         with pytest.raises(TrainingDiverged, match="att.proj"):
             adam.step()
+
+
+def reference_adam_step(data, m, v, g, t, lr):
+    """Adam's update written as one expression per line, the oracle for the
+    in-place ``Adam.step``."""
+    m *= Adam.beta1
+    m += (1.0 - Adam.beta1) * g
+    v *= Adam.beta2
+    v += (1.0 - Adam.beta2) * (g * g)
+    bc1, bc2 = 1.0 - Adam.beta1**t, 1.0 - Adam.beta2**t
+    data -= lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.eps)
+
+
+class TestInPlaceStep:
+    """``Adam.step`` on the flat buffers of a 300/100 baseline over 18
+    features and 5 classes: 36,305 floats."""
+
+    def make(self):
+        adam = Adam(BaselineMLP(18, 5, seed=0).parameters(), learning_rate=1e-3)
+        assert adam.data.size == 36305
+        return adam
+
+    def test_is_bitwise_the_expression(self):
+        adam, rng = self.make(), np.random.default_rng(0)
+        data, m, v = adam.data.copy(), np.zeros_like(adam.data), np.zeros_like(adam.data)
+        for t in range(1, 201):
+            adam.learning_rate = 1e-3 * 0.95 ** (t // 20)
+            adam.grad[:] = rng.normal(0.0, 10.0 ** rng.uniform(-6, 1), adam.grad.shape)
+            adam.step()
+            reference_adam_step(data, m, v, adam.grad, t, adam.learning_rate)
+            assert np.array_equal(adam.data, data), t
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+
+    def test_a_step_allocates_no_buffer(self):
+        adam = self.make()
+        adam.grad[:] = np.random.default_rng(1).normal(size=adam.grad.shape)
+        adam.step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adam.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < adam.data.nbytes
+
+    def test_a_non_finite_gradient_still_names_its_parameter(self):
+        adam = self.make()
+        adam.step()
+        before = adam.data.copy()
+        adam.params[2].grad[3, 4] = np.nan
+        with pytest.raises(TrainingDiverged, match="mlp.w2"):
+            adam.step()
+        assert np.array_equal(adam.data, before) and adam.step_count == 1
 
 
 def assert_views(adam, params):

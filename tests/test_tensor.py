@@ -26,10 +26,14 @@ from reference_ops import (
     mean_columns,
     neg_log,
     pick,
+    reshape,
     scale,
     sigmoid_map,
     sum_all,
+    tanh_map,
+    transpose,
     vstack,
+    weighted_sum,
 )
 
 
@@ -124,13 +128,13 @@ class TestSoftmax:
 
 class TestElementwise:
     def test_tanh_zero(self):
-        assert T.tanh_map(Tensor2D([[0.0]])).item() == 0.0
+        assert tanh_map(Tensor2D([[0.0]])).item() == 0.0
 
     def test_sigmoid_zero(self):
         assert sigmoid_map(Tensor2D([[0.0]])).item() == 0.5
 
     def test_tanh_one_reference_value(self):
-        assert T.tanh_map(Tensor2D([[1.0]])).item() == pytest.approx(
+        assert tanh_map(Tensor2D([[1.0]])).item() == pytest.approx(
             0.7615941559557649, abs=1e-15
         )
 
@@ -139,7 +143,7 @@ class TestElementwise:
         # 0/1 beyond |x| ~ 36; the open-interval claim holds on the
         # representable range.
         x = Tensor2D(np.linspace(-18, 18, 101))
-        th = T.tanh_map(x).data
+        th = tanh_map(x).data
         sg = sigmoid_map(x).data
         assert ((th > -1) & (th < 1)).all()
         assert ((sg > 0) & (sg < 1)).all()
@@ -153,7 +157,7 @@ class TestStack:
     def test_values_and_mismatches(self):
         a, b = Tensor2D([[1.0], [2.0]]), Tensor2D([[3.0, 4.0], [5.0, 6.0]])
         assert hstack([a, b]).data.tolist() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
-        assert vstack([b, T.transpose(a)]).data.tolist() == [[3.0, 4.0], [5.0, 6.0],
+        assert vstack([b, transpose(a)]).data.tolist() == [[3.0, 4.0], [5.0, 6.0],
                                                               [1.0, 2.0]]
         with pytest.raises(DimensionError):
             hstack([a, Tensor2D([[1.0]])])
@@ -173,7 +177,7 @@ class TestBackward:
 
     def test_symmetric_minimum_grad_zero(self):
         w = Parameter([[0.0]])
-        t = T.tanh_map(w)
+        t = tanh_map(w)
         backward(sum_all(hadamard(t, t)))
         assert w.grad[0, 0] == 0.0
 
@@ -182,7 +186,7 @@ class TestBackward:
         params = [Parameter(rng.uniform(-1, 1, (1, 1)), name=f"p{i}") for i in range(5)]
 
         def loss():
-            a = hadamard(T.tanh_map(params[0]), params[1])
+            a = hadamard(tanh_map(params[0]), params[1])
             b = add(sigmoid_map(params[2]), hadamard(params[3], params[4]))
             return sum_all(hadamard(a, b))
 
@@ -203,7 +207,7 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         w = Parameter(np.ones((2, 1)))
         with pytest.raises(GraphError):
-            backward(T.tanh_map(w))
+            backward(tanh_map(w))
 
     def test_backward_before_any_op_raises(self):
         with pytest.raises(GraphError):
@@ -228,13 +232,13 @@ class TestOpGradients:
             ("add", lambda p: sum_all(add(p[0], p[0]))),
             ("hadamard", lambda p: sum_all(hadamard(p[0], p[1]))),
             ("scale", lambda p: sum_all(scale(p[0], -1.7))),
-            ("tanh", lambda p: sum_all(T.tanh_map(p[0]))),
+            ("tanh", lambda p: sum_all(tanh_map(p[0]))),
             ("sigmoid", lambda p: sum_all(sigmoid_map(p[0]))),
-            ("transpose", lambda p: sum_all(T.matmul(T.transpose(p[0]), p[2]))),
-            ("hstack", lambda p: sum_all(T.tanh_map(hstack([p[0], p[1]])))),
+            ("transpose", lambda p: sum_all(T.matmul(transpose(p[0]), p[2]))),
+            ("hstack", lambda p: sum_all(tanh_map(hstack([p[0], p[1]])))),
             ("vstack", lambda p: sum_all(sigmoid_map(vstack([p[0], p[1]])))),
             ("pick", lambda p: pick(hadamard(p[0], p[1]), 1, 2)),
-            ("mean_columns", lambda p: sum_all(mean_columns(T.tanh_map(p[0])))),
+            ("mean_columns", lambda p: sum_all(mean_columns(tanh_map(p[0])))),
         ],
     )
     def test_op_gradcheck(self, name, build):
@@ -320,15 +324,15 @@ class TestColumnOps:
         parts = Tensor2D([[1.0, 2.0, 10.0, 20.0]])  # two blocks of two columns
         weights = Tensor2D([[0.5, 0.0], [0.25, 1.0]])
         # column 0: 0.5*1 + 0.25*10; column 1: 0*2 + 1*20
-        assert T.weighted_sum(parts, weights).data.tolist() == [[3.0, 20.0]]
+        assert weighted_sum(parts, weights).data.tolist() == [[3.0, 20.0]]
         with pytest.raises(DimensionError):
-            T.weighted_sum(Tensor2D([[1.0, 2.0, 10.0]]), weights)
+            weighted_sum(Tensor2D([[1.0, 2.0, 10.0]]), weights)
 
     def test_reshape_is_row_major(self):
-        out = T.reshape(Tensor2D([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), 2, 3)
+        out = reshape(Tensor2D([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), 2, 3)
         assert out.data.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         with pytest.raises(DimensionError):
-            T.reshape(out, 4, 2)
+            reshape(out, 4, 2)
 
 
 class TestSoftmaxProperties:
@@ -360,7 +364,7 @@ class TestColumnOpGradients:
         w = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return sum_all(hadamard(T.tanh_map(T.add_bias(t, b)), w))
+            return sum_all(hadamard(tanh_map(T.add_bias(t, b)), w))
 
         assert max_gradient_error(loss, [t, b]) < 1e-4
 
@@ -385,7 +389,7 @@ class TestColumnOpGradients:
         probe = Tensor2D(rng.uniform(-1, 1, (3, 4)))
 
         def loss():
-            return sum_all(hadamard(T.tanh_map(T.weighted_sum(parts, weights)), probe))
+            return sum_all(hadamard(tanh_map(weighted_sum(parts, weights)), probe))
 
         assert max_gradient_error(loss, [parts, weights]) < 1e-4
 
@@ -395,7 +399,7 @@ class TestColumnOpGradients:
         probe = Tensor2D(rng.uniform(-1, 1, (2, 3)))
 
         def loss():
-            return sum_all(hadamard(T.tanh_map(T.reshape(p, 2, 3)), probe))
+            return sum_all(hadamard(tanh_map(reshape(p, 2, 3)), probe))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -411,10 +415,10 @@ class TestGraphLifetime:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            hidden = T.tanh_map(T.add_bias(T.matmul(w, x), b))
+            hidden = tanh_map(T.add_bias(T.matmul(w, x), b))
             stacked = hstack([hidden, x])
-            scores = T.reshape(T.matmul(T.transpose(b), stacked), 2, 4)
-            mixed = T.weighted_sum(stacked, T.softmax_columns(scores))
+            scores = reshape(T.matmul(transpose(b), stacked), 2, 4)
+            mixed = weighted_sum(stacked, T.softmax_columns(scores))
             loss = cross_entropy(T.softmax_columns(mixed), [0, 1, 2, 0])
             backward(loss)
             del hidden, stacked, scores, mixed, loss
