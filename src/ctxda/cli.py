@@ -32,7 +32,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import params_from_json, params_to_json, write_json_file
+from .tensor import array_values, params_from_json, params_to_json, write_json_file
 
 log = logging.getLogger("ctxda")
 
@@ -257,7 +257,7 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
     log.info("reusing character LM %s", path)
     params = enc.MLSTMParams(vocab.size, settings["hidden_dim"])
     try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored = json.loads(path.read_text(encoding="utf-8"), object_hook=array_values)
         if stored["key"] != key:
             raise CheckpointError("its stored key is not this run's")
         params_from_json(params, stored["weights"])
@@ -431,13 +431,18 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
     # windows are built once per distinct encoder configuration; configurations
-    # are compared as they are, since serializing a character encoder's
-    # weights to key on them costs more than the comparison
+    # are compared as they are, weight arrays by exact value, since serializing
+    # a character encoder's weights to key on them costs more than comparing
     window_cache: list[tuple[dict, list]] = []
+
+    def same(cached, config) -> bool:
+        if isinstance(cached, dict) and isinstance(config, dict):
+            return cached.keys() == config.keys() and all(same(cached[k], config[k]) for k in cached)
+        return np.array_equal(cached, config) if isinstance(cached, np.ndarray) else cached == config
 
     def windows_for(meta) -> list:
         for config, windows in window_cache:
-            if config == meta["encoder"]:
+            if same(config, meta["encoder"]):
                 return windows
         encoder = enc.encoder_from_config(meta["encoder"])
         windows = cor.build_all_windows(test_convs, n_context, encoder, vocab)

@@ -32,6 +32,7 @@ from .tensor import (
     Parameter,
     Tensor2D,
     add_bias,
+    array_values,
     init_params,
     matmul,
     params_from_json,
@@ -453,7 +454,7 @@ def load_checkpoint(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_hook=array_values)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:

@@ -11,8 +11,8 @@ Trainable values are :class:`Parameter` nodes, whose gradients persist and
 accumulate across backward calls until the optimizer zeroes them; every other
 node gets a gradient only when :func:`backward` walks it. Every model and cell
 keeps its Parameters in one ordered registry built by :func:`init_params`,
-stored by :func:`params_to_json` and loaded, with checks, by
-:func:`params_from_json`; :func:`write_json_file` writes such documents.
+stored by :func:`params_to_json` and :func:`write_json_file`, and loaded,
+with checks, by :func:`array_values` and :func:`params_from_json`.
 
 Conventions: vectors are column vectors of shape ``(n, 1)``; scalar results
 are ``(1, 1)``. A batch is a matrix whose columns are examples: B vectors of
@@ -169,10 +169,10 @@ def init_params(rng, shapes: dict, prefix: str = "") -> dict[str, Parameter]:
 
 
 def params_to_json(params: dict[str, Parameter]) -> dict:
-    """Each parameter as ``{"rows", "cols", "values"}``, its values row-major
-    at full float64 precision."""
+    """Each parameter as ``{"rows", "cols", "values"}``, its values a flat
+    row-major float64 view of the live data, which is written as a list."""
     return {
-        name: {"rows": p.rows, "cols": p.cols, "values": p.data.ravel().tolist()}
+        name: {"rows": p.rows, "cols": p.cols, "values": p.data.ravel()}
         for name, p in params.items()
     }
 
@@ -183,8 +183,8 @@ _JSON_SLICE = 1024
 
 def _json_chunks(obj):
     """The text of ``json.dumps(obj, allow_nan=False)`` in pieces: dicts are
-    walked here, a list longer than _JSON_SLICE is encoded one slice at a
-    time, and every other value in one call."""
+    walked here, an ndarray (as its list) or a list longer than _JSON_SLICE
+    is encoded one slice at a time, and every other value in one call."""
     if isinstance(obj, dict):
         yield "{"
         sep = ""
@@ -195,10 +195,12 @@ def _json_chunks(obj):
             yield from _json_chunks(value)
             sep = ", "
         yield "}"
-    elif isinstance(obj, list) and len(obj) > _JSON_SLICE:
+    elif isinstance(obj, np.ndarray) or (isinstance(obj, list) and len(obj) > _JSON_SLICE):
         yield "["
         for start in range(0, len(obj), _JSON_SLICE):
-            text = json.dumps(obj[start:start + _JSON_SLICE], allow_nan=False)[1:-1]
+            piece = obj[start:start + _JSON_SLICE]
+            text = json.dumps(piece if isinstance(piece, list) else piece.tolist(),
+                              allow_nan=False)[1:-1]
             yield text if start == 0 else ", " + text
         yield "]"
     else:
@@ -206,8 +208,8 @@ def _json_chunks(obj):
 
 
 def write_json_file(path, obj, end: str = "") -> None:
-    """Write ``json.dumps(obj) + end`` to ``path``, streamed through the C
-    encoder; the file appears whole or not at all.
+    """Write ``json.dumps(obj) + end`` to ``path`` (an ndarray as its list),
+    streamed through the C encoder; the file appears whole or not at all.
 
     The text goes to ``<path>.<pid>.tmp``, which ``os.replace`` moves onto
     ``path``; a write that fails removes it and re-raises. A NaN or infinite
@@ -227,19 +229,30 @@ def write_json_file(path, obj, end: str = "") -> None:
         raise
 
 
+def array_values(entry: dict) -> dict:
+    """``json.load``'s ``object_hook`` for parameter documents: the ``values``
+    list of a ``{"rows", "cols", "values"}`` entry becomes a float64 array as
+    soon as the parser closes the entry. Values numpy cannot convert stay as
+    they are, for :func:`params_from_json` to refuse."""
+    if entry.keys() == {"rows", "cols", "values"} and isinstance(entry["values"], list):
+        with contextlib.suppress(TypeError, ValueError):
+            entry["values"] = np.array(entry["values"], dtype=np.float64)
+    return entry
+
+
 def params_from_json(params: dict[str, Parameter], stored) -> None:
     """Overwrite the registry ``params`` with the entries of ``stored``.
 
     Fails closed with CheckpointError: ``stored`` must hold exactly the
     registry's names, and each entry the live parameter's shape, rows*cols
-    values and only finite ones.
+    values (a list or an array) and only finite ones.
     """
     try:
         if set(stored) != set(params):
             raise CheckpointError(f"stored parameters {sorted(stored)}, expected {sorted(params)}")
         for name, p in params.items():
             entry = stored[name]
-            values = np.array(entry["values"], dtype=np.float64)
+            values = np.asarray(entry["values"], dtype=np.float64)
             if (entry["rows"], entry["cols"]) != p.shape or values.shape != (p.data.size,):
                 raise CheckpointError(
                     f"parameter {name}: stored as ({entry['rows']}, {entry['cols']}) with "
@@ -285,24 +298,13 @@ def add_bias(t: Tensor2D, bias: Tensor2D) -> Tensor2D:
     return Tensor2D._result(t.data + bias.data, (t, bias), backprop)
 
 
-def softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
+def softmax_columns(t: Tensor2D) -> Tensor2D:
     """Stable softmax down each column; every column sums to 1.
 
     Computed with max-subtraction, so shifting a column by a constant leaves
-    its output unchanged. ``keep`` is an optional boolean mask of ``t``'s shape: entries where it
-    is False get weight exactly 0 and no gradient, and each column is
-    normalised over its kept entries alone. Every column must keep at least
-    one entry.
+    its output unchanged.
     """
-    x = t.data
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != x.shape:
-            raise DimensionError(f"softmax_columns: mask {keep.shape} vs {x.shape}")
-        if not keep.any(axis=0).all():
-            raise ValueError("softmax_columns: a column keeps no entry")
-        x = np.where(keep, x, -np.inf)
-    e = np.exp(x - x.max(axis=0, keepdims=True))
+    e = np.exp(t.data - t.data.max(axis=0, keepdims=True))
     y = e / e.sum(axis=0, keepdims=True)
 
     def backprop(g):

@@ -1,10 +1,10 @@
 """Kernel ops that only the tests use: reductions to a scalar for gradient
 checks, the per-entry reference for the gathered cross-entropy, the
-elementwise ops, stacking, transpose, reshape and the blockwise weighted sum,
-and the models as graphs of elementary ops: the mLSTM cell, the BiRNN,
-dropout, attention and the classifier head. They are the oracles for the
-fused ``ctxda.encoders.mlstm_states``, ``ctxda.model.birnn_states`` and the
-two models' forward and backward passes.
+elementwise ops, stacking, transpose, reshape, the blockwise weighted sum and
+the masked softmax, and the models as graphs of elementary ops: the mLSTM
+cell, the BiRNN, dropout, attention and the classifier head. They are the
+oracles for the fused ``ctxda.encoders.mlstm_states``,
+``ctxda.model.birnn_states`` and the two models' forward and backward passes.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
 kernel's ``backward`` walks them like any other op.
@@ -268,6 +268,28 @@ def apply_dropout(h: Tensor2D, rate: float, uniforms: np.ndarray) -> Tensor2D:
     return Tensor2D._result(h.data * keep, (h,), backprop)
 
 
+def masked_softmax_columns(t: Tensor2D, keep=None) -> Tensor2D:
+    """``softmax_columns`` under an optional boolean mask of ``t``'s shape:
+    entries where ``keep`` is False get weight exactly 0 and no gradient, and
+    each column is normalised over its kept entries alone. Every column must
+    keep at least one entry."""
+    if keep is None:
+        return softmax_columns(t)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != t.data.shape:
+        raise DimensionError(f"masked_softmax_columns: mask {keep.shape} vs {t.data.shape}")
+    if not keep.any(axis=0).all():
+        raise ValueError("masked_softmax_columns: a column keeps no entry")
+    x = np.where(keep, t.data, -np.inf)
+    e = np.exp(x - x.max(axis=0, keepdims=True))
+    y = e / e.sum(axis=0, keepdims=True)
+
+    def backprop(g):
+        t.grad += y * (g - (y * g).sum(axis=0, keepdims=True))
+
+    return Tensor2D._result(y, (t,), backprop)
+
+
 def attention(
     states: Tensor2D, params: dict, n_slots: int, keep: np.ndarray | None = None
 ) -> tuple[Tensor2D, Tensor2D]:
@@ -284,7 +306,7 @@ def attention(
     """
     projected = tanh_map(matmul(params["att.proj"], states))       # (A, K*B)
     scores = matmul(transpose(params["att.score"]), projected)      # (1, K*B)
-    weights = softmax_columns(reshape(scores, n_slots, states.cols // n_slots), keep)
+    weights = masked_softmax_columns(reshape(scores, n_slots, states.cols // n_slots), keep)
     summary = tanh_map(weighted_sum(states, weights))             # (2H, B)
     return weights, summary
 

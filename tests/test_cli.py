@@ -294,6 +294,26 @@ class TestTrain:
         assert not list((tmp_path / "run" / "corpus").glob("char_lm-*"))
 
 
+# a stored parameter's values made malformed in five ways
+MALFORMED_VALUES = {
+    "string": lambda values: "abc",
+    "null": lambda values: None,
+    "nested": lambda values: [values[:2], values[2:4]],
+    "short": lambda values: values[:-1],
+    "nan": lambda values: values[:1] + [float("nan")] + values[2:],
+}
+
+
+def refusal(kind: str, name: str, shape: tuple) -> str:
+    """What refuses parameter ``name`` of ``shape`` stored with MALFORMED_VALUES[kind]."""
+    if kind == "string":
+        return "malformed parameter entry: ValueError(\"could not convert string to float: 'abc'\")"
+    if kind == "nan":
+        return f"parameter {name}: stored values are not all finite"
+    n = {"null": 1, "nested": 4, "short": shape[0] * shape[1] - 1}[kind]
+    return f"parameter {name}: stored as {shape} with {n} values, expected {shape}"
+
+
 def char_config(tmp_path, **model):
     """A small ``char`` config; ``model`` overrides its model section."""
     return write_config(tmp_path, encoder="char", model={
@@ -380,6 +400,22 @@ class TestCharLMCache:
         assert calls == []
         assert entry.read_text() == text
         assert not (tmp_path / "run" / "uttattbirnn_char.ckpt.json").exists()
+
+    @pytest.mark.parametrize("kind", list(MALFORMED_VALUES))
+    def test_malformed_values_exit_4(self, tmp_path, capsys, kind):
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        (entry,) = self.cached(tmp_path)
+        stored = json.loads(entry.read_text())
+        w_mh = stored["weights"]["w_mh"]
+        w_mh["values"] = MALFORMED_VALUES[kind](w_mh["values"])
+        entry.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "uttattbirnn"]) == 4
+        assert capsys.readouterr().err == (
+            f"checkpoint error: character LM cache {entry} is unusable: "
+            f"{refusal(kind, 'w_mh', (4, 4))} (delete it to retrain)\n")
 
     def test_synth_removes_the_entries(self, tmp_path):
         config, _ = char_config(tmp_path)
@@ -474,6 +510,32 @@ class TestEval:
                      "--nc", str(out / "baseline_word.ckpt.json"), "--wc", str(wc), str(wc)])
         assert code == 0
         assert built == ["word"] * (1 if equal else 2)
+
+    @pytest.mark.parametrize("ulp", [0, 1])
+    def test_concat_pair_of_one_run_builds_windows_once(self, tmp_path, monkeypatch, ulp):
+        # the stored character weights are compared exactly: one ulp apart in
+        # one weight, the two encoders are two encoders
+        from ctxda import cli as cli_mod
+
+        config, _ = write_config(tmp_path, encoder="concat", model={
+            "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16})
+        out = tmp_path / "run"
+        assert main(["--config", str(config), "synth"]) == 0
+        for model in ("baseline", "uttattbirnn"):
+            assert main(["--config", str(config), "train", "--model", model]) == 0
+        wc = out / "uttattbirnn_concat.ckpt.json"
+        if ulp:
+            ckpt = json.loads(wc.read_text())
+            values = ckpt["encoder"]["char"]["weights"]["w_mh"]["values"]
+            values[0] = float(np.nextafter(values[0], np.inf))
+            wc.write_text(json.dumps(ckpt))
+        built, build = [], cli_mod.cor.build_all_windows
+        monkeypatch.setattr(cli_mod.cor, "build_all_windows",
+                            lambda *args: (built.append(1), build(*args))[1])
+        code = main(["--config", str(config), "eval",
+                     "--nc", str(out / "baseline_concat.ckpt.json"), "--wc", str(wc)])
+        assert code == 0
+        assert built == [1] * (1 + ulp)
 
     def test_corrupted_checkpoint_exit_4(self, pipeline, capsys):
         config, out = pipeline
@@ -745,6 +807,21 @@ class TestEvalFailsClosed:
             code, records = self.run_eval(tmp_path, edit)
         assert code == 4 and not records.exists()
         assert "not a finite distribution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(MALFORMED_VALUES))
+    @pytest.mark.parametrize("part", ["model", "encoder"])
+    def test_malformed_values_exit_4(self, tmp_path, capsys, part, kind):
+        name, shape = ("att.score", (4, 1)) if part == "model" else ("w_mh", (3, 3))
+
+        def edit(wc):
+            params = wc["params"] if part == "model" else wc["encoder"]["char"]["weights"]
+            params[name]["values"] = MALFORMED_VALUES[kind](params[name]["values"])
+
+        code, records = self.run_eval(tmp_path, edit)
+        assert code == 4 and not records.exists()
+        # the model's parameters are refused while its checkpoint loads
+        where = f"malformed checkpoint {tmp_path / 'wc.ckpt.json'}: " if part == "model" else ""
+        assert capsys.readouterr().err == f"checkpoint error: {where}{refusal(kind, name, shape)}\n"
 
     @pytest.mark.parametrize("edit", [
         lambda wc: wc.update(encoder=["char", "word"]),

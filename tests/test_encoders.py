@@ -14,10 +14,12 @@ from ctxda.tensor import (
     CheckpointError,
     DimensionError,
     Tensor2D,
+    array_values,
     backward,
     init_params,
     matmul,
     softmax_columns,
+    write_json_file,
 )
 from gradcheck import max_gradient_error
 from reference_ops import add, hadamard, hstack, mlstm_reference_states, mlstm_step, sum_all
@@ -590,14 +592,18 @@ class TestEncoderConfigRoundTrip:
     """encoder_to_config -> JSON -> encoder_from_config rebuilds the encoder."""
 
     @pytest.mark.parametrize("kind", ["word-inline", "word-onehot", "char", "concat"])
-    def test_same_features_and_same_config(self, kind):
+    def test_same_features_and_same_config(self, kind, tmp_path):
+        def written(config) -> str:
+            write_json_file(tmp_path / "config.json", config)
+            return (tmp_path / "config.json").read_text(encoding="utf-8")
+
         encoder = round_trip_encoder(kind)
-        stored = json.dumps(E.encoder_to_config(encoder))
-        rebuilt = E.encoder_from_config(json.loads(stored))
+        stored = written(E.encoder_to_config(encoder))
+        rebuilt = E.encoder_from_config(json.loads(stored, object_hook=array_values))
         assert rebuilt.dim == encoder.dim
         for utt in ROUND_TRIP_UTTERANCES:
             assert np.array_equal(rebuilt.encode_utterance(utt), encoder.encode_utterance(utt))
-        assert json.dumps(E.encoder_to_config(rebuilt)) == stored
+        assert written(E.encoder_to_config(rebuilt)) == stored
 
 
 class TestFileWordTable:

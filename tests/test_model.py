@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -708,6 +709,33 @@ class TestCheckpoint:
         assert isinstance(loaded, BaselineMLP)
         for (_, p1), (_, p2) in zip(model.params.items(), loaded.params.items()):
             assert np.array_equal(p1.data, p2.data)
+
+    def test_io_holds_no_whole_model_float_lists(self, tmp_path):
+        # a float in a list costs 32 B (a 24 B object and an 8 B slot), in an
+        # array 8 B. Quarter-integer weights keep the file's text, which the
+        # loader holds whole, near 6 B per weight, and the largest matrix is about
+        # a fifth of the weights, since the parser lists one entry at a time.
+        model = UttAttBiRNN(150, 5, hidden_dim=150, attention_dim=40, seed=17)
+        rng = np.random.default_rng(17)
+        for p in model.parameters():
+            p.data[:] = rng.integers(-8, 8, p.shape) / 4
+        n_weights = sum(p.data.size for p in model.parameters())
+        assert n_weights >= 100_000
+        path = tmp_path / "m.ckpt.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, model, {}, list("abcde"), 17)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded, _ = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(p.data.nbytes + p.grad.nbytes for p in loaded.parameters())
+        assert save_peak < 16 * n_weights
+        assert load_peak - kept < 16 * n_weights  # beyond the loaded weights and gradients
+        assert all(np.array_equal(p.data, q.data)
+                   for p, q in zip(model.parameters(), loaded.parameters()))
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt.json"

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from reference_ops import (
     add,
     hadamard,
     hstack,
+    masked_softmax_columns,
     mean_columns,
     neg_log,
     pick,
@@ -309,7 +312,7 @@ class TestColumnOps:
         x = rng.uniform(-5, 5, (5, 3))
         keep = np.array([[False, True, False], [True, True, False], [True, True, False],
                          [False, True, False], [True, True, True]])
-        out = T.softmax_columns(Tensor2D(x), keep).data
+        out = masked_softmax_columns(Tensor2D(x), keep).data
         assert np.all(out[~keep] == 0.0)
         for j in range(3):
             e = np.exp(x[keep[:, j], j] - x[keep[:, j], j].max())
@@ -318,7 +321,7 @@ class TestColumnOps:
     def test_softmax_columns_rejects_empty_column(self):
         keep = np.array([[True, False], [True, False]])
         with pytest.raises(ValueError):
-            T.softmax_columns(Tensor2D(np.zeros((2, 2))), keep)
+            masked_softmax_columns(Tensor2D(np.zeros((2, 2))), keep)
 
     def test_weighted_sum_hand_values(self):
         parts = Tensor2D([[1.0, 2.0, 10.0, 20.0]])  # two blocks of two columns
@@ -347,7 +350,7 @@ class TestSoftmaxProperties:
             keep = data.draw(arrays(np.bool_, (rows, cols)))
             keep[data.draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols)),
                  np.arange(cols)] = True  # every column keeps an entry
-        y = T.softmax_columns(Tensor2D(x), keep).data
+        y = masked_softmax_columns(Tensor2D(x), keep).data
         assert np.isfinite(y).all() and y.min() >= 0.0
         assert np.abs(y.sum(axis=0) - 1.0).max() <= 1e-12
         if masked:
@@ -378,7 +381,7 @@ class TestColumnOpGradients:
             keep[-1] = True
 
         def loss():
-            return sum_all(hadamard(T.softmax_columns(p, keep), weights))
+            return sum_all(hadamard(masked_softmax_columns(p, keep), weights))
 
         assert max_gradient_error(loss, [p]) < 1e-4
 
@@ -444,6 +447,15 @@ class TestFiniteDifference:
             finite_difference_grad(lambda t: 0.0, Tensor2D([[1.0]]), h=0.0)
 
 
+def through_file(obj, object_hook=None):
+    """``obj`` as ``write_json_file`` writes it and ``json.load`` reads it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        T.write_json_file(path, obj)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_hook=object_hook)
+
+
 class TestParameterRegistry:
     def registry(self, rng=None):
         return T.init_params(rng, {"w": (3, 2), "b": 3, "v": (1, 4)}, prefix="x.")
@@ -462,10 +474,11 @@ class TestParameterRegistry:
     def test_json_round_trip_is_bitwise(self):
         params = self.registry(np.random.default_rng(1))
         params["b"].data[:] = [[1e-300], [-0.1], [1 / 3]]
-        loaded = self.registry()
-        T.params_from_json(loaded, json.loads(json.dumps(T.params_to_json(params))))
-        for name, p in params.items():
-            assert np.array_equal(loaded[name].data, p.data)
+        for hook in (None, T.array_values):  # values as lists and as arrays
+            loaded = self.registry()
+            T.params_from_json(loaded, through_file(T.params_to_json(params), hook))
+            for name, p in params.items():
+                assert np.array_equal(loaded[name].data, p.data)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -476,7 +489,7 @@ class TestParameterRegistry:
         values = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals too
         params = {name: T.Parameter(data.draw(arrays(np.float64, shape, elements=values)))
                   for name, shape in names.items()}
-        stored = json.loads(json.dumps(T.params_to_json(params)))
+        stored = through_file(T.params_to_json(params), T.array_values)
         plain, viewed = T.init_params(None, names), T.init_params(None, names)
         adam = Adam(list(viewed.values()))
         for loaded in (plain, viewed):
@@ -498,7 +511,7 @@ class TestParameterRegistry:
         lambda s: s["w"].pop("rows"),
     ])
     def test_bad_stored_entries_are_refused(self, corrupt):
-        stored = T.params_to_json(self.registry(np.random.default_rng(2)))
+        stored = through_file(T.params_to_json(self.registry(np.random.default_rng(2))))
         corrupt(stored)
         with pytest.raises(T.CheckpointError):
             T.params_from_json(self.registry(), stored)
