@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from statistics import median
 
@@ -24,7 +25,10 @@ PROB_TOL = 1e-6
 
 
 def _distribution(name: str, values) -> list[float]:
-    """``values`` as floats, refused unless a finite distribution within PROB_TOL."""
+    """``values`` as floats, refused unless numbers (a bool is none) that form a
+    finite distribution within PROB_TOL."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise TypeError(f"{name} must hold numbers only")
     values = [float(v) for v in values]
     if not (all(map(math.isfinite, values)) and min(values) >= -PROB_TOL
             and abs(sum(values) - 1.0) <= PROB_TOL):
@@ -45,9 +49,15 @@ class EvalRecord:
     n_tokens: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # ids and tags exactly str, indices exactly int (no bool)
+            want = {"str": str, "int": int}.get(f.type)  # the annotation, as a string
+            if want is not None and type(getattr(self, f.name)) is not want:
+                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         for name in ("nc_probs", "wc_probs", "attention"):
             if getattr(self, name) is not None:
                 setattr(self, name, _distribution(name, getattr(self, name)))
+        if len(self.nc_probs) != len(self.wc_probs):
+            raise ValueError("nc_probs and wc_probs differ in length")
 
     @property
     def nc_correct(self) -> bool:
@@ -130,11 +140,7 @@ class ConfusionPairRow:
 
 def _group_pairs(records, keep) -> list[ConfusionPairRow]:
     total = len(records)
-    counts: dict[tuple[str, str, str], int] = {}
-    for r in records:
-        if keep(r):
-            key = (r.gold, r.nc_pred, r.wc_pred)
-            counts[key] = counts.get(key, 0) + 1
+    counts = Counter((r.gold, r.nc_pred, r.wc_pred) for r in records if keep(r))
     rows = [
         ConfusionPairRow(gt=k[0], nc=k[1], wc=k[2], num=n, pct=pct(n, total))
         for k, n in counts.items()
@@ -264,7 +270,18 @@ def short_utterance_slice(records: list[EvalRecord], max_tokens: int) -> ShortSl
 
 # --- SVG rendering -----------------------------------------------------------
 
-_SVG_HEADER = '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">'
+
+def _svg_frame(width: int, height: int, title: str) -> list[str]:
+    """The opening of a chart: the svg element, the title when there is one,
+    and the base line 40 px above the bottom between 40 px side margins."""
+    margin, base = 40, height - 40
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
+    if title:
+        parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+                     f'font-size="14">{title}</text>')
+    parts.append(f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
+                 'stroke="black"/>')
+    return parts
 
 
 def svg_bar_chart(values, labels, title: str = "", width: int = 480, height: int = 280) -> str:
@@ -277,12 +294,7 @@ def svg_bar_chart(values, labels, title: str = "", width: int = 480, height: int
     margin, base = 40, height - 40
     slot = (width - 2 * margin) / len(values)
     bar_w = slot * 0.7
-    parts = [_SVG_HEADER.format(w=width, h=height)]
-    if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
-    parts.append(f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
-                 'stroke="black"/>')
+    parts = _svg_frame(width, height, title)
     for i, (v, label) in enumerate(zip(values, labels)):
         bar_h = (base - 50) * v / top
         x = margin + i * slot + (slot - bar_w) / 2
@@ -313,12 +325,7 @@ def svg_confidence_chart(
     margin, base = 40, height - 40
     span = width - 2 * margin
     step = span / max(len(rows) - 1, 1)
-    parts = [_SVG_HEADER.format(w=width, h=height)]
-    parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-                 'font-size="14">prediction confidence (first '
-                 f'{len(rows)} examples)</text>')
-    parts.append(f'<line x1="{margin}" y1="{base}" x2="{width - margin}" y2="{base}" '
-                 'stroke="black"/>')
+    parts = _svg_frame(width, height, f"prediction confidence (first {len(rows)} examples)")
     for key, color in (("wc_confidence", "#b03030"), ("nc_confidence", "#4878a8")):
         points = " ".join(
             f"{margin + i * step:.1f},{base - (base - 50) * row[key]:.1f}"

@@ -325,7 +325,7 @@ def cmd_synth(cfg: dict) -> int:
         "tags": vocab.tags,
         "bayes_nocontext_accuracy": cor.bayes_nocontext_accuracy(test_spec),
     }
-    write_json_file(corpus_dir / "synth_summary.json", summary, end="\n")
+    write_json_file(corpus_dir / "synth_summary.json", summary)
     print(
         f"synthetic corpus: {summary['train_conversations']} train / "
         f"{summary['test_conversations']} test conversations, "
@@ -411,23 +411,21 @@ def _load_model_group(paths: list[str], kind: str):
         if model.kind != kind:
             raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {model.kind}")
         group.append((Path(path).name, model, meta))
-    tags0 = group[0][2]["tags"]
-    for name, _, meta in group[1:]:
-        if meta["tags"] != tags0:
-            raise CheckpointError(f"tag vocabulary mismatch between checkpoints ({name})")
-    return group, tags0
+    return group
 
 
 def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     _, test_convs, _ = _load_prepared(cfg)
-    nc_group, nc_tags = _load_model_group(nc_paths, BaselineMLP.kind)
-    wc_group, wc_tags = _load_model_group(wc_paths, UttAttBiRNN.kind)
-    if nc_tags != wc_tags:
-        raise CheckpointError("tag vocabulary mismatch between NC and WC checkpoints")
+    nc_group = _load_model_group(nc_paths, BaselineMLP.kind)
+    wc_group = _load_model_group(wc_paths, UttAttBiRNN.kind)
+    tags = nc_group[0][2]["tags"]
+    for name, _, meta in nc_group + wc_group:
+        if meta["tags"] != tags:
+            raise CheckpointError(f"tag vocabulary mismatch between checkpoints ({name})")
     n_contexts = {model.n_context for _, model, _ in wc_group}
     if len(n_contexts) > 1:
         raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
-    vocab = cor.TagVocabulary(nc_tags)
+    vocab = cor.TagVocabulary(tags)
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
     # windows are built once per distinct encoder configuration; configurations
@@ -506,12 +504,12 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
         if runs is not None and runs != len(record_sets):
             raise ValueError(f"--runs {runs} expects {runs} record files, "
                              f"got {len(record_sets)}")
-        profile = ana.attention_profile_mean(record_sets[0])
+        records = record_sets[0]
+        short = ana.short_utterance_slice(records, cfg["analysis"]["short_max_tokens"])
         multi = (ana.attention_profile_mean([], runs=record_sets)
                  if len(record_sets) > 1 else None)
     except ValueError as exc:
         raise CliError(f"analysis input error: {exc}", EXIT_ANALYSIS) from exc
-    records = record_sets[0]
     out_dir = Path(cfg["out_dir"])
 
     acc = ana.accuracy(records)
@@ -519,26 +517,20 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     rescue = ana.rescue_pairs(records)
     ana.write_pair_csv(out_dir / "rescue_pairs.csv", rescue.rows)
     stats = ana.confidence_stats(records)
-    write_json_file(out_dir / "confidence.json", vars(stats), end="\n")
+    write_json_file(out_dir / "confidence.json", vars(stats))
 
-    slots = [f"a{k}" for k in range(len(profile))]
+    slots = [f"a{k}" for k in range(len(short.full_mean))]
     with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(["slot", *slots]) + "\n")
-        fh.write("mean," + ",".join(repr(float(v)) for v in profile) + "\n")
+        fh.write("mean," + ",".join(repr(float(v)) for v in short.full_mean) + "\n")
         if multi is not None:
             fh.write("mean_over_runs," + ",".join(repr(float(v)) for v in multi) + "\n")
 
-    short = ana.short_utterance_slice(records, cfg["analysis"]["short_max_tokens"])
-    write_json_file(out_dir / "short_utterance_profile.json", {
-        "max_tokens": short.max_tokens,
-        "n_sliced": short.n_sliced,
-        "slice_mean": None if short.slice_mean is None else short.slice_mean.tolist(),
-        "full_mean": short.full_mean.tolist(),
-    }, end="\n")
+    write_json_file(out_dir / "short_utterance_profile.json", vars(short))
 
     if cfg["analysis"]["svg"]:
         (out_dir / "attention_profile.svg").write_text(
-            ana.svg_bar_chart(profile, slots, title="mean attention per slot")
+            ana.svg_bar_chart(short.full_mean, slots, title="mean attention per slot")
         )
         if multi is not None:
             (out_dir / "attention_profile_runs.svg").write_text(
@@ -556,7 +548,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     )
     print(f"confidence: NC mean {stats.nc_mean:.4f} WC mean {stats.wc_mean:.4f}")
     print("attention profile (current first): "
-          + " ".join(f"{v:.4f}" for v in profile))
+          + " ".join(f"{v:.4f}" for v in short.full_mean))
     if multi is not None:
         print(f"attention profile over {len(record_sets)} runs: "
               + " ".join(f"{v:.4f}" for v in multi))

@@ -258,9 +258,7 @@ def load_swda_csv(
 # --- windows ----------------------------------------------------------------
 
 
-def build_windows(
-    conv: Conversation, n: int, encoder, vocab: TagVocabulary
-) -> list[ContextWindow]:
+def build_all_windows(conversations, n, encoder, vocab) -> list[ContextWindow]:
     """One window per utterance: the utterance plus its n predecessors.
 
     Slots before the conversation start are zero vectors with
@@ -268,38 +266,22 @@ def build_windows(
     """
     if n < 0:
         raise ValueError(f"context size must be non-negative, got {n}")
-    encoded = [np.asarray(encoder.encode_utterance(u), dtype=np.float64)
-               for u in conv.utterances]
     zero = np.zeros(encoder.dim)
     windows = []
-    for t, utt in enumerate(conv.utterances):
-        feats: list[np.ndarray] = []
-        mask: list[bool] = []
-        for k in range(t - n, t + 1):
-            if k < 0:
-                feats.append(zero)
-                mask.append(False)
-            else:
-                feats.append(encoded[k])
-                mask.append(True)
-        windows.append(
-            ContextWindow(
-                features=feats,
-                pad_mask=mask,
+    for conv in conversations:
+        encoded = [np.asarray(encoder.encode_utterance(u), dtype=np.float64)
+                   for u in conv.utterances]
+        for t, utt in enumerate(conv.utterances):
+            pads = max(n - t, 0)
+            windows.append(ContextWindow(
+                features=[zero] * pads + encoded[max(t - n, 0):t + 1],
+                pad_mask=[False] * pads + [True] * (n + 1 - pads),
                 label=vocab.index_of(utt.act_tag),
                 conversation_id=conv.id,
                 index=t,
                 n_tokens=len(tokenize(utt.text)),
-            )
-        )
+            ))
     return windows
-
-
-def build_all_windows(conversations, n, encoder, vocab) -> list[ContextWindow]:
-    out: list[ContextWindow] = []
-    for conv in conversations:
-        out.extend(build_windows(conv, n, encoder, vocab))
-    return out
 
 
 # --- synthetic corpus -------------------------------------------------------

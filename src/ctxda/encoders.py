@@ -75,9 +75,7 @@ class EmbeddingTable:
     def one_hot(cls, vocabulary: list[str]) -> "EmbeddingTable":
         """Indicator embeddings over a closed vocabulary (synthetic runs)."""
         table = cls(len(vocabulary))
-        for i, tok in enumerate(vocabulary):
-            vec = np.zeros(len(vocabulary))
-            vec[i] = 1.0
+        for tok, vec in zip(vocabulary, np.eye(len(vocabulary))):
             table.add(tok, vec)
         return table
 
@@ -332,8 +330,6 @@ def char_encode(
 
 class CharMLSTMEncoder:
     def __init__(self, params: MLSTMParams, vocab: CharVocab, reduce: str = "mean"):
-        if reduce not in ("mean", "last"):
-            raise ValueError(f"unknown reduce mode {reduce!r}")
         self.params = params
         self.vocab = vocab
         self.reduce = reduce

@@ -443,7 +443,7 @@ def save_checkpoint(path, model, encoder_config: dict, tags: list[str], seed: in
         "seed": seed,
         "params": params_to_json(model.params),
     }
-    write_json_file(path, payload, end="\n")
+    write_json_file(path, payload)
 
 
 def load_checkpoint(path):
@@ -467,11 +467,10 @@ def load_checkpoint(path):
     try:
         model = MODEL_KINDS[kind](**payload["model"])
         params_from_json(model.params, payload["params"])
+        encoder, tags, seed = payload["encoder"], payload["tags"], payload["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    meta = {
-        "encoder": payload.get("encoder", {}),
-        "tags": payload.get("tags", []),
-        "seed": payload.get("seed", 0),
-    }
-    return model, meta
+    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)
+            and len(set(tags)) == len(tags) == model.n_classes):
+        raise CheckpointError(f"{path}: tags must be {model.n_classes} distinct strings")
+    return model, {"encoder": encoder, "tags": tags, "seed": seed}

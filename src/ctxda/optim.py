@@ -108,8 +108,6 @@ def split_validation(windows, fraction: float, seed: int, by_conversation: bool 
     together so context never leaks across the boundary. At least one window
     lands in each side.
     """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
     if len(windows) < 2:
         raise ValueError("need at least 2 windows to split")
     rng = np.random.default_rng(seed)

@@ -207,8 +207,8 @@ def _json_chunks(obj):
         yield json.dumps(obj, allow_nan=False)
 
 
-def write_json_file(path, obj, end: str = "") -> None:
-    """Write ``json.dumps(obj) + end`` to ``path`` (an ndarray as its list),
+def write_json_file(path, obj) -> None:
+    """Write ``json.dumps(obj)`` and a newline to ``path`` (an ndarray as its list),
     streamed through the C encoder; the file appears whole or not at all.
 
     The text goes to ``<path>.<pid>.tmp``, which ``os.replace`` moves onto
@@ -221,7 +221,7 @@ def write_json_file(path, obj, end: str = "") -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             for chunk in _json_chunks(obj):
                 fh.write(chunk)
-            fh.write(end)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

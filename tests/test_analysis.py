@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -334,6 +335,12 @@ class TestSvg:
         svg = svg_bar_chart([0.5, 0.2, 0.3], ["a0", "a1", "a2"], title="profile")
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<rect") == 3
+
+    def test_untitled_bar_chart_bytes(self):
+        svg = svg_bar_chart([0.5, 0.25, 0.125, 0.125], ["a0", "a1", "a2", "a3"])
+        assert "font-size=\"14\"" not in svg  # no title element
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "af3326eeaa84b703eee69caf5ff39d9c722909f3cc132bed0db7a5c3dfac6e9e")
 
     def test_confidence_chart(self):
         stats = confidence_stats([record("sd", "sd", "sd", idx=i) for i in range(40)])

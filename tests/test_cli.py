@@ -293,6 +293,15 @@ class TestTrain:
         assert not list((tmp_path / "run").glob("baseline_char*"))
         assert not list((tmp_path / "run" / "corpus").glob("char_lm-*"))
 
+    def test_unknown_char_reduce_exit_2(self, tmp_path, capsys):
+        # refused by char_encode when the first window is built, after the LM is fitted
+        config, _ = write_config(tmp_path, encoder="char", model={
+            "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16, "char_reduce": "max"})
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert capsys.readouterr().err == "error: unknown reduce mode 'max'\n"
+        assert not list((tmp_path / "run").glob("baseline_char*"))
+
 
 # a stored parameter's values made malformed in five ways
 MALFORMED_VALUES = {
@@ -580,11 +589,12 @@ class TestEvalFailsClosed:
     the model or in the encoder stored with it."""
 
     def run_eval(self, tmp_path, edit, n_context=2, also_wc=(),
-                 conversations=DATA / "v1_conversations.jsonl", test=None):
+                 conversations=DATA / "v1_conversations.jsonl", test=None, nc_too=False):
         """``eval`` of the v1 fixture checkpoints on ``conversations`` (by
         default their own) as both splits, or on ``test`` as the test split,
-        after ``edit`` has changed the WC checkpoint's JSON, with the config's
-        ``train.n_context`` and any further WC checkpoints ``also_wc``."""
+        after ``edit`` has changed the WC checkpoint's JSON (and the NC one's
+        too when ``nc_too``), with the config's ``train.n_context`` and any
+        further WC checkpoints ``also_wc``."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         shutil.copy(conversations, corpus / "train.jsonl")
@@ -594,10 +604,16 @@ class TestEvalFailsClosed:
         edit(wc)
         wc_path = tmp_path / "wc.ckpt.json"
         wc_path.write_text(json.dumps(wc))
+        nc_path = DATA / "v1_nc_word.ckpt.json"
+        if nc_too:
+            nc = json.loads(nc_path.read_text())
+            edit(nc)
+            nc_path = tmp_path / "nc.ckpt.json"
+            nc_path.write_text(json.dumps(nc))
         config, _ = write_config(tmp_path, paths={"corpus_dir": str(corpus)},
                                  train={"n_context": n_context})
         code = main(["--config", str(config), "eval",
-                     "--nc", str(DATA / "v1_nc_word.ckpt.json"),
+                     "--nc", str(nc_path),
                      "--wc", str(wc_path), *map(str, also_wc)])
         return code, tmp_path / "run" / "eval_records.jsonl"
 
@@ -631,6 +647,27 @@ class TestEvalFailsClosed:
         assert code == 4 and not records.exists()
         err = capsys.readouterr().err
         assert "checkpoint error" in err and "embeddings.txt" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda ckpt: ckpt.pop("tags"),
+        lambda ckpt: ckpt.pop("encoder"),
+        lambda ckpt: ckpt.pop("seed"),
+        lambda ckpt: ckpt.update(tags="sd b qy"),
+        lambda ckpt: ckpt.update(tags=["sd", "b"]),
+        lambda ckpt: ckpt.update(tags=["sd", "b", "sd"]),
+        lambda ckpt: ckpt.update(tags=["sd", "b", 3]),
+    ], ids=["no_tags", "no_encoder", "no_seed", "tags_a_string", "too_few_tags",
+            "duplicate_tags", "a_tag_not_a_string"])
+    def test_incomplete_metadata_in_both_exit_4(self, tmp_path, capsys, edit):
+        code, records = self.run_eval(tmp_path, edit, nc_too=True)
+        assert code == 4 and not records.exists()
+        assert capsys.readouterr().err.startswith("checkpoint error: ")
+
+    def test_tags_differing_from_the_first_checkpoints_exit_4(self, tmp_path, capsys):
+        code, records = self.run_eval(tmp_path, lambda wc: wc.update(tags=["qy", "b", "sd"]))
+        assert code == 4 and not records.exists()
+        assert capsys.readouterr().err == ("checkpoint error: tag vocabulary mismatch "
+                                           "between checkpoints (wc.ckpt.json)\n")
 
     @staticmethod
     def onehot_as_file(wc, path, digest=True):
@@ -946,6 +983,74 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "cannot load records" in err and ":2:" in err
         assert not (tmp_path / "run" / "confidence.json").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"n_tokens": "3"}, {"n_tokens": 3.0}, {"n_tokens": True}, {"utterance_index": "0"},
+        {"gold": 7}, {"nc_pred": None}, {"conversation_id": 1},
+        {"nc_probs": [1.0], "wc_probs": [0.2] * 5}, {"wc_probs": [1.0, 0.0, 0.0]},
+        {"nc_probs": ["1.0", "0.0"]}, {"attention": [True, False]},
+    ], ids=["n_tokens_str", "n_tokens_float", "n_tokens_bool", "index_str", "gold_int",
+            "nc_pred_null", "id_int", "nc_probs_shorter", "wc_probs_longer",
+            "nc_probs_strings", "attention_bools"])
+    def test_mistyped_record_exit_5(self, tmp_path, capsys, change):
+        config, _ = write_config(tmp_path)
+        obj = {"conversation_id": "c", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
+               "wc_pred": "sd", "nc_probs": [1.0, 0.0], "wc_probs": [1.0, 0.0],
+               "attention": [0.5, 0.5], "n_tokens": 1}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(obj) + "\n" + json.dumps({**obj, **change}) + "\n")
+        assert main(["--config", str(config), "analyze", "--records", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert "cannot load records" in err and ":2:" in err
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
+
+    @staticmethod
+    def golden_records(path, run):
+        """Six records over three tags whose probabilities and attention
+        weights are exact binary fractions; the utterances have 1 to 6 tokens,
+        and the two runs weigh the three attention profiles differently."""
+        tags = ("sd", "b", "qy")
+        profiles = ([0.5, 0.25, 0.25], [0.25, 0.625, 0.125], [0.125, 0.125, 0.75])
+        lines = []
+        for i in range(6):
+            gold, nc, wc = tags[i % 3], tags[(i + i % 2) % 3], tags[(i + run) % 3]
+            lines.append(json.dumps({
+                "conversation_id": f"c{i // 3}", "utterance_index": i % 3, "gold": gold,
+                "nc_pred": nc, "wc_pred": wc,
+                "nc_probs": [0.75 if t == nc else 0.125 for t in tags],
+                "wc_probs": [0.625 if t == wc else 0.1875 for t in tags],
+                "attention": profiles[(i * i + run) % 3],
+                "n_tokens": i + 1}))
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    # sha256 of each chart ``analyze`` draws from the two golden record files
+    GOLDEN_SVGS = {
+        "attention_profile.svg":
+            "86d03eaf5335233cb65237663cc2cfd86abff415ede44798e5956852f6466f5f",
+        "attention_profile_runs.svg":
+            "91577c38d875ecdeef1335a4b10ef5eec21d0e2cce0a89b719b1c663eff2fb58",
+        "confidence.svg":
+            "1016169db7b28d2851cb89262cf3efad4b9ccf99d82a0a79df03b86ca494aa07",
+    }
+
+    @pytest.mark.parametrize("short_max_tokens", [2, 0])
+    def test_golden_outputs(self, tmp_path, short_max_tokens):
+        config, _ = write_config(tmp_path, analysis={"short_max_tokens": short_max_tokens})
+        paths = [self.golden_records(tmp_path / f"records{run}.jsonl", run) for run in (0, 1)]
+        assert main(["--config", str(config), "analyze", "--records", *paths]) == 0
+        out = tmp_path / "run"
+        for name, digest in self.GOLDEN_SVGS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        records = load_records(paths[0])
+        short = [r.attention for r in records if r.n_tokens <= short_max_tokens]
+        expected = {
+            "max_tokens": short_max_tokens,
+            "n_sliced": len(short),
+            "slice_mean": np.mean(short, axis=0).tolist() if short else None,
+            "full_mean": np.mean([r.attention for r in records], axis=0).tolist(),
+        }
+        assert (out / "short_utterance_profile.json").read_text() == json.dumps(expected) + "\n"
 
 
 class TestConfig:

@@ -10,7 +10,6 @@ from ctxda.corpus import (
     Utterance,
     bayes_nocontext_accuracy,
     build_all_windows,
-    build_windows,
     generate_synthetic,
     load_jsonl,
     load_swda_csv,
@@ -197,7 +196,7 @@ class TestBuildWindows:
     def test_three_utterance_conversation_window_at_t2(self):
         c = conv("x", [("a", "t1"), ("b", "t2"), ("c", "t3")])
         vocab = TagVocabulary(["t1", "t2", "t3"])
-        windows = build_windows(c, 4, self.encoder(), vocab)
+        windows = build_all_windows([c], 4, self.encoder(), vocab)
         w = windows[2]
         assert w.pad_mask == [False, False, True, True, True]
         assert np.all(w.features[0] == 0.0) and np.all(w.features[1] == 0.0)
@@ -207,14 +206,14 @@ class TestBuildWindows:
     def test_first_window_all_pads_but_current(self):
         c = conv("x", [("a", "t1"), ("b", "t1")])
         vocab = TagVocabulary(["t1"])
-        w = build_windows(c, 4, self.encoder(), vocab)[0]
+        w = build_all_windows([c], 4, self.encoder(), vocab)[0]
         assert w.pad_mask == [False, False, False, False, True]
 
     def test_pad_count_over_ten_utterances(self):
         pairs = [("a", "t")] * 10
         c = conv("x", pairs)
         vocab = TagVocabulary(["t"])
-        windows = build_windows(c, 4, self.encoder(), vocab)
+        windows = build_all_windows([c], 4, self.encoder(), vocab)
         assert len(windows) == 10
         pads = sum(not m for w in windows for m in w.pad_mask)
         assert pads == 4 + 3 + 2 + 1
@@ -228,10 +227,35 @@ class TestBuildWindows:
         # first window of "two" must not see "one"'s utterances
         assert windows[2].pad_mask == [False, False, False, False, True]
 
+    @staticmethod
+    def per_slot_windows(c, n, encoder):
+        """The features and pad mask of each window of ``c``, slot by slot."""
+        encoded = [encoder.encode_utterance(u) for u in c.utterances]
+        out = []
+        for t in range(len(c)):
+            slots = [(np.zeros(encoder.dim), False) if k < 0 else (encoded[k], True)
+                     for k in range(t - n, t + 1)]
+            out.append(([f for f, _ in slots], [m for _, m in slots]))
+        return out
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_same_windows_as_a_per_slot_loop(self, n):
+        words = [f"w{k}" for k in range(8)]
+        encoder = WordMeanEncoder(EmbeddingTable.one_hot(words))
+        convs = [conv(f"c{length}", [(" ".join(words[t:t + 2]), "t") for t in range(length)])
+                 for length in range(1, 9)]
+        windows = build_all_windows(convs, n, encoder, TagVocabulary(["t"]))
+        expected = [w for c in convs for w in self.per_slot_windows(c, n, encoder)]
+        assert len(windows) == len(expected) == sum(range(1, 9))
+        for w, (features, mask) in zip(windows, expected):
+            assert w.pad_mask == mask
+            assert len(w.features) == len(features) == n + 1
+            assert all(np.array_equal(a, b) for a, b in zip(w.features, features))
+
     def test_token_count_recorded(self):
         c = conv("x", [("a b c.", "t")])
         vocab = TagVocabulary(["t"])
-        w = build_windows(c, 0, self.encoder(), vocab)[0]
+        w = build_all_windows([c], 0, self.encoder(), vocab)[0]
         assert w.n_tokens == 4  # "a", "b", "c", "."
 
 

@@ -336,10 +336,6 @@ class TestSplitValidation:
         assert [w.index for w in a[0]] == [w.index for w in b[0]]
         assert [w.index for w in a[1]] == [w.index for w in b[1]]
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            O.split_validation(self.make_windows(10), 0.0, seed=0)
-
     def test_conversation_level_keeps_groups_whole(self):
         windows = self.make_windows(40, conversations=8)
         train, val = O.split_validation(windows, 0.25, seed=3, by_conversation=True)
@@ -368,6 +364,12 @@ class TestTrain:
     def test_config_refuses_a_senseless_setting(self, setting):
         with pytest.raises(ValueError, match="must be positive"):
             TrainConfig(**setting)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_config_refuses_an_invalid_fraction(self, fraction):
+        # split_validation trusts its fraction: TrainConfig is where it is checked
+        with pytest.raises(ValueError, match="val_fraction must be in"):
+            TrainConfig(val_fraction=fraction)
 
     def test_empty_training_set_rejected(self):
         model = BaselineMLP(2, 2, hidden1=3, hidden2=3)

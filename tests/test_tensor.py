@@ -539,13 +539,13 @@ class TestWriteJsonFile:
     def test_property_bytes_are_json_dumps(self, tmp_path_factory, obj):
         path = tmp_path_factory.mktemp("json") / "doc.json"
         T.write_json_file(path, obj)
-        assert path.read_bytes() == json.dumps(obj).encode()
+        assert path.read_bytes() == (json.dumps(obj) + "\n").encode()
         assert [p.name for p in path.parent.iterdir()] == ["doc.json"]
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_slice_edges_and_end(self, tmp_path, n):
         obj = {"values": [i / 7 for i in range(n)], "ü": [{"k": [-0.0, 1e-300]}] * n}
-        T.write_json_file(tmp_path / "doc.json", obj, end="\n")
+        T.write_json_file(tmp_path / "doc.json", obj)
         assert (tmp_path / "doc.json").read_bytes() == (json.dumps(obj) + "\n").encode()
 
     @pytest.mark.parametrize("bad, error", [
