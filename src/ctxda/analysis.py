@@ -14,24 +14,25 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
 
+from .tensor import atomic_text
+
 PROB_TOL = 1e-6
 
 
 def _distribution(name: str, values) -> list[float]:
-    """``values`` as floats, refused unless numbers (a bool is none) that form a
-    finite distribution within PROB_TOL."""
+    """``values`` as floats, refused unless non-negative numbers (a bool is
+    none) that form a finite distribution, summing to 1 within PROB_TOL."""
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise TypeError(f"{name} must hold numbers only")
     values = [float(v) for v in values]
-    if not (all(map(math.isfinite, values)) and min(values) >= -PROB_TOL
-            and abs(sum(values) - 1.0) <= PROB_TOL):
+    # a NaN or infinite entry fails one of the two comparisons
+    if not (min(values) >= 0 and abs(sum(values) - 1.0) <= PROB_TOL):
         raise ValueError(f"{name} is not a finite probability distribution")
     return values
 
@@ -49,10 +50,9 @@ class EvalRecord:
     n_tokens: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # ids and tags exactly str, indices exactly int (no bool)
-            want = {"str": str, "int": int}.get(f.type)  # the annotation, as a string
-            if want is not None and type(getattr(self, f.name)) is not want:
-                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+        for name, want in _EXACT_TYPES.items():
+            if type(getattr(self, name)) is not want:
+                raise TypeError(f"{name} must be {want.__name__}, got {getattr(self, name)!r}")
         for name in ("nc_probs", "wc_probs", "attention"):
             if getattr(self, name) is not None:
                 setattr(self, name, _distribution(name, getattr(self, name)))
@@ -76,11 +76,15 @@ class EvalRecord:
         return max(self.wc_probs)
 
 
+# ids and tags exactly str, indices exactly int (no bool), read once off the annotations
+_EXACT_TYPES = {f.name: {"str": str, "int": int}[f.type] for f in fields(EvalRecord)
+                if f.type in ("str", "int")}
+
+
 def write_records(path, records: list[EvalRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         for r in records:
-            fh.write(json.dumps({f.name: getattr(r, f.name) for f in fields(r)},
-                                allow_nan=False) + "\n")
+            fh.write(json.dumps(vars(r), allow_nan=False) + "\n")
 
 
 def _refuse_constant(name: str):
@@ -170,7 +174,7 @@ def rescue_pairs(records: list[EvalRecord]) -> RescueSummary:
 
 
 def write_pair_csv(path, rows: list[ConfusionPairRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["gt", "nc", "wc", "num", "pct"])
         for row in rows:

@@ -32,7 +32,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import array_values, params_from_json, params_to_json, write_json_file
+from .tensor import array_values, atomic_text, params_from_json, params_to_json, write_json_file
 
 log = logging.getLogger("ctxda")
 
@@ -203,29 +203,30 @@ def _load_prepared(cfg: dict):
     return (*splits, cor.TagVocabulary.load(tags_path))
 
 
-def _write_prepared(cfg: dict, train_convs, test_convs):
-    """Write the splits and their tag vocabulary where ``_load_prepared``
-    reads them, after removing the character LMs fitted on what the corpus
-    held before; returns (corpus_dir, vocabulary)."""
+def _write_prepared(cfg: dict, train_convs, test_convs, table=None):
+    """Write the prepared corpus where ``_load_prepared`` reads it, as one set:
+    remove every file derived from the corpus held before, then write the
+    splits, the corpus's rows of the word table ``table`` (if given), and
+    ``tags.txt`` last, so that a set cut short is refused. Returns
+    (corpus_dir, vocabulary, embedding rows written)."""
     corpus_dir = _corpus_dir(cfg)
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    for cached in corpus_dir.glob("char_lm-*.json"):
-        cached.unlink()
+    for pattern in ("char_lm-*.json", "embeddings.txt", "synth_summary.json", "tags.txt"):
+        for derived in corpus_dir.glob(pattern):
+            derived.unlink()
     cor.write_jsonl(corpus_dir / "train.jsonl", train_convs)
     cor.write_jsonl(corpus_dir / "test.jsonl", test_convs)
+    cached = 0
+    if table is not None:
+        with atomic_text(corpus_dir / "embeddings.txt") as fh:
+            for tok in _corpus_tokens(train_convs + test_convs):
+                vec = table.lookup(tok)
+                if vec is not None:
+                    fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+                    cached += 1
     vocab = cor.TagVocabulary.from_conversations(train_convs + test_convs)
     vocab.save(corpus_dir / "tags.txt")
-    return corpus_dir, vocab
-
-
-def _write_char_lm(path: Path, key: dict, params) -> None:
-    """Cache the character LM ``params`` fitted under ``key`` at ``path``.
-    The file appears whole or not at all; a write that fails is logged and
-    skipped, since the cache only saves the next run its training."""
-    try:
-        write_json_file(path, {"key": key, "weights": params_to_json(params)})
-    except OSError as exc:
-        log.warning("character LM not cached at %s: %s", path, exc)
+    return corpus_dir, vocab, cached
 
 
 def _corpus_tokens(convs) -> list[str]:
@@ -252,7 +253,10 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
                  settings["hidden_dim"], settings["epochs"])
         params, losses = enc.train_char_lm(texts, vocab, seed=cfg["seed"], **settings)
         log.info("char LM losses per epoch: %s", ["%.4f" % x for x in losses])
-        _write_char_lm(path, key, params)
+        try:  # the cache only saves the next run its training: a failed write is skipped
+            write_json_file(path, {"key": key, "weights": params_to_json(params)})
+        except OSError as exc:
+            log.warning("character LM not cached at %s: %s", path, exc)
         return params
     log.info("reusing character LM %s", path)
     params = enc.MLSTMParams(vocab.size, settings["hidden_dim"])
@@ -284,6 +288,8 @@ def _build_encoder(cfg: dict, train_convs, test_convs):
                                    {"kind": "onehot", "vocabulary": vocab})
 
     def char_encoder():
+        if mcfg["char_reduce"] not in enc.REDUCE_MODES:  # refused before the LM is cached
+            raise CliError(f"unknown reduce mode {mcfg['char_reduce']!r}")
         vocab = enc.CharVocab()
         params = _char_lm(cfg, train_convs, vocab)
         return enc.CharMLSTMEncoder(params, vocab, reduce=mcfg["char_reduce"])
@@ -314,7 +320,7 @@ def cmd_synth(cfg: dict) -> int:
     test_convs = cor.generate_synthetic(test_spec)
     if not train_convs or not test_convs:
         raise CliError("synthetic spec produced an empty corpus")
-    corpus_dir, vocab = _write_prepared(cfg, train_convs, test_convs)
+    corpus_dir, vocab, _ = _write_prepared(cfg, train_convs, test_convs)
     summary = {
         "mode": train_spec.mode,
         "n_classes": train_spec.n_classes,
@@ -348,16 +354,7 @@ def cmd_prepare(cfg: dict) -> int:
     if emb_path and not Path(emb_path).exists():
         raise CliError(f"embeddings file does not exist: {emb_path}")
     table = enc.load_embeddings(emb_path) if emb_path else None  # checked before any write
-    corpus_dir, vocab = _write_prepared(cfg, train_convs, test_convs)
-
-    cached = 0
-    if table is not None:
-        with open(corpus_dir / "embeddings.txt", "w", encoding="utf-8") as fh:
-            for tok in _corpus_tokens(train_convs + test_convs):
-                vec = table.lookup(tok)
-                if vec is not None:
-                    fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-                    cached += 1
+    _, vocab, cached = _write_prepared(cfg, train_convs, test_convs, table)
 
     n_train_utts = sum(len(c) for c in train_convs)
     n_test_utts = sum(len(c) for c in test_convs)
@@ -493,6 +490,9 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
 
 
 def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
+    max_tokens = cfg["analysis"]["short_max_tokens"]
+    if max_tokens < 0:
+        raise CliError(f"analysis.short_max_tokens must be at least 0, got {max_tokens}")
     try:
         record_sets = [ana.load_records(p) for p in record_paths]
     except (OSError, ValueError) as exc:
@@ -505,7 +505,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
             raise ValueError(f"--runs {runs} expects {runs} record files, "
                              f"got {len(record_sets)}")
         records = record_sets[0]
-        short = ana.short_utterance_slice(records, cfg["analysis"]["short_max_tokens"])
+        short = ana.short_utterance_slice(records, max_tokens)
         multi = (ana.attention_profile_mean([], runs=record_sets)
                  if len(record_sets) > 1 else None)
     except ValueError as exc:
@@ -520,7 +520,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     write_json_file(out_dir / "confidence.json", vars(stats))
 
     slots = [f"a{k}" for k in range(len(short.full_mean))]
-    with open(out_dir / "attention_profile.csv", "w", encoding="utf-8") as fh:
+    with atomic_text(out_dir / "attention_profile.csv") as fh:
         fh.write(",".join(["slot", *slots]) + "\n")
         fh.write("mean," + ",".join(repr(float(v)) for v in short.full_mean) + "\n")
         if multi is not None:
@@ -528,18 +528,20 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
 
     write_json_file(out_dir / "short_utterance_profile.json", vars(short))
 
+    charts = {}
     if cfg["analysis"]["svg"]:
-        (out_dir / "attention_profile.svg").write_text(
-            ana.svg_bar_chart(short.full_mean, slots, title="mean attention per slot")
-        )
+        charts["attention_profile.svg"] = ana.svg_bar_chart(
+            short.full_mean, slots, title="mean attention per slot")
         if multi is not None:
-            (out_dir / "attention_profile_runs.svg").write_text(
-                ana.svg_bar_chart(multi, slots,
-                                  title=f"mean attention over {len(record_sets)} runs")
-            )
-        (out_dir / "confidence.svg").write_text(
-            ana.svg_confidence_chart(stats.series, batch=30)
-        )
+            charts["attention_profile_runs.svg"] = ana.svg_bar_chart(
+                multi, slots, title=f"mean attention over {len(record_sets)} runs")
+        charts["confidence.svg"] = ana.svg_confidence_chart(stats.series, batch=30)
+    for name in ("attention_profile.svg", "attention_profile_runs.svg", "confidence.svg"):
+        if name in charts:
+            with atomic_text(out_dir / name) as fh:
+                fh.write(charts[name])
+        else:  # a chart this run does not draw is no output of it
+            (out_dir / name).unlink(missing_ok=True)
 
     print(f"accuracy: NC {acc['nc']:.2f}% WC {acc['wc']:.2f}%")
     print(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .encoders import tokenize
 from .model import ContextWindow
+from .tensor import atomic_text
 
 
 @dataclass
@@ -83,7 +84,7 @@ class TagVocabulary:
         return iter(self._tags)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_text(path) as fh:
             for tag in self._tags:
                 fh.write(tag + "\n")
 
@@ -129,7 +130,7 @@ def load_jsonl(path) -> list[Conversation]:
 
 
 def write_jsonl(path, conversations) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         for conv in conversations:
             obj = {
                 "id": conv.id,

@@ -308,6 +308,9 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
     return Tensor2D._result(hs, tuple(p.values()), backprop)
 
 
+REDUCE_MODES = ("mean", "last")  # how char_encode turns hidden states into one vector
+
+
 def char_encode(
     text: str, p: MLSTMParams, vocab: CharVocab, reduce: str = "mean"
 ) -> np.ndarray:
@@ -317,7 +320,7 @@ def char_encode(
     ``reduce="last"`` returns the state after the final character. An empty
     character sequence maps to the zero vector.
     """
-    if reduce not in ("mean", "last"):
+    if reduce not in REDUCE_MODES:
         raise ValueError(f"unknown reduce mode {reduce!r}")
     if not text:
         return np.zeros(p.hidden_dim)

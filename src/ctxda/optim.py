@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DimensionError, Parameter, Tensor2D, backward
+from .tensor import DimensionError, Parameter, Tensor2D, atomic_text, backward
 
 LOSS_FLOOR = 1e-12
 
@@ -243,7 +243,7 @@ def train(model, windows, cfg: TrainConfig) -> TrainResult:
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "train_loss", "val_accuracy"])
         for row in history:

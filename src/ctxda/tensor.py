@@ -207,26 +207,31 @@ def _json_chunks(obj):
         yield json.dumps(obj, allow_nan=False)
 
 
-def write_json_file(path, obj) -> None:
-    """Write ``json.dumps(obj)`` and a newline to ``path`` (an ndarray as its list),
-    streamed through the C encoder; the file appears whole or not at all.
-
-    The text goes to ``<path>.<pid>.tmp``, which ``os.replace`` moves onto
-    ``path``; a write that fails removes it and re-raises. A NaN or infinite
-    float raises ValueError and a non-str dict key TypeError, before
-    ``path`` is touched.
-    """
+@contextlib.contextmanager
+def atomic_text(path):
+    """The one way this package writes an output file: text for ``path`` goes to
+    ``<path>.<pid>.tmp`` (UTF-8, line ends as given), which ``os.replace`` moves
+    onto ``path`` when the block ends. A block that fails removes it and re-raises,
+    so ``path`` appears whole or not at all and an earlier file there stays as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for chunk in _json_chunks(obj):
-                fh.write(chunk)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_json_file(path, obj) -> None:
+    """Write ``json.dumps(obj)`` and a newline to ``path`` (an ndarray as its list)
+    through :func:`atomic_text`, streamed through the C encoder. A NaN or infinite
+    float raises ValueError and a non-str dict key TypeError; ``path`` is untouched."""
+    with atomic_text(path) as fh:
+        for chunk in _json_chunks(obj):
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def array_values(entry: dict) -> dict:

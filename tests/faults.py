@@ -1,5 +1,6 @@
-"""Write faults injected into ``ctxda.tensor.write_json_file``, the one
-writer of checkpoints and character-LM cache files."""
+"""Write faults injected into ``ctxda.tensor.atomic_text``, through which
+every output file of the package is written: checkpoints, the character-LM
+cache, corpus splits and tags, histories, records, tables and charts."""
 
 import builtins
 import errno

@@ -71,7 +71,8 @@ class TestEvalRecord:
         with pytest.raises(ValueError, match=f"{field} is not a finite"):
             EvalRecord("c", 0, "sd", "sd", "sv", **fields)
 
-    @pytest.mark.parametrize("attention", [[0.6, 0.6], [1.2, -0.2], [0.3, 0.3]])
+    @pytest.mark.parametrize("attention", [[0.6, 0.6], [1.2, -0.2], [0.3, 0.3],
+                                           [-5e-7, 1.0000005]])
     def test_rejects_attention_off_the_simplex(self, attention):
         with pytest.raises(ValueError, match="attention"):
             EvalRecord("c", 0, "sd", "sd", "sd", dist(0), dist(0), attention=attention)

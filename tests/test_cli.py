@@ -10,13 +10,25 @@ import numpy as np
 import pytest
 
 from ctxda.cli import DEFAULT_CONFIG, load_config, main
-from ctxda.analysis import confidence_stats, load_records
-from ctxda.corpus import TagVocabulary, load_jsonl
+from ctxda.analysis import (ConfusionPairRow, EvalRecord, confidence_stats, load_records,
+                            write_pair_csv, write_records)
+from ctxda.corpus import Conversation, TagVocabulary, Utterance, load_jsonl, write_jsonl
 from ctxda.encoders import PrecomputedEncoder, encoder_from_config, encoder_to_config
+from ctxda.optim import EpochStats, write_history_csv
+from ctxda.tensor import write_json_file
 from faults import fill_disk, refuse_replace
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+
+
+def inject(monkeypatch, fault: str, name: str) -> None:
+    """Make the write of each file whose name contains ``name`` fail: cut off
+    after 16 characters by a full disk, or refused at its final ``os.replace``."""
+    if fault == "fill_disk":
+        fill_disk(monkeypatch, budget=16, applies=lambda path: name in path)
+    else:
+        refuse_replace(monkeypatch, applies=lambda dst: name in dst)
 
 
 def write_config(tmp_path, **overrides):
@@ -113,6 +125,31 @@ class TestSynth:
         first = (tmp_path / "run" / "corpus" / "train.jsonl").read_bytes()
         assert main(["--config", str(config), "synth"]) == 0
         assert (tmp_path / "run" / "corpus" / "train.jsonl").read_bytes() == first
+
+    def test_embeddings_of_an_earlier_corpus_are_removed(self, tmp_path):
+        config, _ = write_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        (tmp_path / "run" / "corpus" / "embeddings.txt").write_text("w0_0 1.0 2.0\n")
+        assert main(["--config", str(config), "synth"]) == 0
+        assert not (tmp_path / "run" / "corpus" / "embeddings.txt").exists()
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        ckpt = json.loads((tmp_path / "run" / "baseline_word.ckpt.json").read_text())
+        assert ckpt["encoder"]["source"]["kind"] == "onehot"
+
+    @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
+    @pytest.mark.parametrize("split", ["train.jsonl", "test.jsonl"])
+    def test_corpus_cut_short_is_refused(self, tmp_path, capsys, monkeypatch, split, fault):
+        # a second synth that fails between its files leaves no corpus to train on
+        config, _ = write_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        inject(monkeypatch, fault, split)
+        assert main(["--config", str(config), "--seed", "8", "synth"]) == 2
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert f"{tmp_path / 'run' / 'corpus' / 'tags.txt'} (run prepare or synth)" in (
+            capsys.readouterr().err)
+        assert list((tmp_path / "run" / "corpus").glob("*.tmp")) == []
 
 
 class TestPrepare:
@@ -294,13 +331,14 @@ class TestTrain:
         assert not list((tmp_path / "run" / "corpus").glob("char_lm-*"))
 
     def test_unknown_char_reduce_exit_2(self, tmp_path, capsys):
-        # refused by char_encode when the first window is built, after the LM is fitted
+        # refused before the LM is fitted, so no LM is cached for it
         config, _ = write_config(tmp_path, encoder="char", model={
             "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16, "char_reduce": "max"})
         assert main(["--config", str(config), "synth"]) == 0
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
         assert capsys.readouterr().err == "error: unknown reduce mode 'max'\n"
         assert not list((tmp_path / "run").glob("baseline_char*"))
+        assert not list((tmp_path / "run" / "corpus").glob("char_lm-*.json"))
 
 
 # a stored parameter's values made malformed in five ways
@@ -1052,6 +1090,34 @@ class TestAnalyze:
         }
         assert (out / "short_utterance_profile.json").read_text() == json.dumps(expected) + "\n"
 
+    CHARTS = ("attention_profile.svg", "attention_profile_runs.svg", "confidence.svg")
+
+    @pytest.mark.parametrize("svg, runs, left", [
+        (True, 1, ["attention_profile.svg", "confidence.svg"]),
+        (False, 2, []),
+    ], ids=["one-run", "svg-off"])
+    def test_charts_not_drawn_are_removed(self, tmp_path, svg, runs, left):
+        config, _ = write_config(tmp_path)
+        paths = [self.golden_records(tmp_path / f"records{run}.jsonl", run) for run in (0, 1)]
+        assert main(["--config", str(config), "analyze", "--records", *paths]) == 0
+        assert all((tmp_path / "run" / name).exists() for name in self.CHARTS)
+        config, _ = write_config(tmp_path, analysis={"svg": svg})
+        assert main(["--config", str(config), "analyze", "--records", *paths[:runs]]) == 0
+        assert [name for name in self.CHARTS if (tmp_path / "run" / name).exists()] == left
+
+    def test_negative_short_max_tokens_exit_2_before_reading(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from ctxda import cli as cli_mod
+
+        config, _ = write_config(tmp_path, analysis={"short_max_tokens": -1})
+        path = self.golden_records(tmp_path / "records.jsonl", 0)
+        monkeypatch.setattr(cli_mod.ana, "load_records",
+                            lambda path: pytest.fail("records read before the check"))
+        assert main(["--config", str(config), "analyze", "--records", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: analysis.short_max_tokens must be at least 0, got -1\n")
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
+
 
 class TestConfig:
     def test_invalid_json_exit_2(self, tmp_path, capsys):
@@ -1158,3 +1224,81 @@ class TestConfig:
                     yield prefix + key, value
 
         assert documented == dict(leaves(DEFAULT_CONFIG))
+
+
+# the package's writers that take a path: each writes version 0 or 1 of its output
+WRITERS = {
+    "write_json_file": lambda path, v: write_json_file(path, {"v": v, "values": [v / 3] * 40}),
+    "write_records": lambda path, v: write_records(path, [
+        EvalRecord("c", i, "sd", "sd", "b", [0.75, 0.25], [0.5, 0.5]) for i in range(2 + v)]),
+    "write_pair_csv": lambda path, v: write_pair_csv(path, [
+        ConfusionPairRow("sd", "b", "qy", n, 12.5) for n in range(2 + v)]),
+    "write_history_csv": lambda path, v: write_history_csv(path, [
+        EpochStats(epoch, 1e-3, 0.5 / epoch, 50.0) for epoch in range(1, 3 + v)]),
+    "write_jsonl": lambda path, v: write_jsonl(path, [
+        Conversation(f"c{k}", [Utterance(f"c{k}", 0, "hi there", "sd")]) for k in range(2 + v)]),
+    "TagVocabulary.save": lambda path, v: TagVocabulary(["b", "qy", "sd", "sv"][:3 + v]).save(path),
+}
+
+
+class TestEveryOutputWholeOrNotAtAll:
+    """A write that fails, cut off half way or refused at its final rename,
+    leaves the earlier file at its path byte for byte and no temporary file."""
+
+    @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, writer, fault):
+        write, probe, path = WRITERS[writer], tmp_path / "probe", tmp_path / "out" / "file"
+        write(probe, 1)
+        path.parent.mkdir()
+        write(path, 0)
+        earlier = path.read_bytes()
+        assert probe.read_bytes() != earlier
+        if fault == "fill_disk":
+            fill_disk(monkeypatch, budget=len(probe.read_bytes()) // 2)
+        else:
+            refuse_replace(monkeypatch)
+        with pytest.raises(OSError):
+            write(path, 1)
+        assert path.read_bytes() == earlier
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
+    @pytest.mark.parametrize("name", ["attention_profile.csv", *TestAnalyze.CHARTS])
+    def test_failed_analyze_output_keeps_the_earlier_file(self, tmp_path, monkeypatch, name,
+                                                          fault):
+        config, _ = write_config(tmp_path)
+        r0, r1 = (TestAnalyze.golden_records(tmp_path / f"records{run}.jsonl", run)
+                  for run in (0, 1))
+        assert main(["--config", str(config), "analyze", "--records", r0, r1]) == 0
+        earlier = (tmp_path / "run" / name).read_bytes()
+        r2 = tmp_path / "records2.jsonl"  # run 1 with other WC confidences
+        objs = [json.loads(line) for line in Path(r1).read_text().splitlines()]
+        for obj in objs:
+            obj["wc_probs"] = [0.5 if p == max(obj["wc_probs"]) else 0.25 for p in obj["wc_probs"]]
+        r2.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        inject(monkeypatch, fault, name)
+        assert main(["--config", str(config), "analyze", "--records", str(r2), r0, r0]) == 2
+        assert (tmp_path / "run" / name).read_bytes() == earlier
+        assert list((tmp_path / "run").glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
+    def test_failed_embeddings_write_leaves_no_corpus(self, tmp_path, capsys, monkeypatch,
+                                                      fault):
+        # embeddings.txt belongs to the corpus it was cut for: the earlier one
+        # is removed with that corpus, and the new set lacks its tags.txt
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n')
+        emb = tmp_path / "emb.txt"
+        emb.write_text("hi 1.0 2.0 3.0 4.0 5.0\n")
+        config, _ = write_config(tmp_path, paths={
+            "raw_train": str(raw), "raw_test": str(raw), "embeddings": str(emb)})
+        assert main(["--config", str(config), "prepare"]) == 0
+        inject(monkeypatch, fault, "embeddings.txt")
+        assert main(["--config", str(config), "prepare"]) == 2
+        monkeypatch.undo()
+        corpus = tmp_path / "run" / "corpus"
+        assert sorted(p.name for p in corpus.iterdir()) == ["test.jsonl", "train.jsonl"]
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert f"{corpus / 'tags.txt'} (run prepare or synth)" in capsys.readouterr().err
