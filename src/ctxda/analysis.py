@@ -58,6 +58,8 @@ class EvalRecord:
                 setattr(self, name, _distribution(name, getattr(self, name)))
         if len(self.nc_probs) != len(self.wc_probs):
             raise ValueError("nc_probs and wc_probs differ in length")
+        if self.n_tokens < 0:
+            raise ValueError(f"n_tokens must be at least 0, got {self.n_tokens}")
 
     @property
     def nc_correct(self) -> bool:
@@ -92,14 +94,27 @@ def _refuse_constant(name: str):
 
 
 def load_records(path) -> list[EvalRecord]:
-    records = []
+    """The records of one file, checked as a whole: refused, naming the line,
+    is a record that repeats an earlier one's (conversation_id,
+    utterance_index), or whose class count or attention length differs from
+    an earlier record's (a record without attention has no length)."""
+    records, seen, sizes = [], set(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line, parse_constant=_refuse_constant)
-                records.append(EvalRecord(**obj))
+                r = EvalRecord(**obj)
+                key = (r.conversation_id, r.utterance_index)
+                if key in seen:
+                    raise ValueError(f"utterance {key[1]} of {key[0]!r} is recorded twice")
+                seen.add(key)
+                for name, values in (("class count", r.nc_probs), ("attention length", r.attention)):
+                    if values is not None and sizes.setdefault(name, len(values)) != len(values):
+                        raise ValueError(f"{name} {len(values)}, where an earlier record has "
+                                         f"{sizes[name]}")
+                records.append(r)
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc
     return records

@@ -197,10 +197,12 @@ def _load_prepared(cfg: dict):
         if not p.exists():
             raise CliError(f"prepared corpus artifact missing: {p} (run prepare or synth)")
     splits = [cor.load_jsonl(train_path), cor.load_jsonl(test_path)]
+    vocab = cor.TagVocabulary.load(tags_path)
     for path, convs in zip((train_path, test_path), splits):
         if not convs:
             raise CliError(f"prepared corpus split is empty: {path}")
-    return (*splits, cor.TagVocabulary.load(tags_path))
+        vocab.check(path, convs)
+    return (*splits, vocab)
 
 
 def _write_prepared(cfg: dict, train_convs, test_convs, table=None):
@@ -423,6 +425,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     if len(n_contexts) > 1:
         raise CheckpointError(f"WC checkpoints disagree on n_context: {sorted(n_contexts)}")
     vocab = cor.TagVocabulary(tags)
+    vocab.check(_corpus_dir(cfg) / "test.jsonl", test_convs)  # a corpus fault, not the checkpoints'
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
     # windows are built once per distinct encoder configuration; configurations

@@ -74,6 +74,15 @@ class TagVocabulary:
             raise KeyError(f"unknown act tag {tag!r}")
         return self._index[tag]
 
+    def check(self, path, conversations) -> None:
+        """Refuse, with ValueError, an act tag of ``conversations`` (read from
+        ``path``) outside this inventory, naming the file, conversation and tag."""
+        for conv in conversations:
+            for u in conv.utterances:
+                if u.act_tag not in self._index:
+                    raise ValueError(f"{path}: conversation {conv.id!r}: "
+                                     f"unknown act tag {u.act_tag!r}")
+
     def tag_of(self, index: int) -> str:
         return self._tags[index]
 
@@ -108,10 +117,11 @@ def load_jsonl(path) -> list[Conversation]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                conv_id = str(obj["id"])
-                raw_utts = obj["utterances"]
+                conv_id, raw_utts = obj["id"], obj["utterances"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: missing id/utterances") from exc
+            if not isinstance(conv_id, str):
+                raise ValueError(f"{path}:{lineno}: id must be a string, got {conv_id!r}")
             if conv_id in seen_ids:
                 raise ValueError(f"{path}:{lineno}: duplicate conversation id {conv_id!r}")
             seen_ids.add(conv_id)
@@ -120,11 +130,16 @@ def load_jsonl(path) -> list[Conversation]:
             utts = []
             for i, u in enumerate(raw_utts):
                 try:
-                    utts.append(Utterance(conv_id, i, str(u["text"]), str(u["act_tag"])))
+                    text, tag = u["text"], u["act_tag"]
                 except (KeyError, TypeError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: utterance {i} of {conv_id!r} malformed"
                     ) from exc
+                for key, value in (("text", text), ("act_tag", tag)):
+                    if not isinstance(value, str):
+                        raise ValueError(f"{path}:{lineno}: utterance {i} of {conv_id!r}: "
+                                         f"{key} must be a string, got {value!r}")
+                utts.append(Utterance(conv_id, i, text, tag))
             conversations.append(Conversation(conv_id, utts))
     return conversations
 

@@ -7,10 +7,11 @@ gradients back to them; :func:`backward` walks the recorded graph in reverse
 topological order, handing each node's backward closure the gradient of that
 node. Closures refer only to their inputs, never to their own output, so a
 graph holds no reference cycles and is freed as soon as its root is dropped.
-Trainable values are :class:`Parameter` nodes, whose gradients persist and
-accumulate across backward calls until the optimizer zeroes them; every other
-node gets a gradient only when :func:`backward` walks it. Every model and cell
-keeps its Parameters in one ordered registry built by :func:`init_params`,
+Trainable values are :class:`Parameter` nodes, whose gradient is made (zeros)
+on first read, then accumulates across backward calls until the optimizer
+zeroes it; every other node gets one only when :func:`backward` walks it, so
+a model that only predicts holds no gradient. Every model and cell keeps its
+Parameters in one ordered registry built by :func:`init_params`,
 stored by :func:`params_to_json` and :func:`write_json_file`, and loaded,
 with checks, by :func:`array_values` and :func:`params_from_json`.
 
@@ -120,17 +121,26 @@ class Tensor2D:
 class Parameter(Tensor2D):
     """Trainable value/gradient pair.
 
-    Unlike intermediate nodes, a Parameter has a gradient from the start, and
-    it survives across backward calls (each call adds its exact contribution)
-    until written to zero. ``name`` is used in optimizer diagnostics.
+    Unlike intermediate nodes, a Parameter's gradient is made (zeros) on first
+    read and survives across backward calls (each call adds its exact
+    contribution) until written to zero. ``name`` is used in diagnostics.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_grad")
 
     def __init__(self, data, name: str = ""):
         super().__init__(data)
-        self.grad = np.zeros_like(self.data)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
     def __repr__(self) -> str:
         label = self.name or "?"
@@ -212,15 +222,18 @@ def atomic_text(path):
     """The one way this package writes an output file: text for ``path`` goes to
     ``<path>.<pid>.tmp`` (UTF-8, line ends as given), which ``os.replace`` moves
     onto ``path`` when the block ends. A block that fails removes it and re-raises,
-    so ``path`` appears whole or not at all and an earlier file there stays as it was."""
+    so ``path`` appears whole or not at all and an earlier file there stays as it was.
+    An OSError is re-raised as one of its class that names ``path``, with its strerror."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
         raise
 
 

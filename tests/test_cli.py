@@ -341,6 +341,78 @@ class TestTrain:
         assert not list((tmp_path / "run" / "corpus").glob("char_lm-*.json"))
 
 
+def edit_line(path: Path, lineno: int, edit) -> dict:
+    """Rewrite line ``lineno`` of a JSONL file as ``edit`` leaves its object;
+    returns the object."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    return obj
+
+
+class TestCorpusFailsClosed:
+    """A split is read as it is, never converted, and a tag outside the
+    vocabulary is refused naming the split file, the conversation and the tag;
+    both exit 2 before any output."""
+
+    @pytest.mark.parametrize("value", [["a"], 5])
+    @pytest.mark.parametrize("field", ["id", "text", "act_tag"])
+    def test_non_string_field_exit_2(self, tmp_path, capsys, field, value):
+        config, _ = write_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        train = tmp_path / "run" / "corpus" / "train.jsonl"
+
+        def edit(obj):
+            (obj if field == "id" else obj["utterances"][2])[field] = value
+
+        edit_line(train, 3, edit)
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        err = capsys.readouterr().err
+        assert f"{train}:3:" in err and f"{field} must be a string, got {value!r}" in err
+        assert not list((tmp_path / "run").glob("baseline_*"))
+
+    def test_non_string_field_in_a_raw_corpus_exit_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id": "a", "utterances": [{"text": "hi", "act_tag": "x"}]}\n'
+                       '{"id": "b", "utterances": [{"text": ["hi"], "act_tag": "x"}]}\n')
+        config, _ = write_config(tmp_path, paths={"raw_train": str(raw), "raw_test": str(raw)})
+        assert main(["--config", str(config), "prepare"]) == 2
+        assert f"{raw}:2: utterance 0 of 'b': text must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "corpus").exists()
+
+    def test_unknown_tag_at_train_exit_2(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        train = tmp_path / "run" / "corpus" / "train.jsonl"
+        conv = edit_line(train, 2, lambda obj: obj["utterances"][1].update(act_tag="ZZ"))
+        capsys.readouterr()
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {train}: conversation {conv['id']!r}: unknown act tag 'ZZ'\n")
+        assert not list((tmp_path / "run").glob("baseline_*"))
+
+    @pytest.mark.parametrize("in_tags_txt", [False, True])
+    def test_unknown_tag_at_eval_exit_2(self, pipeline, capsys, in_tags_txt):
+        # a tag outside tags.txt, or in tags.txt but outside the checkpoints'
+        # tags, is the test split's fault either way
+        config, out = pipeline
+        test = out / "corpus" / "test.jsonl"
+        conv = edit_line(test, 1, lambda obj: obj["utterances"][0].update(act_tag="ZZ"))
+        if in_tags_txt:
+            with open(out / "corpus" / "tags.txt", "a") as fh:
+                fh.write("ZZ\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), "eval",
+                     "--nc", str(out / "baseline_word.ckpt.json"),
+                     "--wc", str(out / "uttattbirnn_word.ckpt.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {test}: conversation {conv['id']!r}: unknown act tag 'ZZ'\n")
+        assert not (out / "eval_records.jsonl").exists()
+
+
 # a stored parameter's values made malformed in five ways
 MALFORMED_VALUES = {
     "string": lambda values: "abc",
@@ -1042,6 +1114,26 @@ class TestAnalyze:
         assert "cannot load records" in err and ":2:" in err
         assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
 
+    @pytest.mark.parametrize("change, message", [
+        ({}, "utterance 0 of 'c' is recorded twice"),
+        ({"nc_probs": [1.0, 0.0, 0.0], "wc_probs": [1.0, 0.0, 0.0]}, "class count 3"),
+        ({"attention": [0.5, 0.25, 0.25]}, "attention length 3"),
+        ({"n_tokens": -3}, "n_tokens must be at least 0, got -3"),
+    ], ids=["repeated_key", "class_count", "attention_length", "negative_n_tokens"])
+    def test_inconsistent_record_file_exit_5(self, tmp_path, capsys, change, message):
+        # each record is well formed alone; the file as a whole is not
+        config, _ = write_config(tmp_path)
+        obj = {"conversation_id": "c", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
+               "wc_pred": "sd", "nc_probs": [1.0, 0.0], "wc_probs": [1.0, 0.0],
+               "attention": [0.5, 0.5], "n_tokens": 1}
+        second = {**obj, "utterance_index": 1} if change else obj
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(obj) + "\n" + json.dumps({**second, **change}) + "\n")
+        assert main(["--config", str(config), "analyze", "--records", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert f"cannot load records: {path}:2: bad eval record: {message}" in err
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
+
     @staticmethod
     def golden_records(path, run):
         """Six records over three tags whose probabilities and attention
@@ -1265,8 +1357,8 @@ class TestEveryOutputWholeOrNotAtAll:
 
     @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
     @pytest.mark.parametrize("name", ["attention_profile.csv", *TestAnalyze.CHARTS])
-    def test_failed_analyze_output_keeps_the_earlier_file(self, tmp_path, monkeypatch, name,
-                                                          fault):
+    def test_failed_analyze_output_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch,
+                                                          name, fault):
         config, _ = write_config(tmp_path)
         r0, r1 = (TestAnalyze.golden_records(tmp_path / f"records{run}.jsonl", run)
                   for run in (0, 1))
@@ -1278,7 +1370,9 @@ class TestEveryOutputWholeOrNotAtAll:
             obj["wc_probs"] = [0.5 if p == max(obj["wc_probs"]) else 0.25 for p in obj["wc_probs"]]
         r2.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
         inject(monkeypatch, fault, name)
+        capsys.readouterr()
         assert main(["--config", str(config), "analyze", "--records", str(r2), r0, r0]) == 2
+        assert str(tmp_path / "run" / name) in capsys.readouterr().err  # the file that failed
         assert (tmp_path / "run" / name).read_bytes() == earlier
         assert list((tmp_path / "run").glob("*.tmp")) == []
 

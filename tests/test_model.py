@@ -737,6 +737,29 @@ class TestCheckpoint:
         assert all(np.array_equal(p.data, q.data)
                    for p, q in zip(model.parameters(), loaded.parameters()))
 
+    @pytest.mark.parametrize("kind", ["wc", "nc"])
+    def test_loaded_model_holds_its_weights_only(self, tmp_path, kind):
+        # a gradient is made on first read, so neither loading nor predicting
+        # allocates one beside the weights
+        model = (UttAttBiRNN(64, 5, hidden_dim=64, seed=18) if kind == "wc"
+                 else BaselineMLP(64, 5, hidden1=128, hidden2=64, seed=18))
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(path, model, {}, list("abcde"), 18)
+        weight_bytes = sum(p.data.nbytes for p in model.parameters())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, _ = load_checkpoint(path)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.25 * weight_bytes
+        windows = padded_windows(np.random.default_rng(18), loaded, [5, 2, 1])
+        loaded.predict(windows)
+        assert all(p._grad is None for p in loaded.parameters())
+
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt.json"
         save_checkpoint(path, BaselineMLP(4, 3, hidden1=6, hidden2=5, seed=1), {}, list("abc"), 1)
