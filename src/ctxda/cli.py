@@ -256,7 +256,7 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
         params, losses = enc.train_char_lm(texts, vocab, seed=cfg["seed"], **settings)
         log.info("char LM losses per epoch: %s", ["%.4f" % x for x in losses])
         try:  # the cache only saves the next run its training: a failed write is skipped
-            write_json_file(path, {"key": key, "weights": params_to_json(params)})
+            write_json_file(path, {"key": key, "weights": params_to_json(params, f64le=True)})
         except OSError as exc:
             log.warning("character LM not cached at %s: %s", path, exc)
         return params
@@ -492,6 +492,11 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     return EXIT_OK
 
 
+_ANALYZE_OUTPUTS = ("failure_pairs.csv", "rescue_pairs.csv", "confidence.json",
+                    "attention_profile.csv", "short_utterance_profile.json",
+                    "attention_profile.svg", "attention_profile_runs.svg", "confidence.svg")
+
+
 def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     max_tokens = cfg["analysis"]["short_max_tokens"]
     if max_tokens < 0:
@@ -514,6 +519,9 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     except ValueError as exc:
         raise CliError(f"analysis input error: {exc}", EXIT_ANALYSIS) from exc
     out_dir = Path(cfg["out_dir"])
+    # a write that fails part way then leaves no earlier run's output beside this run's
+    for name in _ANALYZE_OUTPUTS:
+        (out_dir / name).unlink(missing_ok=True)
 
     acc = ana.accuracy(records)
     ana.write_pair_csv(out_dir / "failure_pairs.csv", ana.failure_pairs(records))
@@ -539,12 +547,9 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
             charts["attention_profile_runs.svg"] = ana.svg_bar_chart(
                 multi, slots, title=f"mean attention over {len(record_sets)} runs")
         charts["confidence.svg"] = ana.svg_confidence_chart(stats.series, batch=30)
-    for name in ("attention_profile.svg", "attention_profile_runs.svg", "confidence.svg"):
-        if name in charts:
-            with atomic_text(out_dir / name) as fh:
-                fh.write(charts[name])
-        else:  # a chart this run does not draw is no output of it
-            (out_dir / name).unlink(missing_ok=True)
+    for name, chart in charts.items():
+        with atomic_text(out_dir / name) as fh:
+            fh.write(chart)
 
     print(f"accuracy: NC {acc['nc']:.2f}% WC {acc['wc']:.2f}%")
     print(

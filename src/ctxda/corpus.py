@@ -275,7 +275,8 @@ def load_swda_csv(
 
 
 def build_all_windows(conversations, n, encoder, vocab) -> list[ContextWindow]:
-    """One window per utterance: the utterance plus its n predecessors.
+    """One window per utterance: the utterance plus its n predecessors. The
+    encoder encodes every utterance of ``conversations`` in one call.
 
     Slots before the conversation start are zero vectors with
     ``pad_mask=False``; windows never cross conversation boundaries.
@@ -283,10 +284,11 @@ def build_all_windows(conversations, n, encoder, vocab) -> list[ContextWindow]:
     if n < 0:
         raise ValueError(f"context size must be non-negative, got {n}")
     zero = np.zeros(encoder.dim)
-    windows = []
+    every = np.asarray(encoder.encode([u for conv in conversations for u in conv.utterances]),
+                       dtype=np.float64)
+    windows, start = [], 0
     for conv in conversations:
-        encoded = [np.asarray(encoder.encode_utterance(u), dtype=np.float64)
-                   for u in conv.utterances]
+        encoded, start = list(every[start:start + len(conv)]), start + len(conv)
         for t, utt in enumerate(conv.utterances):
             pads = max(n - t, 0)
             windows.append(ContextWindow(

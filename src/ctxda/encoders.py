@@ -1,8 +1,10 @@
 """Utterance encoders: word-embedding mean, character mLSTM, concatenation.
 
-Every encoder turns one utterance into a fixed-dimension feature vector
-(a 1-D float64 array). Encoders are read-only after construction and expose
-``dim`` plus ``encode_utterance(utt)``; the precomputed variant looks
+Every encoder turns an utterance into a fixed-dimension feature vector (a
+1-D float64 array). Encoders are read-only after construction and expose
+``dim``, ``encode(utts)``, the vectors of a whole split as the rows of one
+array in one call (the character mLSTM runs all its texts at once), and
+``encode_utterance(utt)`` for one utterance; the precomputed variant looks
 features up by (conversation_id, utterance index) instead of re-deriving
 them from text.
 """
@@ -139,7 +141,19 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-class WordMeanEncoder:
+class Encoder:
+    """``encode(utts)`` is the (len(utts), dim) features of a list of
+    utterances, one row each: ``encode_utterance`` of each, unless the encoder
+    runs the whole list at once, when ``encode_utterance(utt)`` is its batch
+    of one."""
+
+    dim: int
+
+    def encode(self, utts) -> np.ndarray:
+        return np.array([self.encode_utterance(u) for u in utts]).reshape(len(utts), self.dim)
+
+
+class WordMeanEncoder(Encoder):
     """Mean word embedding. ``source`` says where the table came from (a file
     path with its sha256, or a one-hot vocabulary) for the checkpoint; None
     stores the table inline."""
@@ -234,27 +248,27 @@ def _stacked(p: MLSTMParams):
             np.vstack([p[n].data for n in _B_NAMES]).ravel())
 
 
-def _mlstm_run(xs, w_mh, w_gm, b, keep: bool):
-    """The mLSTM from a zero state, in plain numpy, over the gathered input
-    columns ``xs`` (row t is ``w_x[:, idx[t]]``; the input is one-hot, so
-    the input products are columns of ``w_x``) and the rest of the stacked
-    cell: the (H, T) hidden states, and the (H, T) cell states if ``keep``.
-    Each step takes two matrix products.
+def _mlstm_steps(step_inputs, batch: int, w_mh, w_gm, b):
+    """The mLSTM from a zero state, in plain numpy, over ``batch`` sequences
+    sorted by decreasing length, all at once. ``step_inputs`` gives each
+    step's gathered input columns, (n, 5H, 1) for the n sequences still
+    running (the input is one-hot, so the input products are columns of the
+    input matrices); the result is, for each step, their (n, H, 1) hidden and
+    cell states. Both products in a step are stacked matrix-vector products,
+    ``w @ h``: they give each sequence the bits of a run over it alone, which
+    one matrix product over the batch would not.
     """
-    hd, steps = w_mh.shape[0], len(xs)
-    hs = np.empty((hd, steps))
-    cs = np.empty((hd, steps)) if keep else None
-    h, c = np.zeros(hd), np.zeros(hd)
-    for t in range(steps):
-        m = xs[t, :hd] * (w_mh @ h)
-        z = xs[t, hd:] + w_gm @ m + b
-        gates = sigmoid(z[: 3 * hd])  # i, f, o
-        c = gates[hd : 2 * hd] * c + gates[:hd] * np.tanh(z[3 * hd :])
-        h = gates[2 * hd :] * np.tanh(c)
-        hs[:, t] = h
-        if keep:
-            cs[:, t] = c
-    return hs, cs
+    hd, b3 = w_mh.shape[0], b[:, None]
+    h = c = np.zeros((batch, hd, 1))
+    for xs in step_inputs:
+        if len(xs) < len(h):  # the shortest sequences have ended
+            h, c = h[: len(xs)], c[: len(xs)]
+        m = xs[:, :hd] * (w_mh @ h)
+        z = xs[:, hd:] + w_gm @ m + b3
+        gates = sigmoid(z[:, : 3 * hd])  # i, f, o
+        c = gates[:, hd : 2 * hd] * c + gates[:, :hd] * np.tanh(z[:, 3 * hd :])
+        h = gates[:, 2 * hd :] * np.tanh(c)
+        yield h, c
 
 
 def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
@@ -263,15 +277,16 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
 
     Its backward is hand-written BPTT: the gates are recomputed for all steps
     at once, one reverse loop carries the gradient through h and c, and the
-    weight gradients are one matrix product per stacked matrix plus a
-    scatter-add into the gathered input columns.
+    weight gradients are one matrix product per stacked matrix; each input
+    character's step rows are summed in step order and added to its column
+    of the five input matrices only.
     """
     if not len(idx):
         raise ValueError("mlstm_states of an empty sequence")
     w_x, w_mh, w_gm, b = _stacked(p)
-    xs = w_x.T[idx]
-    hs, cs = _mlstm_run(xs, w_mh, w_gm, b, keep=True)
-    hd, steps = hs.shape
+    hd, steps, xs = p.hidden_dim, len(idx), w_x.T[idx]
+    hs, cs = (np.concatenate(a, axis=2)[0]
+              for a in zip(*_mlstm_steps(xs[:, None, :, None], 1, w_mh, w_gm, b)))
 
     def backprop(g):
         h_prev, c_prev = (np.vstack([np.zeros((1, hd)), a.T[:-1]]) for a in (hs, cs))
@@ -297,10 +312,17 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
             d_mh[t] = dm * xs[t, :hd]
             dh_next = w_mh.T @ d_mh[t]
             dc_next = dc * f[t]
-        g_x = np.zeros((p.input_dim, 5 * hd))
-        np.add.at(g_x, idx, d_cols)
+        chars, rows, counts = np.unique(idx, return_inverse=True, return_counts=True)
+        order = np.argsort(rows, kind="stable")  # each character's steps, in step order
+        rank = np.arange(steps) - (np.cumsum(counts) - counts)[rows[order]]
+        g_chars = np.zeros((len(chars), 5 * hd))
+        for k in range(counts.max()):  # the k-th step of every character at once
+            at = order[rank == k]
+            g_chars[rows[at]] += d_cols[at]
+        for name, part in zip(_X_NAMES, np.split(g_chars, 5, axis=1)):
+            p[name].grad[:, chars] += part.T
         p["w_mh"].grad += d_mh.T @ h_prev
-        for names, stacked in ((_X_NAMES, g_x.T), (_M_NAMES, d_cols[:, hd:].T @ m),
+        for names, stacked in ((_M_NAMES, d_cols[:, hd:].T @ m),
                                (_B_NAMES, d_cols[:, hd:].sum(axis=0)[:, None])):
             for name, part in zip(names, np.split(stacked, len(names))):
                 p[name].grad += part
@@ -311,32 +333,57 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
 REDUCE_MODES = ("mean", "last")  # how char_encode turns hidden states into one vector
 
 
-def char_encode(
-    text: str, p: MLSTMParams, vocab: CharVocab, reduce: str = "mean"
-) -> np.ndarray:
-    """Run the mLSTM over the raw character sequence from a zero state.
+def char_features(texts, p: MLSTMParams, vocab: CharVocab, reduce: str = "mean") -> np.ndarray:
+    """Run the mLSTM over each text's raw character sequence from a zero
+    state, all texts at once: the (len(texts), H) features, one row each.
 
-    ``reduce="mean"`` averages all hidden states (the default path);
-    ``reduce="last"`` returns the state after the final character. An empty
-    character sequence maps to the zero vector.
+    ``reduce="mean"`` averages a text's hidden states (the default path);
+    ``reduce="last"`` takes the state after its final character. An empty
+    text maps to the zero vector.
     """
     if reduce not in REDUCE_MODES:
         raise ValueError(f"unknown reduce mode {reduce!r}")
-    if not text:
-        return np.zeros(p.hidden_dim)
+    seqs = [vocab.indices(text) for text in texts]
+    order = sorted(range(len(seqs)), key=lambda k: len(seqs[k]), reverse=True)
+    by_length = [seqs[k] for k in order]
     w_x, *cell = _stacked(p)
-    hs, _ = _mlstm_run(w_x.T[vocab.indices(text)], *cell, keep=False)
-    if reduce == "last":
-        return hs[:, -1].copy()
-    return np.mean(list(hs.T), axis=0)
+
+    def step_inputs():  # step by step, the input columns of the texts still running
+        n = len(by_length)
+        for t in range(len(by_length[0]) if by_length else 0):
+            while len(by_length[n - 1]) <= t:
+                n -= 1
+            yield w_x.T[[s[t] for s in by_length[:n]], :, None]
+
+    acc = np.zeros((len(seqs), p.hidden_dim))
+    for t, (h, _) in enumerate(_mlstm_steps(step_inputs(), len(seqs), *cell)):
+        if t and reduce == "mean":
+            acc[: len(h)] += h[:, :, 0]  # the states in step order, as np.mean sums them
+        else:
+            acc[: len(h)] = h[:, :, 0]
+    if reduce == "mean":
+        acc /= np.maximum([len(s) for s in by_length], 1)[:, None]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
-class CharMLSTMEncoder:
+def char_encode(
+    text: str, p: MLSTMParams, vocab: CharVocab, reduce: str = "mean"
+) -> np.ndarray:
+    """The :func:`char_features` of the one text ``text``, as a 1-D array."""
+    return char_features([text], p, vocab, reduce)[0]
+
+
+class CharMLSTMEncoder(Encoder):
     def __init__(self, params: MLSTMParams, vocab: CharVocab, reduce: str = "mean"):
         self.params = params
         self.vocab = vocab
         self.reduce = reduce
         self.dim = params.hidden_dim
+
+    def encode(self, utts) -> np.ndarray:
+        return char_features([u.text for u in utts], self.params, self.vocab, self.reduce)
 
     def encode_utterance(self, utt) -> np.ndarray:
         return char_encode(utt.text, self.params, self.vocab, self.reduce)
@@ -395,15 +442,17 @@ def train_char_lm(
     return params, losses
 
 
-class ConcatEncoder:
+class ConcatEncoder(Encoder):
     def __init__(self, char_encoder, word_encoder):
         self.char_encoder = char_encoder
         self.word_encoder = word_encoder
         self.dim = char_encoder.dim + word_encoder.dim
 
+    def encode(self, utts) -> np.ndarray:
+        return np.hstack([self.char_encoder.encode(utts), self.word_encoder.encode(utts)])
+
     def encode_utterance(self, utt) -> np.ndarray:
-        return np.concatenate([self.char_encoder.encode_utterance(utt),
-                               self.word_encoder.encode_utterance(utt)])
+        return self.encode([utt])[0]
 
 
 def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
@@ -442,7 +491,7 @@ def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:
     return table
 
 
-class PrecomputedEncoder:
+class PrecomputedEncoder(Encoder):
     """Features by (conversation_id, utterance index), read from files of one dim."""
 
     def __init__(self, features: dict[tuple[str, int], np.ndarray], paths: list[str] | None = None,

@@ -32,6 +32,7 @@ baseline's two hidden layers.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import os
@@ -178,13 +179,17 @@ def init_params(rng, shapes: dict, prefix: str = "") -> dict[str, Parameter]:
     return params
 
 
-def params_to_json(params: dict[str, Parameter]) -> dict:
+def params_to_json(params: dict[str, Parameter], f64le: bool = False) -> dict:
     """Each parameter as ``{"rows", "cols", "values"}``, its values a flat
-    row-major float64 view of the live data, which is written as a list."""
-    return {
-        name: {"rows": p.rows, "cols": p.cols, "values": p.data.ravel()}
-        for name, p in params.items()
-    }
+    row-major float64 view of the live data, which is written as a list; or,
+    with ``f64le``, as ``{"rows", "cols", "f64le"}``, the base64 of its
+    row-major little-endian float64 bytes, which reads back bit for bit."""
+    def data(p):
+        if f64le:
+            return {"f64le": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii")}
+        return {"values": p.data.ravel()}
+
+    return {name: {"rows": p.rows, "cols": p.cols, **data(p)} for name, p in params.items()}
 
 
 # list entries per C-encoder call when write_json_file streams a long list
@@ -263,14 +268,18 @@ def params_from_json(params: dict[str, Parameter], stored) -> None:
 
     Fails closed with CheckpointError: ``stored`` must hold exactly the
     registry's names, and each entry the live parameter's shape, rows*cols
-    values (a list or an array) and only finite ones.
+    values (a list or an array, or as ``f64le`` valid base64 of rows*cols*8
+    bytes) and only finite ones.
     """
     try:
         if set(stored) != set(params):
             raise CheckpointError(f"stored parameters {sorted(stored)}, expected {sorted(params)}")
         for name, p in params.items():
             entry = stored[name]
-            values = np.asarray(entry["values"], dtype=np.float64)
+            if "f64le" in entry:
+                values = np.frombuffer(base64.b64decode(entry["f64le"], validate=True), "<f8")
+            else:
+                values = np.asarray(entry["values"], dtype=np.float64)
             if (entry["rows"], entry["cols"]) != p.shape or values.shape != (p.data.size,):
                 raise CheckpointError(
                     f"parameter {name}: stored as ({entry['rows']}, {entry['cols']}) with "

@@ -43,12 +43,13 @@ def fill_disk(monkeypatch, budget: int, applies=lambda path: True) -> None:
 
 def refuse_replace(monkeypatch, applies=lambda dst: True) -> None:
     """The writer's ``os.replace`` onto a ``dst`` for which ``applies(dst)``
-    holds raises PermissionError; every other one goes through."""
+    holds raises PermissionError (EACCES, as a refused rename does); every
+    other one goes through."""
     replace = os.replace
 
     def refuse(src, dst):
         if applies(os.fspath(dst)):
-            raise PermissionError(f"cannot write {dst}")
+            raise PermissionError(errno.EACCES, "Permission denied")
         return replace(src, dst)
 
     monkeypatch.setattr(tensor.os, "replace", refuse)

@@ -2,8 +2,9 @@
 checks, the per-entry reference for the gathered cross-entropy, the
 elementwise ops, stacking, transpose, reshape, the blockwise weighted sum and
 the masked softmax, and the models as graphs of elementary ops: the mLSTM
-cell, the BiRNN, dropout, attention and the classifier head. They are the
-oracles for the fused ``ctxda.encoders.mlstm_states``,
+cell, the BiRNN, dropout, attention and the classifier head; and the dense
+scatter of the mLSTM's input gradients. They are the oracles for the fused
+``ctxda.encoders.mlstm_states``,
 ``ctxda.model.birnn_states`` and the two models' forward and backward passes.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
@@ -17,6 +18,16 @@ import numpy as np
 from ctxda.encoders import sigmoid
 from ctxda.model import _slot_inputs
 from ctxda.tensor import DimensionError, Tensor2D, add_bias, matmul, softmax_columns
+
+
+def dense_input_scatter(idx, step_grads: np.ndarray, input_dim: int) -> np.ndarray:
+    """The gradient of one input matrix of ``mlstm_states`` as a dense scatter:
+    column t of ``step_grads`` (H, T), the gradient of the input column that
+    step t gathered, added with ``np.add.at`` in step order into column
+    ``idx[t]`` of an (H, input_dim) zero matrix."""
+    out = np.zeros((input_dim, step_grads.shape[0]))
+    np.add.at(out, idx, step_grads.T)
+    return out.T
 
 
 def tanh_map(t: Tensor2D) -> Tensor2D:

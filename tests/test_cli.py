@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -433,6 +434,31 @@ def refusal(kind: str, name: str, shape: tuple) -> str:
     return f"parameter {name}: stored as {shape} with {n} values, expected {shape}"
 
 
+def f64le(values) -> str:
+    """``values`` as an LM-cache entry's ``f64le`` text."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def f64le_values(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+# the LM cache's MALFORMED_VALUES: each edit of an ``f64le`` text, and its refusal
+MALFORMED_F64LE = {
+    "string": (lambda text: "abc", "malformed parameter entry: Error('Incorrect padding')"),
+    "truncated": (lambda text: text[: len(text) // 2],
+                  "malformed parameter entry: Error('Incorrect padding')"),
+    "null": (lambda text: None, "malformed parameter entry: TypeError(\"argument should be "
+             "a bytes-like object or ASCII string, not 'NoneType'\")"),
+    "nested": (lambda text: [text[:4], text[4:]], "malformed parameter entry: TypeError("
+               "\"argument should be a bytes-like object or ASCII string, not 'list'\")"),
+    "short": (lambda text: f64le(f64le_values(text)[:-1]),
+              "parameter w_mh: stored as (4, 4) with 15 values, expected (4, 4)"),
+    "nan": (lambda text: f64le(np.where(np.arange(16) == 1, np.nan, f64le_values(text))),
+            "parameter w_mh: stored values are not all finite"),
+}
+
+
 def char_config(tmp_path, **model):
     """A small ``char`` config; ``model`` overrides its model section."""
     return write_config(tmp_path, encoder="char", model={
@@ -489,9 +515,52 @@ class TestCharLMCache:
         assert calls == [1]
         assert len(self.cached(tmp_path)) == 2
 
+    def test_entry_holds_the_fitted_weights_bit_for_bit(self, tmp_path, monkeypatch):
+        from ctxda import cli as cli_mod
+
+        fitted, fit = [], cli_mod.enc.train_char_lm
+
+        def keep(*args, **kwargs):
+            fitted.append(fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(cli_mod.enc, "train_char_lm", keep)
+        config, _ = char_config(tmp_path)
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        (entry,) = self.cached(tmp_path)
+        weights = json.loads(entry.read_text())["weights"]
+        assert list(weights) == list(fitted[0][0])
+        for name, param in fitted[0][0].items():
+            assert weights[name].keys() == {"rows", "cols", "f64le"}
+            assert (weights[name]["rows"], weights[name]["cols"]) == param.shape
+            assert f64le_values(weights[name]["f64le"]).tobytes() == param.data.tobytes()
+
+    def test_values_entry_still_loads_to_a_byte_identical_checkpoint(self, tmp_path,
+                                                                      monkeypatch):
+        runs = [tmp_path / "f64le", tmp_path / "values"]
+        for run in runs:
+            run.mkdir()
+            config, _ = char_config(run)
+            assert main(["--config", str(config), "synth"]) == 0
+            assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        (entry,) = self.cached(runs[1])
+        stored = json.loads(entry.read_text())
+        for weight in stored["weights"].values():  # the entry as it was written before f64le
+            weight["values"] = f64le_values(weight.pop("f64le")).tolist()
+        entry.write_text(json.dumps(stored) + "\n")
+        calls = count_lm_fits(monkeypatch)
+        for run in runs:
+            config, _ = char_config(run)
+            assert main(["--config", str(config), "train", "--model", "uttattbirnn"]) == 0
+        assert calls == []
+        f64le_ckpt, values_ckpt = (run / "run" / "uttattbirnn_char.ckpt.json" for run in runs)
+        assert values_ckpt.read_bytes() == f64le_ckpt.read_bytes()
+
     @staticmethod
     def tamper_weight(stored):
-        stored["weights"]["w_mh"]["values"][3] = float("nan")
+        w_mh = stored["weights"]["w_mh"]
+        w_mh["f64le"] = f64le(np.where(np.arange(16) == 3, np.nan, f64le_values(w_mh["f64le"])))
 
     @staticmethod
     def change_key(stored):
@@ -520,21 +589,24 @@ class TestCharLMCache:
         assert entry.read_text() == text
         assert not (tmp_path / "run" / "uttattbirnn_char.ckpt.json").exists()
 
-    @pytest.mark.parametrize("kind", list(MALFORMED_VALUES))
-    def test_malformed_values_exit_4(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind", list(MALFORMED_F64LE))
+    def test_malformed_values_exit_4(self, tmp_path, capsys, monkeypatch, kind):
         config, _ = char_config(tmp_path)
         assert main(["--config", str(config), "synth"]) == 0
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
         (entry,) = self.cached(tmp_path)
         stored = json.loads(entry.read_text())
         w_mh = stored["weights"]["w_mh"]
-        w_mh["values"] = MALFORMED_VALUES[kind](w_mh["values"])
+        edit, refused = MALFORMED_F64LE[kind]
+        w_mh["f64le"] = edit(w_mh["f64le"])
         entry.write_text(json.dumps(stored))
+        calls = count_lm_fits(monkeypatch)
         capsys.readouterr()
         assert main(["--config", str(config), "train", "--model", "uttattbirnn"]) == 4
         assert capsys.readouterr().err == (
             f"checkpoint error: character LM cache {entry} is unusable: "
-            f"{refusal(kind, 'w_mh', (4, 4))} (delete it to retrain)\n")
+            f"{refused} (delete it to retrain)\n")
+        assert calls == []
 
     def test_synth_removes_the_entries(self, tmp_path):
         config, _ = char_config(tmp_path)
@@ -1355,26 +1427,57 @@ class TestEveryOutputWholeOrNotAtAll:
         assert path.read_bytes() == earlier
         assert list(path.parent.iterdir()) == [path]
 
+    ANALYZE_OUTPUTS = ("failure_pairs.csv", "rescue_pairs.csv", "confidence.json",
+                       "attention_profile.csv", "short_utterance_profile.json",
+                       *TestAnalyze.CHARTS)
+
+    def assert_outputs_of_one_run(self, run, clean, failed):
+        """Of ``analyze``'s outputs in ``run``, the ``failed`` one is absent and
+        every other is absent or the file of the same analyze in ``clean``."""
+        for name in self.ANALYZE_OUTPUTS:
+            path = run / name
+            if name == failed or not (clean / name).exists():
+                assert not path.exists(), name
+            elif path.exists():
+                assert path.read_bytes() == (clean / name).read_bytes(), name
+        assert list(run.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
     @pytest.mark.parametrize("name", ["attention_profile.csv", *TestAnalyze.CHARTS])
-    def test_failed_analyze_output_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch,
+    def test_failed_analyze_output_leaves_no_older_output(self, tmp_path, capsys, monkeypatch,
                                                           name, fault):
         config, _ = write_config(tmp_path)
         r0, r1 = (TestAnalyze.golden_records(tmp_path / f"records{run}.jsonl", run)
                   for run in (0, 1))
         assert main(["--config", str(config), "analyze", "--records", r0, r1]) == 0
-        earlier = (tmp_path / "run" / name).read_bytes()
+        assert (tmp_path / "run" / name).exists()
         r2 = tmp_path / "records2.jsonl"  # run 1 with other WC confidences
         objs = [json.loads(line) for line in Path(r1).read_text().splitlines()]
         for obj in objs:
             obj["wc_probs"] = [0.5 if p == max(obj["wc_probs"]) else 0.25 for p in obj["wc_probs"]]
         r2.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        second = ["analyze", "--records", str(r2), r0, r0]
+        assert main(["--config", str(config), "--out", str(tmp_path / "clean"), *second]) == 0
         inject(monkeypatch, fault, name)
         capsys.readouterr()
-        assert main(["--config", str(config), "analyze", "--records", str(r2), r0, r0]) == 2
+        assert main(["--config", str(config), *second]) == 2
         assert str(tmp_path / "run" / name) in capsys.readouterr().err  # the file that failed
-        assert (tmp_path / "run" / name).read_bytes() == earlier
-        assert list((tmp_path / "run").glob("*.tmp")) == []
+        self.assert_outputs_of_one_run(tmp_path / "run", tmp_path / "clean", name)
+
+    def test_failed_one_file_analyze_leaves_no_chart_of_a_two_file_one(self, tmp_path,
+                                                                       monkeypatch):
+        config, _ = write_config(tmp_path)
+        r0, r1 = (TestAnalyze.golden_records(tmp_path / f"records{run}.jsonl", run)
+                  for run in (0, 1))
+        assert main(["--config", str(config), "analyze", "--records", r0, r1]) == 0
+        assert all((tmp_path / "run" / name).exists() for name in self.ANALYZE_OUTPUTS)
+        second = ["analyze", "--records", r0]
+        assert main(["--config", str(config), "--out", str(tmp_path / "clean"), *second]) == 0
+        refuse_replace(monkeypatch, applies=lambda dst: "confidence.svg" in dst)
+        assert main(["--config", str(config), *second]) == 2
+        self.assert_outputs_of_one_run(tmp_path / "run", tmp_path / "clean", "confidence.svg")
+        assert not (tmp_path / "run" / "attention_profile_runs.svg").exists()
+        assert (tmp_path / "run" / "attention_profile.svg").exists()
 
     @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
     def test_failed_embeddings_write_leaves_no_corpus(self, tmp_path, capsys, monkeypatch,

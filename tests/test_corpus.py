@@ -252,6 +252,16 @@ class TestBuildWindows:
             assert len(w.features) == len(features) == n + 1
             assert all(np.array_equal(a, b) for a, b in zip(w.features, features))
 
+    def test_encodes_the_split_in_one_call(self):
+        encoder, calls = self.encoder(), []
+        encode = encoder.encode
+        encoder.encode = lambda utts: (calls.append([u.text for u in utts]), encode(utts))[1]
+        convs = [conv("one", [("a", "t"), ("b c", "t")]), conv("two", [("d", "t")])]
+        windows = build_all_windows(convs, 1, encoder, TagVocabulary(["t"]))
+        assert calls == [["a", "b c", "d"]]
+        assert [w.features[-1].tolist() for w in windows] == [
+            [1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]]
+
     def test_token_count_recorded(self):
         c = conv("x", [("a b c.", "t")])
         vocab = TagVocabulary(["t"])

@@ -22,7 +22,10 @@ from ctxda.tensor import (
     write_json_file,
 )
 from gradcheck import max_gradient_error
-from reference_ops import add, hadamard, hstack, mlstm_reference_states, mlstm_step, sum_all
+from reference_ops import (add, dense_input_scatter, hadamard, hstack, mlstm_reference_states,
+                           mlstm_step, sum_all)
+
+X_NAMES = ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx")  # the mLSTM's input matrices
 
 
 def char_vocab_from_text(texts) -> E.CharVocab:
@@ -304,10 +307,31 @@ class TestMLSTMStates:
         for key, a, b in zip(p, fused, reference):
             assert np.max(np.abs(a - b)) <= 1e-12, key
 
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    def test_input_gradients_are_the_dense_scatter_bit_for_bit(self, start):
+        # per_step's input column t is p's column idx[t], so the same run over
+        # the indices 0..T-1 gives each step's input-column gradient on its own
+        idx, hd = self.TEXTS["repeats"], 4
+        p, per_step = moved_cell(5, hd, seed=40), E.MLSTMParams(len(idx), hd)
+        for name, param in p.items():
+            per_step[name].data[:] = param.data[:, idx] if name in X_NAMES else param.data
+        rng = np.random.default_rng(41)
+        probe = Tensor2D(rng.uniform(-1, 1, (hd, len(idx))))
+        before = {name: rng.uniform(-1, 1, param.shape) if start == "nonzero"
+                  else np.zeros(param.shape) for name, param in p.items()}
+        for name, param in p.items():
+            param.grad[:] = before[name]
+        backward(sum_all(hadamard(E.mlstm_states(idx, p), probe)))
+        backward(sum_all(hadamard(E.mlstm_states(range(len(idx)), per_step), probe)))
+        for name, param in p.items():
+            step_grads = per_step[name].grad
+            added = dense_input_scatter(idx, step_grads, 5) if name in X_NAMES else step_grads
+            assert np.array_equal(param.grad, before[name] + added), name
+
     def test_unused_input_columns_get_no_gradient(self):
         p = moved_cell(5, 3, seed=26)
         backward(sum_all(E.mlstm_states([1, 1, 3], p)))
-        for name in ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx"):
+        for name in X_NAMES:
             assert np.all(p[name].grad[:, [0, 2, 4]] == 0.0), name
             assert np.all(p[name].grad[:, [1, 3]] != 0.0), name
 
@@ -340,6 +364,23 @@ class TestCharEncode:
             assert np.array_equal(E.char_encode(text, p, vocab), expected), text
             last = E.char_encode(text, p, vocab, reduce="last")
             assert np.array_equal(last, reference[-1].data.ravel()), text
+
+    @pytest.mark.parametrize("hidden", [3, 8, 64])
+    @pytest.mark.parametrize("reduce", E.REDUCE_MODES)
+    def test_batch_is_bit_identical_to_each_text_alone(self, reduce, hidden):
+        vocab = E.CharVocab("abcd ")
+        p = moved_cell(vocab.size, hidden, seed=32)
+        texts = ["abba dcab", "", "a", "zebra cab", "dd", "", "cab abba dcab a", "b"]
+        batch = E.char_features(texts, p, vocab, reduce)
+        assert batch.shape == (len(texts), hidden)
+        for text, row in zip(texts, batch):
+            states = [h.data.ravel() for h in mlstm_reference_states(vocab.indices(text), p)]
+            expected = (np.zeros(hidden) if not text else np.mean(states, axis=0)
+                        if reduce == "mean" else states[-1])
+            assert np.array_equal(row, expected), text
+            assert np.array_equal(row, E.char_encode(text, p, vocab, reduce)), text
+        utts = [Utterance("c", k, text, "x") for k, text in enumerate(texts)]
+        assert np.array_equal(E.CharMLSTMEncoder(p, vocab, reduce).encode(utts), batch)
 
     def test_builds_no_graph_node(self, monkeypatch):
         calls = []
@@ -392,7 +433,7 @@ class TestCharEncode:
             E.char_encode("a", p, E.CharVocab(), reduce="max")
 
 
-class Fixed:
+class Fixed(E.Encoder):
     """An encoder that gives every utterance the vector ``vec``."""
 
     def __init__(self, vec):

@@ -1,3 +1,4 @@
+import base64
 import gc
 import json
 import math
@@ -472,13 +473,22 @@ class TestParameterRegistry:
         assert all(np.all(p.data == 0.0) for p in self.registry().values())
 
     def test_json_round_trip_is_bitwise(self):
+        self.check_json_round_trip_is_bitwise(f64le=False)
+
+    def test_f64le_json_round_trip_is_bitwise(self):
+        self.check_json_round_trip_is_bitwise(f64le=True)
+
+    def check_json_round_trip_is_bitwise(self, f64le):
         params = self.registry(np.random.default_rng(1))
-        params["b"].data[:] = [[1e-300], [-0.1], [1 / 3]]
+        params["b"].data[:] = [[1e-300], [-0.0], [1 / 3]]
+        stored = T.params_to_json(params, f64le)
+        assert all(entry.keys() == {"rows", "cols", "f64le" if f64le else "values"}
+                   for entry in stored.values())
         for hook in (None, T.array_values):  # values as lists and as arrays
             loaded = self.registry()
-            T.params_from_json(loaded, through_file(T.params_to_json(params), hook))
+            T.params_from_json(loaded, through_file(stored, hook))
             for name, p in params.items():
-                assert np.array_equal(loaded[name].data, p.data)
+                assert loaded[name].data.tobytes() == p.data.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -489,7 +499,7 @@ class TestParameterRegistry:
         values = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals too
         params = {name: T.Parameter(data.draw(arrays(np.float64, shape, elements=values)))
                   for name, shape in names.items()}
-        stored = through_file(T.params_to_json(params), T.array_values)
+        stored = through_file(T.params_to_json(params, data.draw(st.booleans())), T.array_values)
         plain, viewed = T.init_params(None, names), T.init_params(None, names)
         adam = Adam(list(viewed.values()))
         for loaded in (plain, viewed):
@@ -512,6 +522,29 @@ class TestParameterRegistry:
     ])
     def test_bad_stored_entries_are_refused(self, corrupt):
         stored = through_file(T.params_to_json(self.registry(np.random.default_rng(2))))
+        corrupt(stored)
+        with pytest.raises(T.CheckpointError):
+            T.params_from_json(self.registry(), stored)
+
+
+    @staticmethod
+    def f64le(values) -> str:
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s["w"].update(f64le=s["w"]["f64le"][:-4]),  # truncated base64
+        lambda s: s["w"].update(f64le=s["w"]["f64le"][:-1]),  # base64 without its padding
+        lambda s: s["w"].update(f64le="*" + s["w"]["f64le"][1:]),  # not base64
+        lambda s: s["v"].update(f64le=TestParameterRegistry.f64le([0.5] * 3)),  # short bytes
+        lambda s: s["v"].update(f64le=TestParameterRegistry.f64le([0.5] * 5)),  # long bytes
+        lambda s: s["v"].update(f64le=base64.b64encode(b"\0" * 31).decode()),  # not 8-byte floats
+        lambda s: s["b"].update(f64le=TestParameterRegistry.f64le([0.5, float("nan"), 0.5])),
+        lambda s: s["b"].update(f64le=TestParameterRegistry.f64le([float("inf"), 0.5, 0.5])),
+        lambda s: s["b"].update(f64le=None),
+        lambda s: s["b"].update(f64le=[0.5, 0.5, 0.5]),
+    ])
+    def test_bad_f64le_entries_are_refused(self, corrupt):
+        stored = through_file(T.params_to_json(self.registry(np.random.default_rng(2)), True))
         corrupt(stored)
         with pytest.raises(T.CheckpointError):
             T.params_from_json(self.registry(), stored)
@@ -576,6 +609,6 @@ class TestWriteJsonFile:
 
     def test_refused_replace_removes_the_temporary_file(self, tmp_path, monkeypatch):
         refuse_replace(monkeypatch)
-        with pytest.raises(PermissionError):
+        with pytest.raises(PermissionError, match=r"^\[Errno 13\] Permission denied: '.*doc\.json'$"):
             T.write_json_file(tmp_path / "doc.json", {"a": [1.5] * 2000})
         assert list(tmp_path.iterdir()) == []
