@@ -96,9 +96,10 @@ def _refuse_constant(name: str):
 def load_records(path) -> list[EvalRecord]:
     """The records of one file, checked as a whole: refused, naming the line,
     is a record that repeats an earlier one's (conversation_id,
-    utterance_index), or whose class count or attention length differs from
-    an earlier record's (a record without attention has no length)."""
-    records, seen, sizes = [], set(), {}
+    utterance_index), whose class count or attention length differs from an
+    earlier record's (a record without attention has no length), or that
+    breaks the earlier records' one-to-one pairing of predicted tag and argmax."""
+    records, seen, sizes, pairs = [], set(), {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -114,6 +115,12 @@ def load_records(path) -> list[EvalRecord]:
                     if values is not None and sizes.setdefault(name, len(values)) != len(values):
                         raise ValueError(f"{name} {len(values)}, where an earlier record has "
                                          f"{sizes[name]}")
+                for pred, probs in ((r.nc_pred, r.nc_probs), (r.wc_pred, r.wc_probs)):
+                    top = probs.index(max(probs))
+                    for key, value in ((top, pred), (pred, top)):
+                        if pairs.setdefault(key, value) != value:
+                            raise ValueError(f"predicted tag {pred!r} at argmax {top}, where an "
+                                             f"earlier record pairs {key!r} with {pairs[key]!r}")
                 records.append(r)
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc

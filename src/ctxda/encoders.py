@@ -277,9 +277,9 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
 
     Its backward is hand-written BPTT: the gates are recomputed for all steps
     at once, one reverse loop carries the gradient through h and c, and the
-    weight gradients are one matrix product per stacked matrix; each input
-    character's step rows are summed in step order and added to its column
-    of the five input matrices only.
+    weight gradients are one matrix product per stacked matrix; each step's
+    input-column gradient is scatter-added, in step order, into its column
+    of the five input matrices.
     """
     if not len(idx):
         raise ValueError("mlstm_states of an empty sequence")
@@ -293,39 +293,33 @@ def mlstm_states(idx, p: MLSTMParams) -> Tensor2D:
         mh = h_prev @ w_mh.T
         m = xs[:, :hd] * mh
         z = xs[:, hd:] + m @ w_gm.T + b
-        i, f, o = np.split(sigmoid(z[:, : 3 * hd]), 3, axis=1)
+        gates = sigmoid(z[:, : 3 * hd])
+        i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
         cand, tc = np.tanh(z[:, 3 * hd :]), np.tanh(cs.T)
         dc_dh = o * (1.0 - tc * tc)
         # d(pre-activation)/d(c) for i, f and the candidate, d/d(h) for o
         dz_dcdh = np.hstack([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
                              tc * o * (1.0 - o), i * (1.0 - cand * cand)])
         d_cols = np.empty((steps, 5 * hd))  # gradients of the gathered input columns
+        dm, dz = d_cols[:, :hd], d_cols[:, hd:]  # dm is d/dm until scaled to w_mx's below
         d_mh = np.empty((steps, hd))
         dh_next, dc_next = np.zeros(hd), np.zeros(hd)
         for t in range(steps - 1, -1, -1):
             dh = g[:, t] + dh_next
             dc = dh * dc_dh[t] + dc_next
-            dz = np.concatenate((dc, dc, dh, dc)) * dz_dcdh[t]
-            dm = w_gm.T @ dz
-            d_cols[t, :hd] = dm * mh[t]
-            d_cols[t, hd:] = dz
-            d_mh[t] = dm * xs[t, :hd]
+            np.multiply(np.concatenate((dc, dc, dh, dc)), dz_dcdh[t], out=dz[t])
+            np.matmul(w_gm.T, dz[t], out=dm[t])
+            np.multiply(dm[t], xs[t, :hd], out=d_mh[t])
             dh_next = w_mh.T @ d_mh[t]
             dc_next = dc * f[t]
-        chars, rows, counts = np.unique(idx, return_inverse=True, return_counts=True)
-        order = np.argsort(rows, kind="stable")  # each character's steps, in step order
-        rank = np.arange(steps) - (np.cumsum(counts) - counts)[rows[order]]
-        g_chars = np.zeros((len(chars), 5 * hd))
-        for k in range(counts.max()):  # the k-th step of every character at once
-            at = order[rank == k]
-            g_chars[rows[at]] += d_cols[at]
-        for name, part in zip(_X_NAMES, np.split(g_chars, 5, axis=1)):
-            p[name].grad[:, chars] += part.T
+        dm *= mh
+        g_x = np.zeros((5 * hd, p.input_dim))
+        np.add.at(g_x.T, idx, d_cols)  # each step's input-column gradient, in step order
         p["w_mh"].grad += d_mh.T @ h_prev
-        for names, stacked in ((_M_NAMES, d_cols[:, hd:].T @ m),
-                               (_B_NAMES, d_cols[:, hd:].sum(axis=0)[:, None])):
-            for name, part in zip(names, np.split(stacked, len(names))):
-                p[name].grad += part
+        for names, stacked in ((_X_NAMES, g_x), (_M_NAMES, dz.T @ m),
+                               (_B_NAMES, dz.sum(axis=0)[:, None])):
+            for k, name in enumerate(names):
+                p[name].grad += stacked[k * hd : (k + 1) * hd]
 
     return Tensor2D._result(hs, tuple(p.values()), backprop)
 
@@ -389,12 +383,12 @@ class CharMLSTMEncoder(Encoder):
         return char_encode(utt.text, self.params, self.vocab, self.reduce)
 
 
-def _char_lm_step(text, params, head, vocab, adam) -> float:
-    """One Adam step on the mean next-character loss of ``text``; returns
-    that loss. The text's graph is freed when this returns."""
-    states = mlstm_states(vocab.indices(text[:-1]), params)
+def _char_lm_step(inputs, gold, params, head, adam) -> float:
+    """One Adam step on the mean loss of predicting ``gold`` from the input
+    columns ``inputs``; returns that loss. The graph is freed on return."""
+    states = mlstm_states(inputs, params)
     probs = softmax_columns(add_bias(matmul(head["out_w"], states), head["out_b"]))
-    loss = cross_entropy(probs, vocab.indices(text[1:]))
+    loss = cross_entropy(probs, gold)
     adam.zero_grad()
     backward(loss)
     adam.step()
@@ -417,6 +411,9 @@ def train_char_lm(
     Adam step per text on its mean loss over the characters after the
     first. Returns the cell weights and the per-epoch mean losses. Texts are
     truncated to ``max_chars`` to bound the backpropagation through time.
+
+    Only the input columns of characters the texts feed in are stepped; the
+    others would get no gradient, and keep their initial values.
     """
     if learning_rate <= 0:
         raise ValueError("char LM learning_rate must be positive")
@@ -429,16 +426,23 @@ def train_char_lm(
     head = init_params(
         rng, {"out_w": (vocab.size, hidden_dim), "out_b": vocab.size}, prefix="lm."
     )
-    adam = Adam(params.parameters() + list(head.values()), learning_rate=learning_rate)
-
-    usable = [t[:max_chars] for t in texts if len(t) >= 2]
-    if not usable:
+    seqs = [vocab.indices(t[:max_chars]) for t in texts if len(t) >= 2]
+    if not seqs:
         raise ValueError("char LM training needs at least one text of length >= 2")
+    used = sorted({i for s in seqs for i in s[:-1]})
+    steps = [(np.searchsorted(used, s[:-1]), s[1:]) for s in seqs]  # fit columns, gold
+    cols = {name: used if name in _X_NAMES else slice(None) for name in params}
+    fit = MLSTMParams(len(used), hidden_dim)
+    for name, p in fit.items():
+        p.data[:] = params[name].data[:, cols[name]]
+    adam = Adam(fit.parameters() + list(head.values()), learning_rate=learning_rate)
     losses = []
     for _ in range(epochs):
-        order = rng.permutation(len(usable))
-        epoch_loss = sum(_char_lm_step(usable[k], params, head, vocab, adam) for k in order)
-        losses.append(epoch_loss / len(usable))
+        order = rng.permutation(len(seqs))
+        epoch_loss = sum(_char_lm_step(*steps[k], fit, head, adam) for k in order)
+        losses.append(epoch_loss / len(seqs))
+    for name, p in fit.items():
+        params[name].data[:, cols[name]] = p.data
     return params, losses
 
 

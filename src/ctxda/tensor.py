@@ -277,7 +277,11 @@ def params_from_json(params: dict[str, Parameter], stored) -> None:
         for name, p in params.items():
             entry = stored[name]
             if "f64le" in entry:
-                values = np.frombuffer(base64.b64decode(entry["f64le"], validate=True), "<f8")
+                try:  # binascii.Error is a ValueError; None or a list is a TypeError
+                    raw = base64.b64decode(entry["f64le"], validate=True)
+                except (TypeError, ValueError):
+                    raise CheckpointError(f"parameter {name}: f64le is not valid base64") from None
+                values = np.frombuffer(raw, "<f8")
             else:
                 values = np.asarray(entry["values"], dtype=np.float64)
             if (entry["rows"], entry["cols"]) != p.shape or values.shape != (p.data.size,):

@@ -2,9 +2,11 @@
 checks, the per-entry reference for the gathered cross-entropy, the
 elementwise ops, stacking, transpose, reshape, the blockwise weighted sum and
 the masked softmax, and the models as graphs of elementary ops: the mLSTM
-cell, the BiRNN, dropout, attention and the classifier head; and the dense
-scatter of the mLSTM's input gradients. They are the oracles for the fused
-``ctxda.encoders.mlstm_states``,
+cell, the BiRNN, dropout, attention and the classifier head; the dense
+scatter of the mLSTM's input gradients; and the fused mLSTM op with its
+backward written step by step, in the character-LM fit over every input
+column. They are the oracles for the fused
+``ctxda.encoders.mlstm_states``, ``ctxda.encoders.train_char_lm``,
 ``ctxda.model.birnn_states`` and the two models' forward and backward passes.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
@@ -15,9 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ctxda.encoders import sigmoid
+from ctxda.encoders import (_B_NAMES, _M_NAMES, _X_NAMES, MLSTMParams, _mlstm_steps, _stacked,
+                            sigmoid)
 from ctxda.model import _slot_inputs
-from ctxda.tensor import DimensionError, Tensor2D, add_bias, matmul, softmax_columns
+from ctxda.optim import Adam, cross_entropy
+from ctxda.tensor import (DimensionError, Tensor2D, add_bias, backward, init_params, matmul,
+                          softmax_columns)
 
 
 def dense_input_scatter(idx, step_grads: np.ndarray, input_dim: int) -> np.ndarray:
@@ -233,6 +238,87 @@ def mlstm_reference_states(idx, p) -> list[Tensor2D]:
         h, c = mlstm_step(Tensor2D(x), h, c, p)
         states.append(h)
     return states
+
+
+def loop_mlstm_states(idx, p) -> Tensor2D:
+    """The fused mLSTM op of ``ctxda.encoders.mlstm_states`` with the plain
+    form of its backward: every store of a step's gradients inside the
+    reverse loop, each input character's step rows grouped with
+    ``np.unique`` and summed in step order, the stacked gradients cut with
+    ``np.split``. The bitwise oracle of the fused op's backward."""
+    w_x, w_mh, w_gm, b = _stacked(p)
+    hd, steps, xs = p.hidden_dim, len(idx), w_x.T[idx]
+    hs, cs = (np.concatenate(a, axis=2)[0]
+              for a in zip(*_mlstm_steps(xs[:, None, :, None], 1, w_mh, w_gm, b)))
+
+    def backprop(g):
+        h_prev, c_prev = (np.vstack([np.zeros((1, hd)), a.T[:-1]]) for a in (hs, cs))
+        mh = h_prev @ w_mh.T
+        m = xs[:, :hd] * mh
+        z = xs[:, hd:] + m @ w_gm.T + b
+        i, f, o = np.split(sigmoid(z[:, : 3 * hd]), 3, axis=1)
+        cand, tc = np.tanh(z[:, 3 * hd :]), np.tanh(cs.T)
+        dc_dh = o * (1.0 - tc * tc)
+        dz_dcdh = np.hstack([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                             tc * o * (1.0 - o), i * (1.0 - cand * cand)])
+        d_cols = np.empty((steps, 5 * hd))
+        d_mh = np.empty((steps, hd))
+        dh_next, dc_next = np.zeros(hd), np.zeros(hd)
+        for t in range(steps - 1, -1, -1):
+            dh = g[:, t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            dz = np.concatenate((dc, dc, dh, dc)) * dz_dcdh[t]
+            dm = w_gm.T @ dz
+            d_cols[t, :hd] = dm * mh[t]
+            d_cols[t, hd:] = dz
+            d_mh[t] = dm * xs[t, :hd]
+            dh_next = w_mh.T @ d_mh[t]
+            dc_next = dc * f[t]
+        chars, rows, counts = np.unique(idx, return_inverse=True, return_counts=True)
+        order = np.argsort(rows, kind="stable")  # each character's steps, in step order
+        rank = np.arange(steps) - (np.cumsum(counts) - counts)[rows[order]]
+        g_chars = np.zeros((len(chars), 5 * hd))
+        for k in range(counts.max()):  # the k-th step of every character at once
+            at = order[rank == k]
+            g_chars[rows[at]] += d_cols[at]
+        for name, part in zip(_X_NAMES, np.split(g_chars, 5, axis=1)):
+            p[name].grad[:, chars] += part.T
+        p["w_mh"].grad += d_mh.T @ h_prev
+        for names, stacked in ((_M_NAMES, d_cols[:, hd:].T @ m),
+                               (_B_NAMES, d_cols[:, hd:].sum(axis=0)[:, None])):
+            for name, part in zip(names, np.split(stacked, len(names))):
+                p[name].grad += part
+
+    return Tensor2D._result(hs, tuple(p.values()), backprop)
+
+
+def full_column_char_lm(texts, vocab, hidden_dim, epochs, learning_rate, seed, max_chars):
+    """``ctxda.encoders.train_char_lm`` fitting all ``vocab.size`` input
+    columns of the cell on :func:`loop_mlstm_states`, the text's indices
+    looked up again at every step: the same draws, step order and Adam
+    settings. Returns the cell and the per-epoch mean losses."""
+    params = MLSTMParams.create(vocab.size, hidden_dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    head = init_params(
+        rng, {"out_w": (vocab.size, hidden_dim), "out_b": vocab.size}, prefix="lm."
+    )
+    adam = Adam(params.parameters() + list(head.values()), learning_rate=learning_rate)
+
+    def step(text):
+        states = loop_mlstm_states(vocab.indices(text[:-1]), params)
+        probs = softmax_columns(add_bias(matmul(head["out_w"], states), head["out_b"]))
+        loss = cross_entropy(probs, vocab.indices(text[1:]))
+        adam.zero_grad()
+        backward(loss)
+        adam.step()
+        return loss.item()
+
+    usable = [t[:max_chars] for t in texts if len(t) >= 2]
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(usable))
+        losses.append(sum(step(usable[k]) for k in order) / len(usable))
+    return params, losses
 
 
 def rnn_direction(

@@ -118,6 +118,16 @@ class TestEvalRecord:
         with pytest.raises(ValueError, match=":1:"):
             load_records(path)
 
+    def test_load_pairs_each_tag_with_one_argmax(self, tmp_path):
+        # NC and WC share one pairing, and a tie is the first index
+        path = tmp_path / "records.jsonl"
+        first = EvalRecord("c", 0, "sd", "sd", "sv", [0.5, 0.5], [0.25, 0.75])
+        write_records(path, [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.0, 1.0], [0.6, 0.4])])
+        assert len(load_records(path)) == 2
+        write_records(path, [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.5, 0.5], [0.6, 0.4])])
+        with pytest.raises(ValueError, match=r":2: .*tag 'sv' at argmax 0, .* pairs 0 with 'sd'"):
+            load_records(path)
+
     def test_load_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{}\n")

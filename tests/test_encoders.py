@@ -22,8 +22,8 @@ from ctxda.tensor import (
     write_json_file,
 )
 from gradcheck import max_gradient_error
-from reference_ops import (add, dense_input_scatter, hadamard, hstack, mlstm_reference_states,
-                           mlstm_step, sum_all)
+from reference_ops import (add, dense_input_scatter, full_column_char_lm, hadamard, hstack,
+                           loop_mlstm_states, mlstm_reference_states, mlstm_step, sum_all)
 
 X_NAMES = ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx")  # the mLSTM's input matrices
 
@@ -328,6 +328,25 @@ class TestMLSTMStates:
             added = dense_input_scatter(idx, step_grads, 5) if name in X_NAMES else step_grads
             assert np.array_equal(param.grad, before[name] + added), name
 
+    @pytest.mark.parametrize("hidden", [3, 64])
+    @pytest.mark.parametrize("text", ["y", "ye", "yea", "aa", "a!a"])
+    def test_backward_is_the_step_by_step_oracle_bit_for_bit(self, text, hidden):
+        # on texts of 1-3 steps the bits of h_prev @ w_mh.T depend on h_prev's
+        # memory layout, so the oracle pins it along with every other product
+        vocab = E.CharVocab("aey")  # "!" is the unknown character
+        idx = vocab.indices(text)
+        probe = np.random.default_rng(44).uniform(-1, 1, (hidden, len(idx)))
+        results = []
+        for op in (E.mlstm_states, loop_mlstm_states):
+            p, rng = moved_cell(vocab.size, hidden, seed=42), np.random.default_rng(43)
+            for param in p.values():
+                param.grad[:] = rng.uniform(-1, 1, param.shape)
+            states = op(idx, p)
+            backward(sum_all(hadamard(states, Tensor2D(probe))))
+            results.append([states.data] + [param.grad for param in p.values()])
+        for name, a, b in zip(["states", *p], *results):
+            assert np.array_equal(a, b), name
+
     def test_unused_input_columns_get_no_gradient(self):
         p = moved_cell(5, 3, seed=26)
         backward(sum_all(E.mlstm_states([1, 1, 3], p)))
@@ -559,6 +578,37 @@ class TestCharLM:
             assert np.max(np.abs(p.data - ref_params[name].data)) <= 1e-12, name
         assert not np.allclose(params["w_mx"].data,
                                E.MLSTMParams.create(vocab.size, 5, seed=4)["w_mx"].data)
+
+    # an unknown character ("~", index 0), a 2-character text, a text cut by
+    # max_chars 9 (its "|" is then last, and "uthere" is never fed in), and
+    # "z", which occurs only as a text's last character
+    LM_TEXTS = ["ab~ba", "ab", "abcabcab|cut here", "caz", "bca ab"]
+    LM_VOCAB = E.CharVocab("abcz |uther")
+    LM_KWARGS = dict(epochs=2, learning_rate=1e-2, seed=5, max_chars=9)
+
+    @pytest.mark.parametrize("hidden", [5, 64])
+    def test_fit_is_the_full_column_fit_bit_for_bit(self, hidden):
+        params, losses = E.train_char_lm(self.LM_TEXTS, self.LM_VOCAB, hidden, **self.LM_KWARGS)
+        ref_params, ref_losses = full_column_char_lm(self.LM_TEXTS, self.LM_VOCAB, hidden,
+                                                     **self.LM_KWARGS)
+        assert np.array_equal(losses, ref_losses)
+        assert list(params) == list(ref_params)
+        for name, p in params.items():
+            assert np.array_equal(p.data, ref_params[name].data), name
+
+    def test_unused_input_columns_keep_their_initial_values(self):
+        vocab = self.LM_VOCAB
+        params, _ = E.train_char_lm(self.LM_TEXTS, vocab, 5, **self.LM_KWARGS)
+        initial = E.MLSTMParams.create(vocab.size, 5, seed=self.LM_KWARGS["seed"])
+        fed = vocab.indices("abc~ ")
+        unused = [i for i in range(vocab.size) if i not in fed]
+        assert vocab.indices("z|uther") == sorted(unused)
+        for name, p in params.items():
+            if name in X_NAMES:
+                assert np.array_equal(p.data[:, unused], initial[name].data[:, unused]), name
+                assert np.all(p.data[:, fed] != initial[name].data[:, fed]), name
+            else:
+                assert np.all(p.data != initial[name].data), name
 
     def test_needs_usable_text(self):
         with pytest.raises(ValueError):

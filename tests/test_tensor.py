@@ -549,6 +549,14 @@ class TestParameterRegistry:
         with pytest.raises(T.CheckpointError):
             T.params_from_json(self.registry(), stored)
 
+    @pytest.mark.parametrize("text", ["abc", "AAAAAAAAAAA", "*" + "A" * 31, None, ["AAAA"], 3])
+    def test_text_that_is_not_base64_is_named_as_such(self, text):
+        stored = through_file(T.params_to_json(self.registry(np.random.default_rng(2)), True))
+        stored["w"]["f64le"] = text
+        with pytest.raises(T.CheckpointError) as refused:
+            T.params_from_json(self.registry(), stored)
+        assert str(refused.value) == "parameter w: f64le is not valid base64"
+
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()
                 | st.floats(allow_nan=False, allow_infinity=False) | st.text())
