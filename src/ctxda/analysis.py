@@ -20,21 +20,10 @@ from statistics import median
 
 import numpy as np
 
+from .model import off_simplex
 from .tensor import atomic_text
 
 PROB_TOL = 1e-6
-
-
-def _distribution(name: str, values) -> list[float]:
-    """``values`` as floats, refused unless non-negative numbers (a bool is
-    none) that form a finite distribution, summing to 1 within PROB_TOL."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise TypeError(f"{name} must hold numbers only")
-    values = [float(v) for v in values]
-    # a NaN or infinite entry fails one of the two comparisons
-    if not (min(values) >= 0 and abs(sum(values) - 1.0) <= PROB_TOL):
-        raise ValueError(f"{name} is not a finite probability distribution")
-    return values
 
 
 @dataclass
@@ -48,18 +37,6 @@ class EvalRecord:
     wc_probs: list[float]
     attention: list[float] | None = None
     n_tokens: int = 0
-
-    def __post_init__(self):
-        for name, want in _EXACT_TYPES.items():
-            if type(getattr(self, name)) is not want:
-                raise TypeError(f"{name} must be {want.__name__}, got {getattr(self, name)!r}")
-        for name in ("nc_probs", "wc_probs", "attention"):
-            if getattr(self, name) is not None:
-                setattr(self, name, _distribution(name, getattr(self, name)))
-        if len(self.nc_probs) != len(self.wc_probs):
-            raise ValueError("nc_probs and wc_probs differ in length")
-        if self.n_tokens < 0:
-            raise ValueError(f"n_tokens must be at least 0, got {self.n_tokens}")
 
     @property
     def nc_correct(self) -> bool:
@@ -78,52 +55,109 @@ class EvalRecord:
         return max(self.wc_probs)
 
 
+_FIELDS = [f.name for f in fields(EvalRecord)]
 # ids and tags exactly str, indices exactly int (no bool), read once off the annotations
 _EXACT_TYPES = {f.name: {"str": str, "int": int}[f.type] for f in fields(EvalRecord)
                 if f.type in ("str", "int")}
+_VECTORS = ("nc_probs", "wc_probs", "attention")
+_LINE = "{{" + ", ".join(f'"{name}": {{}}' for name in _FIELDS) + "}}\n"  # fields' JSON texts
 
 
-def write_records(path, records: list[EvalRecord]) -> None:
+def write_records(path, columns: dict) -> None:
+    """Write N records, each line byte for byte ``json.dumps(vars(record))``,
+    from ``columns``: each EvalRecord field's N values, the vectors as (N, C)
+    and (N, K) arrays (no attention: None). JSON has no non-finite number."""
+    texts = dict(columns)
+    for name in _VECTORS:
+        if texts[name] is None:
+            texts[name] = ["null"] * len(texts["gold"])
+            continue
+        values = np.asarray(texts[name], dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite number, which JSON cannot")
+        texts[name] = values.tolist()  # a list of floats prints as its JSON
+    for name in ("conversation_id", "gold", "nc_pred", "wc_pred"):
+        encoded = {value: json.dumps(value) for value in set(texts[name])}  # each once
+        texts[name] = [encoded[value] for value in texts[name]]
     with atomic_text(path) as fh:
-        for r in records:
-            fh.write(json.dumps(vars(r), allow_nan=False) + "\n")
+        fh.writelines(map(_LINE.format, *(texts[name] for name in _FIELDS)))
 
 
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)  # made once, not per line
+
+
+def _parse_record(line: str, seen: set, sizes: dict) -> EvalRecord:
+    """One line's record, refused unless its ids and tags are str, its indices
+    int (no bool) and at least 0, its vectors non-empty lists of numbers (no
+    bool; the attention may be null), its key not in ``seen`` and its sizes
+    those in ``sizes``."""
+    r = EvalRecord(**_DECODER.decode(line))
+    for name, want in _EXACT_TYPES.items():
+        value = getattr(r, name)
+        if type(value) is not want:
+            raise TypeError(f"{name} must be {want.__name__}, got {value!r}")
+        if want is int and value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+    for name in _VECTORS if r.attention is not None else _VECTORS[:2]:
+        values = getattr(r, name)
+        if type(values) is not list or not (types := set(map(type, values))) <= {int, float}:
+            raise TypeError(f"{name} must be a list of numbers, got {values!r}")
+        if not values:
+            raise ValueError(f"{name} is empty")
+        if int in types:  # OverflowError for an int beyond the floats
+            setattr(r, name, [float(v) for v in values])
+    if len(r.nc_probs) != len(r.wc_probs):
+        raise ValueError("nc_probs and wc_probs differ in length")
+    key = (r.conversation_id, r.utterance_index)
+    if key in seen:
+        raise ValueError(f"utterance {key[1]} of {key[0]!r} is recorded twice")
+    seen.add(key)
+    for name, values in (("class count", r.nc_probs), ("attention length", r.attention)):
+        if values is not None and sizes.setdefault(name, len(values)) != len(values):
+            raise ValueError(f"{name} {len(values)}, where an earlier record has {sizes[name]}")
+    return r
+
+
 def load_records(path) -> list[EvalRecord]:
-    """The records of one file, checked as a whole: refused, naming the line,
-    is a record that repeats an earlier one's (conversation_id,
-    utterance_index), whose class count or attention length differs from an
-    earlier record's (a record without attention has no length), or that
-    breaks the earlier records' one-to-one pairing of predicted tag and argmax."""
-    records, seen, sizes, pairs = [], set(), {}, {}
+    """The records of one file, checked as a whole: each line in one pass
+    (``_parse_record``), then the vectors before a refused line as stacked
+    arrays, each a finite distribution within PROB_TOL, whose argmaxes pair
+    one to one with the predicted tags. A refusal names the first failing line."""
+    records, linenos, failures, seen, sizes = [], [], [], set(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line, parse_constant=_refuse_constant)
-                r = EvalRecord(**obj)
-                key = (r.conversation_id, r.utterance_index)
-                if key in seen:
-                    raise ValueError(f"utterance {key[1]} of {key[0]!r} is recorded twice")
-                seen.add(key)
-                for name, values in (("class count", r.nc_probs), ("attention length", r.attention)):
-                    if values is not None and sizes.setdefault(name, len(values)) != len(values):
-                        raise ValueError(f"{name} {len(values)}, where an earlier record has "
-                                         f"{sizes[name]}")
-                for pred, probs in ((r.nc_pred, r.nc_probs), (r.wc_pred, r.wc_probs)):
-                    top = probs.index(max(probs))
-                    for key, value in ((top, pred), (pred, top)):
-                        if pairs.setdefault(key, value) != value:
-                            raise ValueError(f"predicted tag {pred!r} at argmax {top}, where an "
-                                             f"earlier record pairs {key!r} with {pairs[key]!r}")
-                records.append(r)
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc
+            if line.strip():
+                linenos.append(lineno)
+                try:
+                    records.append(_parse_record(line, seen, sizes))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    failures.append((len(records), exc))
+                    break
+    tops = {"nc_probs": [], "wc_probs": []}
+    for name in _VECTORS:
+        rows = [i for i, r in enumerate(records) if getattr(r, name) is not None]
+        if rows:  # each row a distribution; the first failing one is named
+            values = np.array([getattr(records[i], name) for i in rows], dtype=np.float64)
+            failures += [(rows[i], ValueError(f"{name} is not a finite distribution"))
+                         for i in np.flatnonzero(off_simplex(values, PROB_TOL))[:1]]
+            tops[name] = values.argmax(axis=1).tolist()
+    pairs = {}
+    try:
+        for i, (r, nc_top, wc_top) in enumerate(zip(records, tops["nc_probs"], tops["wc_probs"])):
+            for pred, top in ((r.nc_pred, nc_top), (r.wc_pred, wc_top)):
+                for key, value in ((top, pred), (pred, top)):
+                    if pairs.setdefault(key, value) != value:
+                        raise ValueError(f"predicted tag {pred!r} at argmax {top}, where an "
+                                         f"earlier record pairs {key!r} with {pairs[key]!r}")
+    except ValueError as exc:
+        failures.append((i, exc))
+    if failures:
+        i, exc = min(failures, key=lambda failure: failure[0])
+        raise ValueError(f"{path}:{linenos[i]}: bad eval record: {exc}") from exc
     return records
 
 
@@ -131,11 +165,8 @@ def accuracy(records: list[EvalRecord]) -> dict[str, float]:
     """Percent correct per model over the record set."""
     if not records:
         raise ValueError("cannot compute accuracy of zero records")
-    n = len(records)
-    return {
-        "nc": 100.0 * sum(r.nc_correct for r in records) / n,
-        "wc": 100.0 * sum(r.wc_correct for r in records) / n,
-    }
+    return {"nc": 100.0 * sum(r.nc_correct for r in records) / len(records),
+            "wc": 100.0 * sum(r.wc_correct for r in records) / len(records)}
 
 
 def ensemble_average(members) -> np.ndarray:
@@ -167,10 +198,7 @@ class ConfusionPairRow:
 def _group_pairs(records, keep) -> list[ConfusionPairRow]:
     total = len(records)
     counts = Counter((r.gold, r.nc_pred, r.wc_pred) for r in records if keep(r))
-    rows = [
-        ConfusionPairRow(gt=k[0], nc=k[1], wc=k[2], num=n, pct=pct(n, total))
-        for k, n in counts.items()
-    ]
+    rows = [ConfusionPairRow(*key, num=n, pct=pct(n, total)) for key, n in counts.items()]
     rows.sort(key=lambda row: (-row.num, row.gt, row.nc, row.wc))
     return rows
 
@@ -222,25 +250,12 @@ def confidence_stats(records: list[EvalRecord]) -> ConfidenceStats:
         raise ValueError("cannot compute confidence of zero records")
     nc = [r.nc_confidence for r in records]
     wc = [r.wc_confidence for r in records]
-    series = [
-        {
-            "conversation_id": r.conversation_id,
-            "utterance_index": r.utterance_index,
-            "gold": r.gold,
-            "nc_pred": r.nc_pred,
-            "wc_pred": r.wc_pred,
-            "nc_confidence": r.nc_confidence,
-            "wc_confidence": r.wc_confidence,
-        }
-        for r in records
-    ]
-    return ConfidenceStats(
-        nc_mean=float(np.mean(nc)),
-        nc_median=float(median(nc)),
-        wc_mean=float(np.mean(wc)),
-        wc_median=float(median(wc)),
-        series=series,
-    )
+    series = [{"conversation_id": r.conversation_id, "utterance_index": r.utterance_index,
+               "gold": r.gold, "nc_pred": r.nc_pred, "wc_pred": r.wc_pred,
+               "nc_confidence": r.nc_confidence, "wc_confidence": r.wc_confidence}
+              for r in records]
+    return ConfidenceStats(float(np.mean(nc)), float(median(nc)), float(np.mean(wc)),
+                           float(median(wc)), series)
 
 
 def attention_profile_mean(
@@ -267,10 +282,7 @@ def attention_profile_mean(
                 f"record ({r.conversation_id}, {r.utterance_index}) has no attention profile"
             )
         profiles.append(r.attention)
-    widths = {len(p) for p in profiles}
-    if len(widths) != 1:
-        raise ValueError("attention profiles have inconsistent lengths")
-    return np.mean(np.array(profiles, dtype=np.float64), axis=0)
+    return np.mean(np.array(profiles, dtype=np.float64), axis=0)  # ragged ones raise ValueError
 
 
 @dataclass
@@ -324,18 +336,12 @@ def svg_bar_chart(values, labels, title: str = "", width: int = 480, height: int
     for i, (v, label) in enumerate(zip(values, labels)):
         bar_h = (base - 50) * v / top
         x = margin + i * slot + (slot - bar_w) / 2
-        parts.append(
-            f'<rect x="{x:.1f}" y="{base - bar_h:.1f}" width="{bar_w:.1f}" '
-            f'height="{bar_h:.1f}" fill="#4878a8"/>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{base - bar_h - 5:.1f}" '
-            f'text-anchor="middle" font-size="11">{v:.3f}</text>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{base + 16}" text-anchor="middle" '
-            f'font-size="12">{label}</text>'
-        )
+        parts += [f'<rect x="{x:.1f}" y="{base - bar_h:.1f}" width="{bar_w:.1f}" '
+                  f'height="{bar_h:.1f}" fill="#4878a8"/>',
+                  f'<text x="{x + bar_w / 2:.1f}" y="{base - bar_h - 5:.1f}" '
+                  f'text-anchor="middle" font-size="11">{v:.3f}</text>',
+                  f'<text x="{x + bar_w / 2:.1f}" y="{base + 16}" text-anchor="middle" '
+                  f'font-size="12">{label}</text>']
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -29,6 +29,7 @@ from .model import (
     BaselineMLP,
     CheckpointError,
     UttAttBiRNN,
+    check_distribution,
     load_checkpoint,
     save_checkpoint,
 )
@@ -188,21 +189,20 @@ def _load_corpus_any(path_str: str, cfg: dict):
     return cor.load_jsonl(path)
 
 
-def _load_prepared(cfg: dict):
+def _load_prepared(cfg: dict, *splits: str):
+    """The named splits ("train", "test") of the prepared corpus, each checked
+    against ``tags.txt``, and its tag vocabulary; a set missing a file is refused."""
     corpus_dir = _corpus_dir(cfg)
-    train_path = corpus_dir / "train.jsonl"
-    test_path = corpus_dir / "test.jsonl"
-    tags_path = corpus_dir / "tags.txt"
-    for p in (train_path, test_path, tags_path):
+    for p in (corpus_dir / "train.jsonl", corpus_dir / "test.jsonl", corpus_dir / "tags.txt"):
         if not p.exists():
             raise CliError(f"prepared corpus artifact missing: {p} (run prepare or synth)")
-    splits = [cor.load_jsonl(train_path), cor.load_jsonl(test_path)]
-    vocab = cor.TagVocabulary.load(tags_path)
-    for path, convs in zip((train_path, test_path), splits):
+    vocab = cor.TagVocabulary.load(corpus_dir / "tags.txt")
+    loaded = [cor.load_jsonl(corpus_dir / f"{name}.jsonl") for name in splits]
+    for name, convs in zip(splits, loaded):
         if not convs:
-            raise CliError(f"prepared corpus split is empty: {path}")
-        vocab.check(path, convs)
-    return (*splits, vocab)
+            raise CliError(f"prepared corpus split is empty: {corpus_dir / f'{name}.jsonl'}")
+        vocab.check(corpus_dir / f"{name}.jsonl", convs)
+    return (*loaded, vocab)
 
 
 def _write_prepared(cfg: dict, train_convs, test_convs, table=None):
@@ -370,7 +370,7 @@ def cmd_prepare(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict, model_name: str) -> int:
-    train_convs, test_convs, vocab = _load_prepared(cfg)
+    train_convs, test_convs, vocab = _load_prepared(cfg, "train", "test")
     tcfg = opt.TrainConfig(seed=cfg["seed"], **cfg["train"])  # refused before the LM is cached
     encoder = _build_encoder(cfg, train_convs, test_convs)
     windows = cor.build_all_windows(train_convs, tcfg.n_context, encoder, vocab)
@@ -414,7 +414,7 @@ def _load_model_group(paths: list[str], kind: str):
 
 
 def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
-    _, test_convs, _ = _load_prepared(cfg)
+    test_convs, _ = _load_prepared(cfg, "test")
     nc_group = _load_model_group(nc_paths, BaselineMLP.kind)
     wc_group = _load_model_group(wc_paths, UttAttBiRNN.kind)
     tags = nc_group[0][2]["tags"]
@@ -450,37 +450,31 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     def predictions(group):
         return [(name, model.predict(windows_for(meta))) for name, model, meta in group]
 
+    def ensemble(name, members):  # checked once, as an array, to the records' tolerance
+        return check_distribution(name, ana.ensemble_average(members), ana.PROB_TOL)
+
     try:
         nc_preds = predictions(nc_group)
         wc_preds = predictions(wc_group)
+        nc_probs = ensemble("NC ensemble probabilities", [p.probs for _, p in nc_preds])
+        wc_probs = ensemble("WC ensemble probabilities", [p.probs for _, p in wc_preds])
+        profiles = [pred.attention for _, pred in wc_preds if pred.attention is not None]
+        attention = ensemble("WC ensemble attention weights", profiles) if profiles else None
     except (OSError, ValueError, KeyError) as exc:  # a stored encoder, or its predictions
         raise CheckpointError(str(exc)) from exc
 
     windows = windows_for(nc_group[0][2])
-    labels = np.array([w.label for w in windows])
-    nc_probs = ana.ensemble_average([pred.probs for _, pred in nc_preds])
-    wc_probs = ana.ensemble_average([pred.probs for _, pred in wc_preds])
-    profiles = [pred.attention for _, pred in wc_preds if pred.attention is not None]
-    attention = ana.ensemble_average(profiles) if profiles else None
-    nc_top, wc_top = nc_probs.argmax(axis=1), wc_probs.argmax(axis=1)
-    records = [
-        ana.EvalRecord(
-            conversation_id=w.conversation_id,
-            utterance_index=w.index,
-            gold=vocab.tag_of(w.label),
-            nc_pred=vocab.tag_of(nc_top[i]),
-            wc_pred=vocab.tag_of(wc_top[i]),
-            nc_probs=nc_probs[i].tolist(),
-            wc_probs=wc_probs[i].tolist(),
-            attention=None if attention is None else attention[i].tolist(),
-            n_tokens=w.n_tokens,
-        )
-        for i, w in enumerate(windows)
-    ]
-
-    out_dir = Path(cfg["out_dir"])
-    records_path = out_dir / "eval_records.jsonl"
-    ana.write_records(records_path, records)
+    labels = [w.label for w in windows]
+    records_path = Path(cfg["out_dir"]) / "eval_records.jsonl"
+    ana.write_records(records_path, {
+        "conversation_id": [w.conversation_id for w in windows],
+        "utterance_index": [w.index for w in windows],
+        "gold": list(map(vocab.tag_of, labels)),
+        "nc_pred": list(map(vocab.tag_of, nc_probs.argmax(axis=1).tolist())),
+        "wc_pred": list(map(vocab.tag_of, wc_probs.argmax(axis=1).tolist())),
+        "nc_probs": nc_probs, "wc_probs": wc_probs, "attention": attention,
+        "n_tokens": [w.n_tokens for w in windows],
+    })
 
     groups = (("NC", nc_preds, nc_probs), ("WC", wc_preds, wc_probs))
     rows = [(f"{kind} {name}", pred.probs) for kind, preds, _ in groups for name, pred in preds]
@@ -488,7 +482,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     for name, probs in rows:
         hits = np.count_nonzero(probs.argmax(axis=1) == labels)
         print(f"{name}: {100.0 * hits / len(windows):.2f}%")
-    print(f"records: {records_path} ({len(records)} utterances)")
+    print(f"records: {records_path} ({len(windows)} utterances)")
     return EXIT_OK
 
 
@@ -512,6 +506,10 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
         if runs is not None and runs != len(record_sets):
             raise ValueError(f"--runs {runs} expects {runs} record files, "
                              f"got {len(record_sets)}")
+        keys = [{(r.conversation_id, r.utterance_index, r.gold) for r in rs} for rs in record_sets]
+        for path, other in zip(record_paths[1:], keys[1:]):
+            if other != keys[0]:
+                raise ValueError(f"{record_paths[0]} and {path} differ in utterances or gold tags")
         records = record_sets[0]
         short = ana.short_utterance_slice(records, max_tokens)
         multi = (ana.attention_profile_mean([], runs=record_sets)
@@ -531,11 +529,10 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
     write_json_file(out_dir / "confidence.json", vars(stats))
 
     slots = [f"a{k}" for k in range(len(short.full_mean))]
+    rows = [["slot", *slots], ["mean", *short.full_mean.tolist()]]
+    rows += [["mean_over_runs", *multi.tolist()]] if multi is not None else []
     with atomic_text(out_dir / "attention_profile.csv") as fh:
-        fh.write(",".join(["slot", *slots]) + "\n")
-        fh.write("mean," + ",".join(repr(float(v)) for v in short.full_mean) + "\n")
-        if multi is not None:
-            fh.write("mean_over_runs," + ",".join(repr(float(v)) for v in multi) + "\n")
+        fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
     write_json_file(out_dir / "short_utterance_profile.json", vars(short))
 
@@ -552,10 +549,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
             fh.write(chart)
 
     print(f"accuracy: NC {acc['nc']:.2f}% WC {acc['wc']:.2f}%")
-    print(
-        f"rescued by context: {rescue.total_rescued} samples "
-        f"({rescue.pct_rescued:.2f}%)"
-    )
+    print(f"rescued by context: {rescue.total_rescued} samples ({rescue.pct_rescued:.2f}%)")
     print(f"confidence: NC mean {stats.nc_mean:.4f} WC mean {stats.wc_mean:.4f}")
     print("attention profile (current first): "
           + " ".join(f"{v:.4f}" for v in short.full_mean))

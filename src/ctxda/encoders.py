@@ -2,11 +2,10 @@
 
 Every encoder turns an utterance into a fixed-dimension feature vector (a
 1-D float64 array). Encoders are read-only after construction and expose
-``dim``, ``encode(utts)``, the vectors of a whole split as the rows of one
-array in one call (the character mLSTM runs all its texts at once), and
-``encode_utterance(utt)`` for one utterance; the precomputed variant looks
-features up by (conversation_id, utterance index) instead of re-deriving
-them from text.
+``dim`` and ``encode(utts)``, the vectors of a whole split as the rows of
+one array in one call (the word and character encoders run all their texts
+at once); the precomputed variant looks features up by (conversation_id,
+utterance index) instead of re-deriving them from text.
 """
 
 from __future__ import annotations
@@ -125,16 +124,17 @@ def load_embeddings(path) -> EmbeddingTable:
     return table
 
 
-def word_mean(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
-    """Mean embedding over in-vocabulary tokens; OOV tokens are skipped.
-
-    An utterance with no in-vocabulary tokens maps to the zero vector.
-    """
-    hits = [table.lookup(tok) for tok in tokens]
-    hits = [v for v in hits if v is not None]
-    if not hits:
-        return np.zeros(table.dim)
-    return np.mean(hits, axis=0)
+def word_mean(texts, table: EmbeddingTable) -> np.ndarray:
+    """Row i: the mean embedding of the in-vocabulary tokens of texts[i] (OOV
+    ones skipped, none: the zero vector). The texts with n hits are summed
+    together, each over its own n rows in order, then divided by n: bit for
+    bit ``np.mean`` of each (``np.add.reduceat`` is not)."""
+    hits = [[v for v in map(table.lookup, tokenize(text)) if v is not None] for text in texts]
+    out = np.zeros((len(texts), table.dim))
+    for n in set(map(len, hits)) - {0}:
+        rows = [i for i, h in enumerate(hits) if len(h) == n]
+        out[rows] = np.add.reduce(np.array([hits[i] for i in rows]), axis=1) / n
+    return out
 
 
 def _sha256(path) -> str:
@@ -143,9 +143,7 @@ def _sha256(path) -> str:
 
 class Encoder:
     """``encode(utts)`` is the (len(utts), dim) features of a list of
-    utterances, one row each: ``encode_utterance`` of each, unless the encoder
-    runs the whole list at once, when ``encode_utterance(utt)`` is its batch
-    of one."""
+    utterances, one row each; by default ``encode_utterance`` of each."""
 
     dim: int
 
@@ -169,8 +167,8 @@ class WordMeanEncoder(Encoder):
         source = {"kind": "file", "path": str(path), "sha256": _sha256(path)}
         return cls(load_embeddings(path), source)
 
-    def encode_utterance(self, utt) -> np.ndarray:
-        return word_mean(tokenize(utt.text), self.table)
+    def encode(self, utts) -> np.ndarray:
+        return word_mean([u.text for u in utts], self.table)
 
 
 class CharVocab:
@@ -454,9 +452,6 @@ class ConcatEncoder(Encoder):
 
     def encode(self, utts) -> np.ndarray:
         return np.hstack([self.char_encoder.encode(utts), self.word_encoder.encode(utts)])
-
-    def encode_utterance(self, utt) -> np.ndarray:
-        return self.encode([utt])[0]
 
 
 def load_feature_file(path) -> dict[tuple[str, int], np.ndarray]:

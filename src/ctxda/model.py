@@ -77,12 +77,16 @@ class ContextWindow:
         return len(self.features)
 
 
-def _distribution(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array, refused (NaN and inf fail both
-    comparisons) unless every entry is >= 0 and every row sums to 1 within
-    PROB_TOL."""
+def off_simplex(values: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
+    """Which rows of the float array ``values`` (1-D: one row) are no finite
+    distribution: an entry below 0 or a sum off 1 by more than ``tol`` (NaN, inf)."""
+    return ~((values >= 0.0).all(axis=-1) & (np.abs(values.sum(axis=-1) - 1.0) <= tol))
+
+
+def check_distribution(name: str, values, tol: float = PROB_TOL) -> np.ndarray:
+    """``values`` as a float64 array, refused unless each row is a distribution."""
     values = np.asarray(values, dtype=np.float64)
-    if not (values.min() >= 0.0 and np.abs(values.sum(axis=-1) - 1.0).max() <= PROB_TOL):
+    if off_simplex(values, tol).any():
         raise ValueError(f"{name} are not a finite distribution")
     return values
 
@@ -97,9 +101,9 @@ class Prediction:
     attention: np.ndarray | None = None
 
     def __post_init__(self):
-        self.probs = _distribution("prediction probabilities", self.probs)
+        self.probs = check_distribution("prediction probabilities", self.probs)
         if self.attention is not None:
-            self.attention = _distribution("attention weights", self.attention)
+            self.attention = check_distribution("attention weights", self.attention)
 
     @property
     def top_class(self) -> np.ndarray:

@@ -30,6 +30,10 @@ class _FullDisk:
         self.left -= len(text)
         return self.fh.write(text)
 
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
 
 def fill_disk(monkeypatch, budget: int, applies=lambda path: True) -> None:
     """The writer's temporary files for which ``applies(path)`` holds take

@@ -8,14 +8,21 @@ backward written step by step, in the character-LM fit over every input
 column. They are the oracles for the fused
 ``ctxda.encoders.mlstm_states``, ``ctxda.encoders.train_char_lm``,
 ``ctxda.model.birnn_states`` and the two models' forward and backward passes.
+Beside them are the per-record eval-record writer and the per-utterance word
+mean, the oracles for ``ctxda.analysis.write_records`` and
+``ctxda.encoders.word_mean``.
 
 They record graph nodes exactly as the ops in ``ctxda.tensor`` do, so the
 kernel's ``backward`` walks them like any other op.
 """
 
+import json
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
+
+from ctxda.analysis import EvalRecord
 
 from ctxda.encoders import (_B_NAMES, _M_NAMES, _X_NAMES, MLSTMParams, _mlstm_steps, _stacked,
                             sigmoid)
@@ -446,3 +453,26 @@ def mlp_graph_forward(model, windows, rng=None):
         if uniforms is not None:
             h = apply_dropout(h, model.dropout_rate, uniforms)
     return softmax_columns(add_bias(matmul(params["mlp.w_out"], h), params["mlp.b_out"]))
+
+
+def write_records_one_by_one(path, records) -> None:
+    """EvalRecords as JSON lines, one ``json.dumps(vars(record))`` each."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(json.dumps(vars(r), allow_nan=False) + "\n")
+
+
+def record_columns(records) -> dict:
+    """The columns ``ctxda.analysis.write_records`` takes, from EvalRecords
+    that all have an attention profile or all have none."""
+    columns = {f.name: [getattr(r, f.name) for r in records] for f in fields(EvalRecord)}
+    if all(a is None for a in columns["attention"]):
+        columns["attention"] = None
+    return columns
+
+
+def word_mean_one(tokens, table) -> np.ndarray:
+    """The mean embedding of one utterance's in-vocabulary tokens with
+    ``np.mean``; the zero vector when it has none."""
+    hits = [v for v in (table.lookup(tok) for tok in tokens) if v is not None]
+    return np.mean(hits, axis=0) if hits else np.zeros(table.dim)

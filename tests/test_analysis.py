@@ -22,6 +22,7 @@ from ctxda.analysis import (
     svg_confidence_chart,
     write_records,
 )
+from reference_ops import record_columns, write_records_one_by_one
 
 TAGS = ["sd", "sv", "b", "ny", "aa"]
 
@@ -46,48 +47,101 @@ def record(gold, nc, wc, attention=None, n_tokens=2, idx=0):
 
 
 class TestEvalRecord:
-    def test_rejects_bad_distribution(self):
-        with pytest.raises(ValueError):
-            EvalRecord("c", 0, "sd", "sd", "sd", [0.5, 0.6], [0.5, 0.5])
+    def test_rejects_bad_distribution(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records_one_by_one(path, [EvalRecord("c", 0, "sd", "sd", "sd", [0.5, 0.6],
+                                                   [0.5, 0.5])])
+        with pytest.raises(ValueError, match=":1: .*nc_probs is not a finite"):
+            load_records(path)
 
     def test_round_trip(self, tmp_path):
-        records = [
-            record("sd", "sd", "sd", attention=[0.5, 0.2, 0.1, 0.1, 0.1]),
-            record("sv", "sd", "sv", idx=1),
-        ]
         path = tmp_path / "records.jsonl"
-        write_records(path, records)
-        loaded = load_records(path)
-        assert len(loaded) == 2
-        assert loaded[0].attention == [0.5, 0.2, 0.1, 0.1, 0.1]
-        assert loaded[1].attention is None
-        assert loaded[1].nc_probs == records[1].nc_probs
+        for attention in ([0.5, 0.2, 0.1, 0.1, 0.1], None):
+            records = [record("sd", "sd", "sd", attention=attention),
+                       record("sv", "sd", "sv", attention=attention, idx=1)]
+            write_records(path, record_columns(records))
+            loaded = load_records(path)
+            assert loaded == records
+            assert loaded[1].attention == attention
 
     @pytest.mark.parametrize("field", ["nc_probs", "wc_probs", "attention"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_entries(self, field, bad):
-        fields = {"nc_probs": dist(0), "wc_probs": dist(1), "attention": [0.5, 0.5]}
-        fields[field] = [bad] + fields[field][1:]
-        with pytest.raises(ValueError, match=f"{field} is not a finite"):
-            EvalRecord("c", 0, "sd", "sd", "sv", **fields)
+    def test_rejects_non_finite_entries(self, tmp_path, field, bad):
+        fields = {"nc_probs": [dist(0)], "wc_probs": [dist(1)], "attention": [[0.5, 0.5]]}
+        fields[field][0][0] = bad
+        columns = {**record_columns([record("sd", "sd", "sv")]), **fields}
+        with pytest.raises(ValueError, match=f"{field} holds a non-finite number"):
+            write_records(tmp_path / "records.jsonl", columns)
+        assert not (tmp_path / "records.jsonl").exists()
 
     @pytest.mark.parametrize("attention", [[0.6, 0.6], [1.2, -0.2], [0.3, 0.3],
                                            [-5e-7, 1.0000005]])
-    def test_rejects_attention_off_the_simplex(self, attention):
-        with pytest.raises(ValueError, match="attention"):
-            EvalRecord("c", 0, "sd", "sd", "sd", dist(0), dist(0), attention=attention)
+    def test_rejects_attention_off_the_simplex(self, tmp_path, attention):
+        path = tmp_path / "records.jsonl"
+        good = EvalRecord("c", 0, "sd", "sd", "sd", dist(0), dist(0), attention=[0.5, 0.5])
+        write_records_one_by_one(path, [good, EvalRecord("c", 1, "sd", "sd", "sd", dist(0),
+                                                         dist(0), attention=attention)])
+        with pytest.raises(ValueError, match=":2: .*attention is not a finite"):
+            load_records(path)
 
     def test_write_refuses_a_record_made_non_finite(self, tmp_path):
-        bad = record("sd", "sd", "sd")
-        bad.wc_probs[0] = math.nan
+        columns = record_columns([record("sd", "sd", "sd")])
+        columns["wc_probs"][0][0] = math.nan
         with pytest.raises(ValueError):
-            write_records(tmp_path / "records.jsonl", [bad])
+            write_records(tmp_path / "records.jsonl", columns)
+
+    # ids holding quotes, backslashes, control and non-ASCII characters; floats
+    # whose shortest repr is in exponent form, the least subnormal, 0 and 1
+    ODD_IDS = ["c\"1", "c\\2", "tab\there", "çonv", "会話", "emoji 😀", "\u2028"]
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    def test_write_matches_the_one_by_one_writer(self, tmp_path, attention):
+        probs = [[1e-05, 0.99999], [5e-324, 1.0], [0.0, 1.0], [0.1, 0.9], [1.0, 0.0],
+                 [0.3333333333333333, 0.6666666666666666], [2.5e-17, 1.0]]
+        records = [EvalRecord(cid, i * 7, "sd", "ñö" if i % 2 else "sd", "b\"q", p, p[::-1],
+                              p if attention else None, i)
+                   for i, (cid, p) in enumerate(zip(self.ODD_IDS, probs))]
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        write_records_one_by_one(want, records)
+        write_records(got, record_columns(records))
+        assert got.read_bytes() == want.read_bytes()
+        columns = record_columns(records)  # as eval passes them: arrays
+        for name in ("nc_probs", "wc_probs", "attention") if attention else ("nc_probs",):
+            columns[name] = np.array(columns[name])
+        write_records(got, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.tuples(st.text(max_size=6), st.integers(0, 10**6), st.text(max_size=3),
+                                   st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)),
+                         min_size=1, max_size=5))
+    def test_property_write_matches_the_one_by_one_writer(self, tmp_path_factory, rows):
+        records = [EvalRecord(cid, i, tag, tag, tag, p, p, p, i % 4) for cid, i, tag, p in rows]
+        out = tmp_path_factory.mktemp("records")
+        write_records_one_by_one(out / "want.jsonl", records)
+        write_records(out / "got.jsonl", record_columns(records))
+        assert (out / "got.jsonl").read_bytes() == (out / "want.jsonl").read_bytes()
+
+    def test_load_names_the_first_failing_line(self, tmp_path):
+        # the line checks and the column checks run apart; the earliest line is named
+        path = tmp_path / "records.jsonl"
+        lines = [json.dumps(vars(record("sd", "sd", "sd", idx=i))) for i in range(4)]
+        lines[3] = lines[3].replace('"n_tokens": 2', '"n_tokens": "2"')
+        lines[2] = lines[2].replace("0.6", "0.7", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":3: .*nc_probs is not a finite"):
+            load_records(path)
+        lines[1] = lines[1].replace('"nc_pred": "sd"', '"nc_pred": "sv"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2: .*predicted tag 'sv' at argmax 0"):
+            load_records(path)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_load_refuses_non_finite_numbers(self, tmp_path, literal):
         path = tmp_path / "records.jsonl"
-        write_records(path, [record("sd", "sd", "sd", attention=[0.5, 0.5]),
-                             record("sd", "sd", "sd", attention=[0.5, 0.5], idx=1)])
+        write_records(path, record_columns([record("sd", "sd", "sd", attention=[0.5, 0.5]),
+                                            record("sd", "sd", "sd", attention=[0.5, 0.5],
+                                                   idx=1)]))
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("[0.5, 0.5]", f"[0.5, {literal}]")
         path.write_text("\n".join(lines) + "\n")
@@ -97,7 +151,7 @@ class TestEvalRecord:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_load_refuses_non_finite_constants_in_any_field(self, tmp_path, literal):
         path = tmp_path / "records.jsonl"
-        write_records(path, [record("sd", "sd", "sd", n_tokens=2)])
+        write_records(path, record_columns([record("sd", "sd", "sd", n_tokens=2)]))
         path.write_text(path.read_text().replace('"n_tokens": 2', f'"n_tokens": {literal}'))
         with pytest.raises(ValueError, match=f":1:.*{literal} is not a JSON number"):
             load_records(path)
@@ -110,7 +164,8 @@ class TestEvalRecord:
         fields = {"nc_probs": dist(0), "wc_probs": dist(1), "attention": dist(2)}
         fields[field][at] = bad
         with pytest.raises(ValueError):
-            EvalRecord("c", 0, "sd", "sd", "sv", **fields)
+            write_records(tmp_path_factory.mktemp("records") / "records.jsonl",
+                          record_columns([EvalRecord("c", 0, "sd", "sd", "sv", **fields)]))
         line = json.dumps({"conversation_id": "c", "utterance_index": 0, "gold": "sd",
                            "nc_pred": "sd", "wc_pred": "sv", "n_tokens": 1, **fields})
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
@@ -122,9 +177,11 @@ class TestEvalRecord:
         # NC and WC share one pairing, and a tie is the first index
         path = tmp_path / "records.jsonl"
         first = EvalRecord("c", 0, "sd", "sd", "sv", [0.5, 0.5], [0.25, 0.75])
-        write_records(path, [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.0, 1.0], [0.6, 0.4])])
+        write_records(path, record_columns(
+            [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.0, 1.0], [0.6, 0.4])]))
         assert len(load_records(path)) == 2
-        write_records(path, [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.5, 0.5], [0.6, 0.4])])
+        write_records(path, record_columns(
+            [first, EvalRecord("c", 1, "sv", "sv", "sd", [0.5, 0.5], [0.6, 0.4])]))
         with pytest.raises(ValueError, match=r":2: .*tag 'sv' at argmax 0, .* pairs 0 with 'sd'"):
             load_records(path)
 

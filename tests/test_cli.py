@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from ctxda.encoders import PrecomputedEncoder, encoder_from_config, encoder_to_c
 from ctxda.optim import EpochStats, write_history_csv
 from ctxda.tensor import write_json_file
 from faults import fill_disk, refuse_replace
+from reference_ops import record_columns
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -762,6 +765,34 @@ class TestEval:
         assert code == 0
         assert "WC ensemble:" in capsys.readouterr().out
 
+    def test_reads_only_the_test_split(self, pipeline, capsys, monkeypatch):
+        from ctxda import cli as cli_mod
+
+        config, out = pipeline
+        argv = ["--config", str(config), "eval", "--nc", str(out / "baseline_word.ckpt.json"),
+                "--wc", str(out / "uttattbirnn_word.ckpt.json")]
+        read, load = [], cli_mod.cor.load_jsonl
+        monkeypatch.setattr(cli_mod.cor, "load_jsonl", lambda path: (read.append(path), load(path))[1])
+        (out / "corpus" / "train.jsonl").write_text("not a corpus\n")
+        assert main(argv) == 0
+        assert read == [out / "corpus" / "test.jsonl"]
+        (out / "eval_records.jsonl").unlink()
+        (out / "corpus" / "train.jsonl").unlink()
+        assert main(argv) == 2 and not (out / "eval_records.jsonl").exists()
+        assert "prepared corpus artifact missing" in capsys.readouterr().err
+
+    def test_ensemble_off_the_simplex_exit_4_without_records(self, pipeline, capsys,
+                                                              monkeypatch):
+        from ctxda import cli as cli_mod
+
+        config, out = pipeline
+        average = cli_mod.ana.ensemble_average
+        monkeypatch.setattr(cli_mod.ana, "ensemble_average", lambda members: 1.5 * average(members))
+        code = main(["--config", str(config), "eval", "--nc", str(out / "baseline_word.ckpt.json"),
+                     "--wc", str(out / "uttattbirnn_word.ckpt.json")])
+        assert code == 4 and not (out / "eval_records.jsonl").exists()
+        assert "NC ensemble probabilities are not a finite distribution" in capsys.readouterr().err
+
 
 class TestEvalFailsClosed:
     """A stored parameter that is not finite, or not of its parameter's shape,
@@ -911,8 +942,8 @@ class TestEvalFailsClosed:
             def write(sign):
                 features.write_text("".join(
                     f"{u.conversation_id}\t{u.index}\t"
-                    + ",".join(repr(sign * float(v)) for v in word.encode_utterance(u)) + "\n"
-                    for u in utterances))
+                    + ",".join(repr(sign * float(v)) for v in row) + "\n"
+                    for u, row in zip(utterances, word.encode(utterances))))
 
             write(1.0)
             wc["encoder"]["word"] = encoder_to_config(PrecomputedEncoder.from_files([features]))
@@ -1169,9 +1200,10 @@ class TestAnalyze:
         {"gold": 7}, {"nc_pred": None}, {"conversation_id": 1},
         {"nc_probs": [1.0], "wc_probs": [0.2] * 5}, {"wc_probs": [1.0, 0.0, 0.0]},
         {"nc_probs": ["1.0", "0.0"]}, {"attention": [True, False]},
+        {"nc_probs": [10 ** 400, 0]}, {"wc_probs": 1.0},
     ], ids=["n_tokens_str", "n_tokens_float", "n_tokens_bool", "index_str", "gold_int",
             "nc_pred_null", "id_int", "nc_probs_shorter", "wc_probs_longer",
-            "nc_probs_strings", "attention_bools"])
+            "nc_probs_strings", "attention_bools", "nc_probs_beyond_floats", "wc_probs_number"])
     def test_mistyped_record_exit_5(self, tmp_path, capsys, change):
         config, _ = write_config(tmp_path)
         obj = {"conversation_id": "c", "utterance_index": 0, "gold": "sd", "nc_pred": "sd",
@@ -1195,8 +1227,13 @@ class TestAnalyze:
                                      "pairs 'sd' with 0"),
         ({"gold": "b", "wc_pred": "b"}, "predicted tag 'b' at argmax 0, where an earlier "
                                         "record pairs 0 with 'sd'"),
+        ({"nc_probs": []}, "nc_probs is empty"),
+        ({"wc_probs": []}, "wc_probs is empty"),
+        ({"attention": []}, "attention is empty"),
+        ({"utterance_index": -1}, "utterance_index must be at least 0, got -1"),
     ], ids=["repeated_key", "class_count", "attention_length", "negative_n_tokens",
-            "unknown_prediction", "tag_at_another_argmax", "argmax_with_another_tag"])
+            "unknown_prediction", "tag_at_another_argmax", "argmax_with_another_tag",
+            "empty_nc_probs", "empty_wc_probs", "empty_attention", "negative_index"])
     def test_inconsistent_record_file_exit_5(self, tmp_path, capsys, change, message):
         # each record is well formed alone; the file as a whole is not
         config, _ = write_config(tmp_path)
@@ -1258,6 +1295,21 @@ class TestAnalyze:
             "full_mean": np.mean([r.attention for r in records], axis=0).tolist(),
         }
         assert (out / "short_utterance_profile.json").read_text() == json.dumps(expected) + "\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:-1],
+        lambda lines: [lines[0].replace('"conversation_id": "c0"', '"conversation_id": "x"'),
+                       *lines[1:]],
+        lambda lines: [lines[0].replace('"gold": "sd"', '"gold": "qy"'), *lines[1:]],
+    ], ids=["fewer_utterances", "other_conversation", "other_gold"])
+    def test_runs_over_other_utterances_exit_5(self, tmp_path, capsys, edit):
+        config, _ = write_config(tmp_path)
+        paths = [self.golden_records(tmp_path / f"records{run}.jsonl", run) for run in (0, 1)]
+        Path(paths[1]).write_text("\n".join(edit(Path(paths[1]).read_text().splitlines())) + "\n")
+        assert main(["--config", str(config), "analyze", "--records", *paths]) == 5
+        assert (f"analysis input error: {paths[0]} and {paths[1]} differ in utterances or gold "
+                f"tags") in capsys.readouterr().err
+        assert [name for name in self.OUTPUTS if (tmp_path / "run" / name).exists()] == []
 
     CHARTS = ("attention_profile.svg", "attention_profile_runs.svg", "confidence.svg")
 
@@ -1398,8 +1450,8 @@ class TestConfig:
 # the package's writers that take a path: each writes version 0 or 1 of its output
 WRITERS = {
     "write_json_file": lambda path, v: write_json_file(path, {"v": v, "values": [v / 3] * 40}),
-    "write_records": lambda path, v: write_records(path, [
-        EvalRecord("c", i, "sd", "sd", "b", [0.75, 0.25], [0.5, 0.5]) for i in range(2 + v)]),
+    "write_records": lambda path, v: write_records(path, record_columns([
+        EvalRecord("c", i, "sd", "sd", "b", [0.75, 0.25], [0.5, 0.5]) for i in range(2 + v)])),
     "write_pair_csv": lambda path, v: write_pair_csv(path, [
         ConfusionPairRow("sd", "b", "qy", n, 12.5) for n in range(2 + v)]),
     "write_history_csv": lambda path, v: write_history_csv(path, [
@@ -1504,3 +1556,43 @@ class TestEveryOutputWholeOrNotAtAll:
         capsys.readouterr()
         assert main(["--config", str(config), "train", "--model", "baseline"]) == 2
         assert f"{corpus / 'tags.txt'} (run prepare or synth)" in capsys.readouterr().err
+
+
+class TestWholePipelineRerun:
+    """The README's promise that a rerun is byte-identical, over every output
+    of ``synth -> train NC -> train WC -> eval -> analyze``."""
+
+    def test_rerun_in_another_directory_and_hash_seed(self, tmp_path):
+        # two runs, each step a fresh CLI process, the two runs' steps side by side
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = [tmp_path / f"run{seed}" for seed in (0, 1)]
+        steps = [["synth"], ["train", "--model", "baseline"], ["train", "--model", "uttattbirnn"],
+                 ["eval", "--nc", "baseline_concat.ckpt.json",
+                  "--wc", "uttattbirnn_concat.ckpt.json"],
+                 ["analyze", "--records", "eval_records.jsonl", "eval_records.jsonl"]]
+        for run in runs:
+            run.mkdir()
+            write_config(run, out_dir=".", encoder="concat",
+                         model={"char_hidden_dim": 8, "char_lm_epochs": 1})
+        for step in steps:
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "ctxda.cli", "--config", "config.json", *step], cwd=run,
+                env={**os.environ, "PYTHONHASHSEED": str(seed),
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for seed, run in enumerate(runs)]
+            for proc in procs:
+                assert proc.wait(timeout=120) == 0, (step, proc.stderr.read())
+                proc.stderr.close()
+
+        def outputs(run):
+            return {str(p.relative_to(run)): p.read_bytes()
+                    for p in sorted(run.rglob("*")) if p.is_file() and p.name != "run.log"}
+
+        first, second = map(outputs, runs)
+        written = {"eval_records.jsonl", *TestAnalyze.OUTPUTS, "corpus/synth_summary.json",
+                   "corpus/tags.txt", "corpus/test.jsonl", "corpus/train.jsonl"}
+        written |= {f"{model}_concat{suffix}" for model in ("baseline", "uttattbirnn")
+                    for suffix in (".ckpt.json", "_history.csv")}
+        assert written < set(first) and any(name.startswith("corpus/char_lm-") for name in first)
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []

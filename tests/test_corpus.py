@@ -230,7 +230,7 @@ class TestBuildWindows:
     @staticmethod
     def per_slot_windows(c, n, encoder):
         """The features and pad mask of each window of ``c``, slot by slot."""
-        encoded = [encoder.encode_utterance(u) for u in c.utterances]
+        encoded = [encoder.encode([u])[0] for u in c.utterances]
         out = []
         for t in range(len(c)):
             slots = [(np.zeros(encoder.dim), False) if k < 0 else (encoded[k], True)

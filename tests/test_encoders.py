@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxda import encoders as E
-from ctxda.corpus import Utterance
+from ctxda.corpus import SyntheticSpec, Utterance, generate_synthetic
 from ctxda.optim import Adam, cross_entropy
 from ctxda.tensor import (
     CheckpointError,
@@ -23,7 +23,8 @@ from ctxda.tensor import (
 )
 from gradcheck import max_gradient_error
 from reference_ops import (add, dense_input_scatter, full_column_char_lm, hadamard, hstack,
-                           loop_mlstm_states, mlstm_reference_states, mlstm_step, sum_all)
+                           loop_mlstm_states, mlstm_reference_states, mlstm_step, sum_all,
+                           word_mean_one)
 
 X_NAMES = ("w_mx", "w_ix", "w_fx", "w_ox", "w_cx")  # the mLSTM's input matrices
 
@@ -137,27 +138,47 @@ class TestWordMean:
         return table
 
     def test_two_token_mean(self):
-        assert E.word_mean(["a", "b"], self.make_table()).tolist() == [0.5, 0.5]
+        assert E.word_mean(["a b"], self.make_table())[0].tolist() == [0.5, 0.5]
 
     def test_all_oov_zero_vector(self):
-        assert E.word_mean(["x", "y"], self.make_table()).tolist() == [0.0, 0.0]
+        assert E.word_mean(["x y"], self.make_table())[0].tolist() == [0.0, 0.0]
 
     def test_oov_skipped_not_zero_substituted(self):
         table = E.EmbeddingTable(2)
         table.add("a", [2.0, 4.0])
-        assert E.word_mean(["a", "a", "zzz"], table).tolist() == [2.0, 4.0]
+        assert E.word_mean(["a a zzz"], table)[0].tolist() == [2.0, 4.0]
 
     def test_permutation_invariant(self):
         table = random_table(["a", "b", "c", "d"], 5, seed=1)
-        fwd = E.word_mean(["a", "b", "c", "d"], table)
-        rev = E.word_mean(["d", "c", "b", "a"], table)
+        fwd, rev = E.word_mean(["a b c d", "d c b a"], table)
         assert np.array_equal(fwd, rev)
 
     def test_encoder_wrapper_deterministic(self):
         table = random_table(["hi", "there"], 4, seed=2)
         enc = E.WordMeanEncoder(table)
         utt = Utterance("c1", 0, "hi there", "x")
-        assert np.array_equal(enc.encode_utterance(utt), enc.encode_utterance(utt))
+        assert np.array_equal(enc.encode([utt]), enc.encode([utt]))
+
+    @pytest.mark.parametrize("kind", ["onehot", "file"])
+    def test_split_encoding_is_the_per_utterance_mean(self, tmp_path, kind):
+        # means of up to 12 rows, one-hot and dense: bit for bit np.mean's
+        convs = generate_synthetic(SyntheticSpec(n_conversations=6, mode="mixed", seed=4))
+        utts = [u for conv in convs for u in conv.utterances]
+        vocab = sorted({tok for u in utts for tok in E.tokenize(u.text)})
+        if kind == "onehot":
+            enc = E.WordMeanEncoder(E.EmbeddingTable.one_hot(vocab))
+        else:
+            path = tmp_path / "table.txt"
+            rng = np.random.default_rng(9)
+            path.write_text("".join(f"{tok} {' '.join(map(repr, rng.normal(0.0, 1.0, 50).tolist()))}\n"
+                                    for tok in vocab))
+            enc = E.WordMeanEncoder.from_file(path)
+        utts += [Utterance("c", 0, "zzz qqq", "x"), Utterance("c", 1, "", "x")]
+        assert max(len(E.tokenize(u.text)) for u in utts) >= 3
+        got = enc.encode(utts)
+        want = np.array([word_mean_one(E.tokenize(u.text), enc.table) for u in utts])
+        assert got.shape == (len(utts), enc.dim) and np.array_equal(got, want)
+        assert not got[-2:].any()
 
 
 class TestCharVocab:
@@ -469,16 +490,16 @@ class TestConcat:
     def test_order_char_first(self):
         enc = E.ConcatEncoder(Fixed([1.0, 2.0]), Fixed([3.0]))
         assert enc.dim == 3
-        assert enc.encode_utterance(self.utterance).tolist() == [1, 2, 3]
+        assert enc.encode([self.utterance])[0].tolist() == [1, 2, 3]
 
     def test_zero_plus_zero(self):
         enc = E.ConcatEncoder(Fixed(np.zeros(3)), Fixed(np.zeros(2)))
-        out = enc.encode_utterance(self.utterance)
+        out = enc.encode([self.utterance])[0]
         assert out.shape == (5,) and np.all(out == 0.0)
 
     def test_full_scale_dims(self):
         enc = E.ConcatEncoder(Fixed(np.zeros(4096)), Fixed(np.zeros(300)))
-        assert enc.dim == 4396 and enc.encode_utterance(self.utterance).shape == (4396,)
+        assert enc.dim == 4396 and enc.encode([self.utterance]).shape == (1, 4396)
 
 
 class TestPrecomputed:
@@ -692,8 +713,8 @@ class TestEncoderConfigRoundTrip:
         stored = written(E.encoder_to_config(encoder))
         rebuilt = E.encoder_from_config(json.loads(stored, object_hook=array_values))
         assert rebuilt.dim == encoder.dim
-        for utt in ROUND_TRIP_UTTERANCES:
-            assert np.array_equal(rebuilt.encode_utterance(utt), encoder.encode_utterance(utt))
+        assert np.array_equal(rebuilt.encode(ROUND_TRIP_UTTERANCES),
+                              encoder.encode(ROUND_TRIP_UTTERANCES))
         assert written(E.encoder_to_config(rebuilt)) == stored
 
 
@@ -713,7 +734,7 @@ class TestFileWordTable:
         assert cfg["source"] == {"kind": "file", "path": str(path),
                                  "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
         rebuilt = E.encoder_from_config(cfg)
-        assert np.array_equal(rebuilt.encode_utterance(self.utterance), [2.0, -1.0])
+        assert np.array_equal(rebuilt.encode([self.utterance]), [[2.0, -1.0]])
         assert E.encoder_to_config(rebuilt) == cfg
 
     def test_rewritten_file_is_refused(self, tmp_path):
@@ -726,8 +747,7 @@ class TestFileWordTable:
         path, cfg = self.stored(tmp_path)
         del cfg["source"]["sha256"]
         path.write_text("ab 1.0 2.0\ndab 3.0 4.0\n")  # unverifiable, as before digests
-        assert np.array_equal(E.encoder_from_config(cfg).encode_utterance(self.utterance),
-                              [2.0, 3.0])
+        assert np.array_equal(E.encoder_from_config(cfg).encode([self.utterance]), [[2.0, 3.0]])
 
     @pytest.mark.parametrize("digest", [True, False])
     def test_dim_other_than_stored_is_refused(self, tmp_path, digest):
