@@ -322,8 +322,9 @@ def _svg_frame(width: int, height: int, title: str) -> list[str]:
     return parts
 
 
-def svg_bar_chart(values, labels, title: str = "", width: int = 480, height: int = 280) -> str:
+def svg_bar_chart(values, labels, title: str = "") -> str:
     """Minimal standalone bar chart (no plotting dependency)."""
+    width, height = 480, 280
     values = [float(v) for v in values]
     labels = [str(x) for x in labels]
     if len(values) != len(labels) or not values:
@@ -346,12 +347,11 @@ def svg_bar_chart(values, labels, title: str = "", width: int = 480, height: int
     return "\n".join(parts)
 
 
-def svg_confidence_chart(
-    series: list[dict], batch: int = 30, width: int = 720, height: int = 260
-) -> str:
-    """Per-example confidence lines for the first ``batch`` examples: the
-    context model on top of the baseline."""
-    rows = series[:batch]
+def svg_confidence_chart(series: list[dict]) -> str:
+    """Per-example confidence lines for the first 30 examples: the context
+    model on top of the baseline."""
+    width, height = 720, 260
+    rows = series[:30]
     if not rows:
         raise ValueError("no examples to plot")
     margin, base = 40, height - 40

@@ -245,8 +245,8 @@ def _char_lm(cfg: dict, train_convs, vocab: enc.CharVocab) -> enc.MLSTMParams:
     settings = {name: cfg["model"][key] for key, name in _CHAR_LM.items()}
     corpus_dir = _corpus_dir(cfg)
     # everything train_char_lm's result depends on
-    key = {"seed": cfg["seed"], **settings, "chars": vocab.chars, "train_sha256":
-           hashlib.sha256((corpus_dir / "train.jsonl").read_bytes()).hexdigest()}
+    key = {"seed": cfg["seed"], **settings, "chars": vocab.chars,
+           "train_sha256": enc.file_sha256(corpus_dir / "train.jsonl")}
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = corpus_dir / f"char_lm-{digest[:16]}.json"
     if not path.exists():
@@ -372,9 +372,13 @@ def cmd_prepare(cfg: dict) -> int:
 def cmd_train(cfg: dict, model_name: str) -> int:
     train_convs, test_convs, vocab = _load_prepared(cfg, "train", "test")
     tcfg = opt.TrainConfig(seed=cfg["seed"], **cfg["train"])  # refused before the LM is cached
+    mcfg = cfg["model"]
+    for key in ("hidden_dim", "attention_dim", "baseline_hidden1", "baseline_hidden2",
+                "char_hidden_dim"):
+        if mcfg[key] is not None and mcfg[key] < 1:
+            raise CliError(f"model.{key} must be at least 1, got {mcfg[key]}")
     encoder = _build_encoder(cfg, train_convs, test_convs)
     windows = cor.build_all_windows(train_convs, tcfg.n_context, encoder, vocab)
-    mcfg = cfg["model"]
     if model_name == "baseline":
         kwargs = {key: mcfg[f"baseline_{key}"] for key in _NC_KEYS}
         model = BaselineMLP(encoder.dim, len(vocab), seed=cfg["seed"], **kwargs)
@@ -387,13 +391,16 @@ def cmd_train(cfg: dict, model_name: str) -> int:
 
     out_dir = Path(cfg["out_dir"])
     ckpt_path = out_dir / f"{model_name}_{cfg['encoder']}.ckpt.json"
+    history_path = out_dir / f"{model_name}_{cfg['encoder']}_history.csv"
+    # a write that fails part way then leaves no earlier run's output beside this run's
+    for path in (ckpt_path, history_path):
+        path.unlink(missing_ok=True)
     try:
         save_checkpoint(
             ckpt_path, model, enc.encoder_to_config(encoder), vocab.tags, cfg["seed"]
         )
     except ValueError as exc:  # a non-finite weight, which no checkpoint may hold
         raise opt.TrainingDiverged(f"checkpoint {ckpt_path} not written: {exc}") from exc
-    history_path = out_dir / f"{model_name}_{cfg['encoder']}_history.csv"
     opt.write_history_csv(history_path, result.history)
     print(
         f"trained {model_name} ({cfg['encoder']}): best val accuracy "
@@ -428,24 +435,16 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     vocab.check(_corpus_dir(cfg) / "test.jsonl", test_convs)  # a corpus fault, not the checkpoints'
     (n_context,) = n_contexts  # windows as the WC models were trained on
 
-    # windows are built once per distinct encoder configuration; configurations
-    # are compared as they are, weight arrays by exact value, since serializing
-    # a character encoder's weights to key on them costs more than comparing
-    window_cache: list[tuple[dict, list]] = []
-
-    def same(cached, config) -> bool:
-        if isinstance(cached, dict) and isinstance(config, dict):
-            return cached.keys() == config.keys() and all(same(cached[k], config[k]) for k in cached)
-        return np.array_equal(cached, config) if isinstance(cached, np.ndarray) else cached == config
+    # one build per distinct stored encoder: its entry as text, weight arrays as their sha256
+    windows_by_key: dict[str, list] = {}
 
     def windows_for(meta) -> list:
-        for config, windows in window_cache:
-            if same(config, meta["encoder"]):
-                return windows
-        encoder = enc.encoder_from_config(meta["encoder"])
-        windows = cor.build_all_windows(test_convs, n_context, encoder, vocab)
-        window_cache.append((meta["encoder"], windows))
-        return windows
+        key = json.dumps(meta["encoder"], sort_keys=True,
+                         default=lambda a: hashlib.sha256(a.tobytes()).hexdigest())
+        if key not in windows_by_key:
+            encoder = enc.encoder_from_config(meta["encoder"])
+            windows_by_key[key] = cor.build_all_windows(test_convs, n_context, encoder, vocab)
+        return windows_by_key[key]
 
     def predictions(group):
         return [(name, model.predict(windows_for(meta))) for name, model, meta in group]
@@ -463,7 +462,7 @@ def cmd_eval(cfg: dict, nc_paths: list[str], wc_paths: list[str]) -> int:
     except (OSError, ValueError, KeyError) as exc:  # a stored encoder, or its predictions
         raise CheckpointError(str(exc)) from exc
 
-    windows = windows_for(nc_group[0][2])
+    windows = next(iter(windows_by_key.values()))  # the first NC checkpoint's
     labels = [w.label for w in windows]
     records_path = Path(cfg["out_dir"]) / "eval_records.jsonl"
     ana.write_records(records_path, {
@@ -543,7 +542,7 @@ def cmd_analyze(cfg: dict, record_paths: list[str], runs: int | None) -> int:
         if multi is not None:
             charts["attention_profile_runs.svg"] = ana.svg_bar_chart(
                 multi, slots, title=f"mean attention over {len(record_sets)} runs")
-        charts["confidence.svg"] = ana.svg_confidence_chart(stats.series, batch=30)
+        charts["confidence.svg"] = ana.svg_confidence_chart(stats.series)
     for name, chart in charts.items():
         with atomic_text(out_dir / name) as fh:
             fh.write(chart)

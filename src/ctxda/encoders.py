@@ -137,7 +137,7 @@ def word_mean(texts, table: EmbeddingTable) -> np.ndarray:
     return out
 
 
-def _sha256(path) -> str:
+def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -164,7 +164,7 @@ class WordMeanEncoder(Encoder):
     @classmethod
     def from_file(cls, path) -> "WordMeanEncoder":
         """The table of the embedding file ``path``, stored by its path and sha256."""
-        source = {"kind": "file", "path": str(path), "sha256": _sha256(path)}
+        source = {"kind": "file", "path": str(path), "sha256": file_sha256(path)}
         return cls(load_embeddings(path), source)
 
     def encode(self, utts) -> np.ndarray:
@@ -504,7 +504,7 @@ class PrecomputedEncoder(Encoder):
 
     @classmethod
     def from_files(cls, paths) -> "PrecomputedEncoder":
-        digests = [_sha256(path) for path in paths]
+        digests = [file_sha256(path) for path in paths]
         tables = [load_feature_file(path) for path in paths]
         dims = [len(next(iter(table.values()))) for table in tables]
         for path, dim in zip(paths, dims):
@@ -574,7 +574,7 @@ def encoder_from_config(cfg: dict):
             if source["kind"] == "file":
                 path = source["path"]
                 # a source without a digest comes from a checkpoint written before them
-                if "sha256" in source and _sha256(path) != source["sha256"]:
+                if "sha256" in source and file_sha256(path) != source["sha256"]:
                     raise CheckpointError(f"word table {path} changed since the checkpoint "
                                           f"was written: its sha256 differs")
                 table = load_embeddings(path)

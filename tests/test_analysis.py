@@ -412,7 +412,7 @@ class TestSvg:
 
     def test_confidence_chart(self):
         stats = confidence_stats([record("sd", "sd", "sd", idx=i) for i in range(40)])
-        svg = svg_confidence_chart(stats.series, batch=30)
+        svg = svg_confidence_chart(stats.series)
         assert svg.count("<polyline") == 2
 
     def test_bar_chart_rejects_mismatch(self):

@@ -323,7 +323,13 @@ class TestTrain:
         ({"char_lm_lr": -0.01}, {}, "char LM learning_rate must be positive"),
         ({"char_lm_epochs": 0}, {}, "char LM epochs must be positive"),
         ({"char_max_chars": 1}, {}, "char LM max_chars must be at least 2, got 1"),
-    ], ids=["lr_decay", "char_lm_lr", "char_lm_epochs", "char_max_chars"])
+        ({"hidden_dim": 0}, {}, "model.hidden_dim must be at least 1, got 0"),
+        ({"attention_dim": -3}, {}, "model.attention_dim must be at least 1, got -3"),
+        ({"baseline_hidden1": 0}, {}, "model.baseline_hidden1 must be at least 1, got 0"),
+        ({"baseline_hidden2": 0}, {}, "model.baseline_hidden2 must be at least 1, got 0"),
+        ({"char_hidden_dim": 0}, {}, "model.char_hidden_dim must be at least 1, got 0"),
+    ], ids=["lr_decay", "char_lm_lr", "char_lm_epochs", "char_max_chars", "hidden_dim",
+            "attention_dim", "baseline_hidden1", "baseline_hidden2", "char_hidden_dim"])
     def test_senseless_learning_rate_setting_exit_2(self, tmp_path, capsys, model, train,
                                                     refused):
         config, _ = write_config(tmp_path, encoder="char", train=train, model={
@@ -728,6 +734,30 @@ class TestEval:
                      "--nc", str(out / "baseline_concat.ckpt.json"), "--wc", str(wc)])
         assert code == 0
         assert built == [1] * (1 + ulp)
+
+    @pytest.mark.parametrize("nc", [["word"], ["word", "concat"]])
+    def test_word_and_concat_ensemble_builds_windows_per_stored_encoder(self, tmp_path,
+                                                                        monkeypatch, nc):
+        # the paper's word + character ensemble; a second concat checkpoint of
+        # the same run stores the same encoder entry and adds no build
+        from ctxda import cli as cli_mod
+
+        config, _ = write_config(tmp_path, model={
+            "char_hidden_dim": 4, "char_lm_epochs": 1, "char_max_chars": 16})
+        out = tmp_path / "run"
+        assert main(["--config", str(config), "synth"]) == 0
+        for model, encoder in (("baseline", "word"), ("baseline", "concat"),
+                               ("uttattbirnn", "concat")):
+            assert main(["--config", str(config), "train", "--model", model,
+                         "--encoder", encoder]) == 0
+        built, build = [], cli_mod.cor.build_all_windows
+        monkeypatch.setattr(cli_mod.cor, "build_all_windows",
+                            lambda *args: (built.append(type(args[2]).__name__), build(*args))[1])
+        code = main(["--config", str(config), "eval",
+                     "--nc", *(str(out / f"baseline_{encoder}.ckpt.json") for encoder in nc),
+                     "--wc", str(out / "uttattbirnn_concat.ckpt.json")])
+        assert code == 0
+        assert built == ["WordMeanEncoder", "ConcatEncoder"]
 
     def test_corrupted_checkpoint_exit_4(self, pipeline, capsys):
         config, out = pipeline
@@ -1535,6 +1565,25 @@ class TestEveryOutputWholeOrNotAtAll:
         self.assert_outputs_of_one_run(tmp_path / "run", tmp_path / "clean", "confidence.svg")
         assert not (tmp_path / "run" / "attention_profile_runs.svg").exists()
         assert (tmp_path / "run" / "attention_profile.svg").exists()
+
+    @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
+    def test_failed_history_write_leaves_no_earlier_history(self, tmp_path, capsys,
+                                                            monkeypatch, fault):
+        # train's checkpoint and history come from one run, or the history is absent
+        config, _ = write_config(tmp_path, paths={"corpus_dir": str(tmp_path / "corpus")})
+        out = tmp_path / "run"
+        assert main(["--config", str(config), "synth"]) == 0
+        assert main(["--config", str(config), "train", "--model", "baseline"]) == 0
+        second = ["--seed", "8", "train", "--model", "baseline"]
+        assert main(["--config", str(config), "--out", str(tmp_path / "clean"), *second]) == 0
+        inject(monkeypatch, fault, "_history.csv")
+        capsys.readouterr()
+        assert main(["--config", str(config), *second]) == 2
+        assert str(out / "baseline_word_history.csv") in capsys.readouterr().err
+        assert (out / "baseline_word.ckpt.json").read_bytes() == (
+            tmp_path / "clean" / "baseline_word.ckpt.json").read_bytes()
+        assert not (out / "baseline_word_history.csv").exists()
+        assert list(out.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("fault", ["fill_disk", "refuse_replace"])
     def test_failed_embeddings_write_leaves_no_corpus(self, tmp_path, capsys, monkeypatch,
